@@ -164,38 +164,32 @@ func BenchmarkClusterParallel(b *testing.B) {
 
 // BenchmarkAssignChunked measures intra-restart scaling: a single SSPC
 // restart (Restarts=1 routes the whole worker budget into the chunked
-// assignment and dimension re-selection loops) at 1/2/4/8 workers, plus the
-// chunk-granularity sweep at 8 workers. The Result is byte-identical across
-// every sub-benchmark (pinned by TestConformanceChunkSizeInvariance); only
-// wall-clock time changes — run on multi-core hardware for the speedup
-// curve, single-core CI only tracks the serial baseline.
+// assignment and dimension re-selection loops) at 1/2/4/8 workers. The engine
+// sizes the chunks from the worker count; the Result is byte-identical
+// across every sub-benchmark (pinned by TestConformanceParallelEvaluation),
+// only wall-clock time changes — run on multi-core hardware for the speedup
+// curve.
 func BenchmarkAssignChunked(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
-	run := func(b *testing.B, workers, chunkSize int) {
-		for i := 0; i < b.N; i++ {
-			opts := DefaultOptions(5)
-			opts.Seed = 42
-			opts.Workers = workers
-			opts.ChunkSize = chunkSize
-			if _, err := Cluster(context.Background(), gt.Data, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, workers, 0) })
-	}
-	for _, chunkSize := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("workers=8/chunk=%d", chunkSize), func(b *testing.B) { run(b, 8, chunkSize) })
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				opts := DefaultOptions(5)
+				opts.Seed = 42
+				opts.Workers = workers
+				if _, err := Cluster(context.Background(), gt.Data, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkConstrainedAssignChunked measures one chunked COP-KMeans
 // constrained-assignment pass (the (component × center) distance scan plus
-// the serial feasibility placement) at 1/2/4/8 workers, plus the
-// chunk-granularity sweep at 8 workers. The pass output is byte-identical
-// across every sub-benchmark (the conformance suite pins the full Run);
-// only wall-clock time changes.
+// the serial feasibility placement) at 1/2/4/8 workers. The pass output is
+// byte-identical across every sub-benchmark (the conformance suite pins the
+// full Run); only wall-clock time changes.
 func BenchmarkConstrainedAssignChunked(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 50, 4, 20)
 	kn, err := SampleKnowledge(gt, KnowledgeConfig{Kind: ObjectsOnly, Coverage: 1, Size: 5, Seed: 9})
@@ -203,70 +197,51 @@ func BenchmarkConstrainedAssignChunked(b *testing.B) {
 		b.Fatal(err)
 	}
 	cons := ConstraintsFromKnowledge(kn)
-	run := func(b *testing.B, workers, chunkSize int) {
-		bench, err := copkmeans.NewAssignBench(gt.Data, cons, 4, workers, chunkSize)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.Assign(context.Background()); err != nil {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			bench, err := copkmeans.NewAssignBench(gt.Data, cons, 4, workers)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { run(b, workers, 0) })
-	}
-	for _, chunkSize := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("workers=8/chunk=%d", chunkSize), func(b *testing.B) { run(b, 8, chunkSize) })
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bench.Assign(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkEvaluateColumnar pits the columnar gather kernel against the
 // pre-kernel per-element At column scan on one Step-4 cluster evaluation
-// (SelectDim over all d dimensions of one cluster's members), on flat and
-// shard-backed storage. The two legs return bit-identical φ (pinned by the
-// kernel's oracle test); the benchmark charts the locality and
-// dispatch-elimination win, which is largest on the sharded path where the
-// At scan pays an integer division per element. Allocations are reported:
-// the columnar leg must stay at 0 allocs/op after its scratch warms up.
+// (SelectDim over all d dimensions of one cluster's members). The two legs
+// return bit-identical φ (pinned by the kernel's oracle test); the benchmark
+// charts the locality and dispatch-elimination win. Allocations are
+// reported: the columnar leg must stay at 0 allocs/op after its scratch
+// warms up.
 func BenchmarkEvaluateColumnar(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
 	members := gt.MembersOfClass(0)
-	storages := []struct {
-		name string
-		ds   *Dataset
-	}{{"flat", gt.Data}}
-	sd, err := ShardDataset(gt.Data, 16)
+	eb, err := core.NewEvalBench(gt.Data, DefaultOptions(5))
 	if err != nil {
 		b.Fatal(err)
 	}
-	storages = append(storages, struct {
-		name string
-		ds   *Dataset
-	}{"shards=16", sd.Dataset()})
 	var sink float64
-	for _, st := range storages {
-		eb, err := core.NewEvalBench(st.ds, DefaultOptions(5))
-		if err != nil {
-			b.Fatal(err)
+	b.Run("flat/columnar", func(b *testing.B) {
+		sink = eb.Columnar(members) // warm the gather/transpose scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink = eb.Columnar(members)
 		}
-		b.Run(st.name+"/columnar", func(b *testing.B) {
-			sink = eb.Columnar(members) // warm the gather/transpose scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink = eb.Columnar(members)
-			}
-		})
-		b.Run(st.name+"/atscan", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sink = eb.Reference(members)
-			}
-		})
-	}
+	})
+	b.Run("flat/atscan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = eb.Reference(members)
+		}
+	})
 	_ = sink
 }
 
@@ -302,56 +277,19 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkGatherRows measures the shard-aware bulk row accessor feeding the
-// columnar kernel: gathering one cluster's worth of scattered member rows
-// into a dense block, flat vs shard-backed. Zero allocs/op by contract
-// (TestGatherZeroAlloc).
+// BenchmarkGatherRows measures the bulk row accessor feeding the columnar
+// kernel: gathering one cluster's worth of scattered member rows into a
+// dense block. Zero allocs/op by contract (TestGatherZeroAlloc).
 func BenchmarkGatherRows(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
 	members := gt.MembersOfClass(0)
 	dst := make([]float64, len(members)*gt.Data.D())
-	run := func(b *testing.B, ds *Dataset) {
+	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ds.GatherRows(members, dst)
+			gt.Data.GatherRows(members, dst)
 		}
-	}
-	b.Run("flat", func(b *testing.B) { run(b, gt.Data) })
-	sd, err := ShardDataset(gt.Data, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("shards=16", func(b *testing.B) { run(b, sd.Dataset()) })
-}
-
-// BenchmarkClusterSharded measures the sharded storage path: a single SSPC
-// restart at 8 workers on flat storage vs shard-backed storage at several
-// shard counts (chunk boundaries align one chunk per shard, so each worker
-// scans only its own shard's memory). The Result is byte-identical across
-// every sub-benchmark (pinned by TestConformanceShardedVsFlat); the
-// comparison charts the locality cost/benefit of shard-backed accessors —
-// run on multi-core hardware, single-core CI only tracks the dispatch
-// overhead.
-func BenchmarkClusterSharded(b *testing.B) {
-	gt := benchGroundTruth(b, 2000, 200, 5, 12)
-	run := func(b *testing.B, ds *Dataset) {
-		for i := 0; i < b.N; i++ {
-			opts := DefaultOptions(5)
-			opts.Seed = 42
-			opts.Workers = 8
-			if _, err := Cluster(context.Background(), ds, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("flat", func(b *testing.B) { run(b, gt.Data) })
-	for _, shards := range []int{4, 16, 64} {
-		sd, err := ShardDataset(gt.Data, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { run(b, sd.Dataset()) })
-	}
+	})
 }
 
 // benchMmapDataset writes the benchmark ground truth to a temp .sspcb file
@@ -375,8 +313,8 @@ func benchMmapDataset(b *testing.B, gt *GroundTruth) *Dataset {
 // BenchmarkGatherRowsMmap is BenchmarkGatherRows' disk-tier leg: the same
 // scattered-member gather, but the shard blocks alias a read-only mmap of a
 // .sspcb file instead of heap slices. Zero allocs/op by the same contract
-// (TestGatherZeroAllocMmap); the delta against BenchmarkGatherRows/shards=16
-// is the page-cache cost of file-backed storage.
+// (TestGatherZeroAllocMmap); the delta against BenchmarkGatherRows/flat is
+// the cost of file-backed, shard-split storage.
 func BenchmarkGatherRowsMmap(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
 	members := gt.MembersOfClass(0)
@@ -390,11 +328,11 @@ func BenchmarkGatherRowsMmap(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterMmap is BenchmarkClusterSharded's disk-tier leg: one SSPC
-// restart at 8 workers over the mmap-backed dataset. The Result is
-// byte-identical to the flat and sharded legs (pinned by
-// TestConformanceDiskVsFlat); the comparison charts what clustering straight
-// off the file costs relative to heap-resident shards.
+// BenchmarkClusterMmap measures the disk tier end to end: one SSPC restart
+// at 8 workers over the mmap-backed dataset, its row scans chunked one shard
+// at a time. The Result is byte-identical to the flat fit (pinned by
+// TestConformanceDiskVsFlat); BenchmarkAssignChunked/workers=8 is the same
+// fit on the heap.
 func BenchmarkClusterMmap(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
 	ds := benchMmapDataset(b, gt)
@@ -434,8 +372,8 @@ func BenchmarkExperimentsParallel(b *testing.B) {
 // the baselines at 1/2/4/8 workers: Restarts=1 routes the whole worker
 // budget into each algorithm's chunked point loops (PROCLUS assignment /
 // refinement / outlier passes, DOC box-membership scans). Results are
-// byte-identical across every
-// sub-benchmark (pinned by TestConformanceChunkSizeInvariance); only
+// byte-identical across every sub-benchmark (pinned by
+// TestConformanceParallelEvaluation); only
 // wall-clock time changes. Single-core CI caveat: the CI container has one
 // core, so these curves are flat there (worker scheduling overhead only) —
 // run on multi-core hardware for the actual speedup numbers.

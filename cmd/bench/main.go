@@ -30,8 +30,8 @@
 // full-clustering shapes over an mmap-backed .sspcb file), the cluster-chunked
 // parallel evaluation path (BenchmarkEvaluateParallel), the chunked
 // COP-KMeans constrained-assignment pass
-// (BenchmarkConstrainedAssignChunked), the macro assignment/sharding
-// benchmarks (BenchmarkAssignChunked, BenchmarkClusterSharded), and the
+// (BenchmarkConstrainedAssignChunked), the macro assignment benchmark
+// (BenchmarkAssignChunked), and the
 // model-serving hot path (BenchmarkServeAssign — the Assigner behind
 // cmd/sspcd's /assign). CI runs the suite at -benchtime=1x every PR — a
 // compile-and-run smoke gate, not a measurement — verifies the committed
@@ -57,10 +57,10 @@ import (
 )
 
 // defaultBench is the named benchmark suite a bare `bench` run executes.
-const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterSharded|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign)$"
+const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign)$"
 
 // requiredKeys are the benchmark names (GOMAXPROCS suffix stripped) a valid
-// baseline must contain: the four EvaluateColumnar legs that compare the
+// baseline must contain: the two EvaluateColumnar legs that compare the
 // gather kernel against the per-element At scan, the bulk accessor feeding
 // it (in-memory and over the mmap-backed disk tier), the worker sweeps of
 // the cluster-chunked parallel evaluation path and the chunked COP-KMeans
@@ -71,8 +71,6 @@ const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|Benc
 var requiredKeys = []string{
 	"BenchmarkEvaluateColumnar/flat/columnar",
 	"BenchmarkEvaluateColumnar/flat/atscan",
-	"BenchmarkEvaluateColumnar/shards=16/columnar",
-	"BenchmarkEvaluateColumnar/shards=16/atscan",
 	"BenchmarkEvaluateParallel/workers=1",
 	"BenchmarkEvaluateParallel/workers=2",
 	"BenchmarkEvaluateParallel/workers=4",
@@ -82,7 +80,6 @@ var requiredKeys = []string{
 	"BenchmarkConstrainedAssignChunked/workers=4",
 	"BenchmarkConstrainedAssignChunked/workers=8",
 	"BenchmarkGatherRows/flat",
-	"BenchmarkGatherRows/shards=16",
 	"BenchmarkGatherRowsMmap/shards=16",
 	"BenchmarkClusterMmap/shards=16",
 	"BenchmarkClusterCtxOverhead/run",

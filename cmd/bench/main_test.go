@@ -378,7 +378,7 @@ func TestDeltaStatus(t *testing.T) {
 // report.
 func TestKernelStoragesDerivedFromRequiredKeys(t *testing.T) {
 	got := kernelStorages()
-	want := []string{"flat", "shards=16"}
+	want := []string{"flat"}
 	if len(got) != len(want) {
 		t.Fatalf("kernelStorages() = %v, want %v", got, want)
 	}

@@ -28,12 +28,10 @@ func main() {
 		seed    = flag.Int64("seed", 1, "master random seed")
 		workers = flag.Int("workers", 0, "concurrent (algorithm × dataset × seed) cells; 0 = GOMAXPROCS. Tables are identical for every value")
 		early   = flag.Int("earlystop", 0, "stop each best-of-repeats protocol once its objective has not improved for this many consecutive repeats; -repeats stays the cap. 0 = paper's fixed-repeat protocol")
-		chunk   = flag.Int("chunk", 0, "objects per intra-restart chunk in every algorithm's chunked loops; 0 = per-algorithm defaults. Tables are identical for every value")
-		shards  = flag.Int("shards", 0, "re-back every generated dataset as this many contiguous row-range shards before clustering; 0 = flat storage. Tables are identical for every value")
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{Repeats: *repeats, Scale: *scale, Seed: *seed, Workers: *workers, EarlyStop: *early, ChunkSize: *chunk, Shards: *shards}
+	cfg := experiments.Config{Repeats: *repeats, Scale: *scale, Seed: *seed, Workers: *workers, EarlyStop: *early}
 
 	type figure struct {
 		id  string

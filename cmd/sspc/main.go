@@ -21,9 +21,8 @@
 // docs/DATASETS.md) instead of parsing CSV: the file is verified and mapped
 // read-only, so datasets larger than RAM cluster with peak heap near the
 // working set. Results are byte-identical to loading the same values flat.
-// -data excludes -in, -truth (the binary format carries no label column),
-// -normalize (the mapping is immutable; normalize before converting), and
-// -shards (the file fixes the shard granularity).
+// -data excludes -in, -truth (the binary format carries no label column) and
+// -normalize (the mapping is immutable; normalize before converting).
 //
 // The knowledge file has one entry per line:
 //
@@ -73,7 +72,7 @@ import (
 func main() {
 	var (
 		in          = flag.String("in", "", "input CSV path (this or -data required)")
-		data        = flag.String("data", "", "input binary dataset path (.sspcb), opened mmap-backed; excludes -in/-truth/-normalize/-shards")
+		data        = flag.String("data", "", "input binary dataset path (.sspcb), opened mmap-backed; excludes -in/-truth/-normalize")
 		header      = flag.Bool("header", false, "input has a header row")
 		truth       = flag.Bool("truth", false, "last CSV column is the true class label; report ARI")
 		algo        = flag.String("algo", "sspc", "algorithm: sspc | proclus | harp | clarans | doc | clique | copkmeans | seedkmeans | bicluster")
@@ -90,8 +89,6 @@ func main() {
 		restarts    = flag.Int("restarts", 0, "independent randomized restarts; best result by the algorithm's objective wins. 0 = algorithm default (1; clarans: numlocal 2)")
 		workers     = flag.Int("workers", 0, "concurrent restarts (spare workers parallelize each algorithm's chunked loops inside a restart); 0 = all CPUs. Never changes the result, only the wall-clock time")
 		earlyStop   = flag.Int("earlystop", 0, "sspc/proclus/doc: stop streaming restarts once the objective has not improved for this many consecutive restarts; -restarts stays the cap. 0 = run all restarts")
-		chunk       = flag.Int("chunk", 0, "objects per intra-restart chunk; 0 = algorithm default. Any value gives identical output")
-		shards      = flag.Int("shards", 0, "re-back the dataset as this many contiguous row-range shards, each with its own backing memory; row-scanning chunked loops then align one chunk per shard. 0 = flat storage. Any value gives identical output")
 		knowledge   = flag.String("knowledge", "", "knowledge file (object/dim labels): sspc, seedkmeans, copkmeans")
 		constraints = flag.String("constraints", "", "constraints file (must/cannot pairs): copkmeans, sspc, seedkmeans")
 		seeds       = flag.String("seeds", "", "seed-set file (class + objects per line): seedkmeans, sspc, copkmeans")
@@ -128,15 +125,12 @@ func main() {
 	if *data != "" {
 		// Binary path: the file is verified and mapped read-only; every
 		// CSV-era preprocessing knob is a hard error rather than a silent
-		// no-op (normalize/shard before converting instead).
+		// no-op (normalize before converting instead).
 		if *truth {
 			fail(fmt.Errorf("-data: the binary format carries no label column; -truth needs -in"))
 		}
 		if *normalize != "none" {
 			fail(fmt.Errorf("-data: the mapped dataset is immutable; normalize before converting (-normalize none only)"))
-		}
-		if *shards > 0 {
-			fail(fmt.Errorf("-data: the file fixes the shard granularity; -shards applies to -in only"))
 		}
 		fl, err := binfmt.OpenBinary(*data)
 		if err != nil {
@@ -174,19 +168,6 @@ func main() {
 		}
 		if err != nil {
 			fail(err)
-		}
-
-		// Shard after normalization: the normalizers return flat datasets, and
-		// sharding is the last storage decision before clustering. (The pure
-		// streaming path — dataset.ReadCSVSharded — skips the flat intermediate
-		// entirely but needs a rows-per-shard budget instead of a shard count;
-		// see docs/DATASETS.md.)
-		if *shards > 0 {
-			sd, err := ds.Shards(*shards)
-			if err != nil {
-				fail(err)
-			}
-			ds = sd.Dataset()
 		}
 	}
 
@@ -257,7 +238,6 @@ func main() {
 		opts.Restarts = *restarts
 		opts.Workers = *workers
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		if !sup.Empty() {
 			kn, err := sup.AsKnowledge()
 			if err != nil {
@@ -279,7 +259,6 @@ func main() {
 		opts.Restarts = *restarts
 		opts.Workers = *workers
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		res, err = proclus.RunContext(ctx, ds, opts)
 	case "harp":
 		opts := harp.DefaultOptions(*k)
@@ -299,7 +278,6 @@ func main() {
 		opts.Seed = *seed
 		opts.Restarts = *restarts
 		opts.Workers = *workers
-		opts.ChunkSize = *chunk
 		res, err = clarans.RunContext(ctx, ds, opts)
 	case "doc":
 		if *w <= 0 {
@@ -310,7 +288,6 @@ func main() {
 		opts.Restarts = *restarts
 		opts.Workers = *workers
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		res, err = doc.RunContext(ctx, ds, opts)
 	case "clique":
 		opts := clique.DefaultOptions()
@@ -324,7 +301,6 @@ func main() {
 		opts.Seed = *seed
 		opts.Restarts = *restarts
 		opts.Workers = *workers
-		opts.ChunkSize = *chunk
 		_, res, err = clique.RunContext(ctx, ds, opts)
 	case "copkmeans":
 		must, cannot, cerr := sup.AsConstraints()
@@ -336,7 +312,6 @@ func main() {
 		opts.Restarts = *restarts
 		opts.Workers = *workers
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		res, err = copkmeans.RunContext(ctx, ds, &copkmeans.Constraints{MustLink: must, CannotLink: cannot}, opts)
 	case "seedkmeans":
 		kn, kerr := sup.AsKnowledge()
@@ -349,14 +324,12 @@ func main() {
 		opts.Restarts = *restarts
 		opts.Workers = *workers
 		opts.EarlyStop = *earlyStop
-		opts.ChunkSize = *chunk
 		res, err = seedkmeans.RunContext(ctx, ds, kn, opts)
 	case "bicluster":
 		opts := bicluster.DefaultOptions(*k, *delta)
 		opts.Seed = *seed
 		opts.Restarts = *restarts
 		opts.Workers = *workers
-		opts.ChunkSize = *chunk
 		_, res, err = bicluster.RunContext(ctx, ds, opts)
 	default:
 		fail(fmt.Errorf("unknown algorithm %q", *algo))

@@ -25,31 +25,26 @@ import (
 //  1. restart-0 ≡ base-seed: a single-restart run through the engine
 //     reproduces the pinned pre-engine serial fingerprint.
 //  2. Workers invariance: Workers = 8 is byte-identical to Workers = 1.
-//  3. ChunkSize invariance: every (ChunkSize, Workers) combination of the
-//     intra-restart chunked loops reproduces the same golden pin — the
-//     chunked path is byte-identical to the pre-chunking serial loop.
-//  4. EarlyStop off / un-triggerable windows reproduce the fixed
+//  3. EarlyStop off / un-triggerable windows reproduce the fixed
 //     best-of-Restarts protocol (algorithms with a streaming knob).
-//  5. More restarts never worsen the best score under a fixed seed split.
-//  6. A *Dataset is safe for concurrent readers: independent fits of
+//  4. More restarts never worsen the best score under a fixed seed split.
+//  5. A *Dataset is safe for concurrent readers: independent fits of
 //     every algorithm may share one dataset (meaningful under -race).
-//  7. Sharded-vs-flat invariance: re-backing the dataset as contiguous
-//     row-range shards (dataset.Shards) changes memory layout only — every
-//     (shards, workers, chunk) combination reproduces the flat Result byte
-//     for byte, and single-restart sharded runs still hit the golden pins.
-//  8. Parallel-evaluation invariance: the cluster-chunked Step-4 map-reduce
-//     (engine.MapChunksIntoCtx, one cluster per chunk, φ folded in
-//     cluster-index order) reproduces the serial golden pins at worker
-//     counts below, at, and above K — the straddle that routes every
-//     evaluation-chunking branch (single-chunk short-circuit, partial slot
-//     reuse, more workers than clusters).
-//  9. Disk-vs-flat invariance: a dataset round-tripped through the .sspcb
+//  6. Parallel-evaluation invariance: with Restarts = 1 the whole worker
+//     budget flows into the intra-restart chunked loops, and worker counts
+//     below, at, and above K reproduce the serial golden pins. The sweep
+//     routes every evaluation-chunking branch of the cluster-chunked Step-4
+//     map-reduce (single-chunk short-circuit, partial slot reuse, more
+//     workers than clusters), and because the engine sizes the other
+//     chunked loops from the worker count, it also moves every engine-sized
+//     chunk boundary.
+//  7. Disk-vs-flat invariance: a dataset round-tripped through the .sspcb
 //     binary format and reopened mmap-backed (read-only shards aliasing the
-//     file pages) reproduces the flat Result byte for byte at every
-//     (shardRows, workers, chunk) combination, and single-restart mmap runs
-//     still hit the golden pins — the out-of-core tier is a storage
-//     decision, never a semantic one.
-// 10. Cancellation: a context cancelled before or during the fit yields
+//     file pages, row scans chunked one shard at a time) reproduces the
+//     flat Result byte for byte at every (shardRows, workers) combination,
+//     and single-restart mmap runs still hit the golden pins — the
+//     out-of-core tier is a storage decision, never a semantic one.
+//  8. Cancellation: a context cancelled before or during the fit yields
 //     context.Canceled (an expired deadline context.DeadlineExceeded) with a
 //     nil result — never a partial clustering — and leaves no goroutines
 //     behind, on flat and mmap-backed storage alike (see ARCHITECTURE.md,
@@ -60,7 +55,6 @@ type confRun struct {
 	seed      int64
 	restarts  int
 	workers   int
-	chunkSize int
 	earlyStop int
 }
 
@@ -88,7 +82,6 @@ func conformanceAlgos() []confAlgo {
 				opts.Seed = r.seed
 				opts.Restarts = r.restarts
 				opts.Workers = r.workers
-				opts.ChunkSize = r.chunkSize
 				opts.EarlyStop = r.earlyStop
 				return Cluster(ctx, ds, opts)
 			},
@@ -101,7 +94,6 @@ func conformanceAlgos() []confAlgo {
 				opts.Seed = r.seed
 				opts.Restarts = r.restarts
 				opts.Workers = r.workers
-				opts.ChunkSize = r.chunkSize
 				opts.EarlyStop = r.earlyStop
 				return PROCLUS(ctx, ds, opts)
 			},
@@ -114,7 +106,6 @@ func conformanceAlgos() []confAlgo {
 				opts.Seed = r.seed
 				opts.Restarts = r.restarts
 				opts.Workers = r.workers
-				opts.ChunkSize = r.chunkSize
 				return CLARANS(ctx, ds, opts)
 			},
 		},
@@ -126,7 +117,6 @@ func conformanceAlgos() []confAlgo {
 				opts.Seed = r.seed
 				opts.Restarts = r.restarts
 				opts.Workers = r.workers
-				opts.ChunkSize = r.chunkSize
 				opts.EarlyStop = r.earlyStop
 				return DOC(ctx, ds, opts)
 			},
@@ -144,7 +134,7 @@ func conformanceAlgos() []confAlgo {
 		},
 		// The four PR-7 promotions. Their pins were captured from the
 		// single-restart serial output at the promoting commit (the sketches
-		// had no Restarts/Workers/ChunkSize knobs before it, so these are the
+		// had no engine knobs before it, so these are the
 		// first authoritative fingerprints).
 		{
 			name: "CLIQUE", golden: "916a99526552861a score=596",
@@ -155,7 +145,6 @@ func conformanceAlgos() []confAlgo {
 				opts.Seed = r.seed
 				opts.Restarts = r.restarts
 				opts.Workers = r.workers
-				opts.ChunkSize = r.chunkSize
 				_, res, err := CLIQUE(ctx, ds, opts)
 				return res, err
 			},
@@ -165,7 +154,7 @@ func conformanceAlgos() []confAlgo {
 			goldenSeed: 15, restarts: 4, earlyStop: true,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				// Fixed index-only constraints: identical for the flat and
-				// sharded fixture copies, feasible under K = 3.
+				// mmap fixture copies, feasible under K = 3.
 				cons := &Constraints{
 					MustLink:   [][2]int{{0, 1}, {5, 6}},
 					CannotLink: [][2]int{{0, 5}, {10, 20}},
@@ -174,7 +163,6 @@ func conformanceAlgos() []confAlgo {
 				opts.Seed = r.seed
 				opts.Restarts = r.restarts
 				opts.Workers = r.workers
-				opts.ChunkSize = r.chunkSize
 				opts.EarlyStop = r.earlyStop
 				return COPKMeans(ctx, ds, cons, opts)
 			},
@@ -189,7 +177,6 @@ func conformanceAlgos() []confAlgo {
 				opts.Seed = r.seed
 				opts.Restarts = r.restarts
 				opts.Workers = r.workers
-				opts.ChunkSize = r.chunkSize
 				opts.EarlyStop = r.earlyStop
 				return SeedKMeans(ctx, ds, nil, opts)
 			},
@@ -202,7 +189,6 @@ func conformanceAlgos() []confAlgo {
 				opts.Seed = r.seed
 				opts.Restarts = r.restarts
 				opts.Workers = r.workers
-				opts.ChunkSize = r.chunkSize
 				_, res, err := Biclusters(ctx, ds, opts)
 				return res, err
 			},
@@ -252,36 +238,7 @@ func TestConformanceWorkersInvariance(t *testing.T) {
 	}
 }
 
-// TestConformanceChunkSizeInvariance pins the intra-restart chunked loops:
-// every (ChunkSize, Workers) combination reproduces the exact golden
-// fingerprint of the pre-chunking serial path. Restarts = 1 routes the whole
-// worker budget into the chunked loops, so Workers = 8 exercises the
-// parallel branch of every loop.
-func TestConformanceChunkSizeInvariance(t *testing.T) {
-	gt := detFixture(t)
-	for _, a := range conformanceAlgos() {
-		a := a
-		t.Run(a.name, func(t *testing.T) {
-			for _, chunkSize := range []int{1, 7, 512, 1 << 20} {
-				for _, workers := range []int{1, 8} {
-					res, err := a.run(context.Background(), gt.Data, confRun{
-						seed: a.goldenSeed, restarts: 1,
-						workers: workers, chunkSize: chunkSize,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := fingerprint(res); got != a.golden {
-						t.Errorf("ChunkSize=%d Workers=%d: fingerprint = %s, want %s",
-							chunkSize, workers, got, a.golden)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestConformanceParallelEvaluation is the parallel-evaluation leg (leg 8):
+// TestConformanceParallelEvaluation is the parallel-evaluation leg (leg 6):
 // with Restarts = 1 the whole worker budget flows into the intra-restart
 // loops, so the per-cluster Step-4 evaluation map-reduce (and PROCLUS's
 // per-medoid dimension passes) chunk across Workers goroutines. The sweep
@@ -289,13 +246,15 @@ func TestConformanceChunkSizeInvariance(t *testing.T) {
 // across chunks), exactly K, and far more than K (idle slots) — and every
 // point must reproduce the serial golden pin bit for bit, because the φ fold
 // visits one-cluster chunks in ascending cluster index: the exact addition
-// sequence of the serial loop.
+// sequence of the serial loop. The engine sizes every other chunked loop
+// from the worker count, so each point of the sweep also moves those chunk
+// boundaries, and the pin proves no loop depends on where they fall.
 func TestConformanceParallelEvaluation(t *testing.T) {
 	gt := detFixture(t)
 	for _, a := range conformanceAlgos() {
 		a := a
 		t.Run(a.name, func(t *testing.T) {
-			for _, workers := range []int{2, 3, 5, 16} {
+			for _, workers := range []int{2, 3, 5, 8, 16} {
 				res, err := a.run(context.Background(), gt.Data, confRun{seed: a.goldenSeed, restarts: 1, workers: workers})
 				if err != nil {
 					t.Fatal(err)
@@ -364,69 +323,12 @@ func TestConformanceMoreRestartsNeverWorse(t *testing.T) {
 	}
 }
 
-// TestConformanceShardedVsFlat is the storage-invariance leg: for every
-// algorithm, clustering a shard-backed copy of the fixture returns a Result
-// byte-identical to clustering the flat original, for every combination of
-// shard count, worker count, and chunk size — and the single-restart sharded
-// run still reproduces the pre-engine golden pin, so sharding is proven
-// invisible end to end (values, merged column stats, chunk alignment, and
-// all five algorithms' hot loops).
-func TestConformanceShardedVsFlat(t *testing.T) {
-	gt := detFixture(t)
-	shardCounts := []int{1, 3, 7}
-	workerCounts := []int{1, 8}
-	chunkSizes := []int{0, 7}
-
-	shardedData := make([]*Dataset, len(shardCounts))
-	for i, shards := range shardCounts {
-		sd, err := ShardDataset(gt.Data, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardedData[i] = sd.Dataset()
-	}
-
-	for _, a := range conformanceAlgos() {
-		a := a
-		t.Run(a.name, func(t *testing.T) {
-			for i, shards := range shardCounts {
-				res, err := a.run(context.Background(), shardedData[i], confRun{seed: a.goldenSeed, restarts: 1, workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fingerprint(res); got != a.golden {
-					t.Errorf("shards=%d: fingerprint = %s, want %s", shards, got, a.golden)
-				}
-			}
-			for _, workers := range workerCounts {
-				for _, chunk := range chunkSizes {
-					r := confRun{seed: 3, restarts: a.restarts, workers: workers, chunkSize: chunk}
-					flat, err := a.run(context.Background(), gt.Data, r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, shards := range shardCounts {
-						sharded, err := a.run(context.Background(), shardedData[i], r)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(flat, sharded) {
-							t.Errorf("shards=%d workers=%d chunk=%d diverged from flat:\n  flat:    %s\n  sharded: %s",
-								shards, workers, chunk, fingerprint(flat), fingerprint(sharded))
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestConformanceDiskVsFlat is the out-of-core storage-invariance leg (leg
-// 9): the fixture is written to a .sspcb binary file at several shard
+// 7): the fixture is written to a .sspcb binary file at several shard
 // granularities and reopened through the full disk path — header and extent
 // verification, checksum checks, mmap, read-only shard blocks aliasing the
 // mapped pages — and every algorithm must return a Result byte-identical to
-// the flat original for every (shardRows, workers, chunk) combination, with
+// the flat original for every (shardRows, workers) combination, with
 // the single-restart mmap run still reproducing the pre-engine golden pin.
 // Together with the typed-error tests in internal/dataset/binfmt this is the
 // disk tier's whole contract: verified bytes behave exactly like RAM, and
@@ -434,9 +336,8 @@ func TestConformanceShardedVsFlat(t *testing.T) {
 func TestConformanceDiskVsFlat(t *testing.T) {
 	gt := detFixture(t)
 	n := gt.Data.N()
-	shardRowsList := []int{n, (n + 2) / 3, (n + 6) / 7} // same boundaries as the sharded leg's k = 1, 3, 7
+	shardRowsList := []int{n, (n + 2) / 3, (n + 6) / 7} // one, three and seven shards
 	workerCounts := []int{1, 8}
-	chunkSizes := []int{0, 7}
 
 	dir := t.TempDir()
 	diskData := make([]*Dataset, len(shardRowsList))
@@ -466,21 +367,19 @@ func TestConformanceDiskVsFlat(t *testing.T) {
 				}
 			}
 			for _, workers := range workerCounts {
-				for _, chunk := range chunkSizes {
-					r := confRun{seed: 3, restarts: a.restarts, workers: workers, chunkSize: chunk}
-					flat, err := a.run(context.Background(), gt.Data, r)
+				r := confRun{seed: 3, restarts: a.restarts, workers: workers}
+				flat, err := a.run(context.Background(), gt.Data, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, shardRows := range shardRowsList {
+					disk, err := a.run(context.Background(), diskData[i], r)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i, shardRows := range shardRowsList {
-						disk, err := a.run(context.Background(), diskData[i], r)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(flat, disk) {
-							t.Errorf("shardRows=%d workers=%d chunk=%d diverged from flat:\n  flat: %s\n  mmap: %s",
-								shardRows, workers, chunk, fingerprint(flat), fingerprint(disk))
-						}
+					if !reflect.DeepEqual(flat, disk) {
+						t.Errorf("shardRows=%d workers=%d diverged from flat:\n  flat: %s\n  mmap: %s",
+							shardRows, workers, fingerprint(flat), fingerprint(disk))
 					}
 				}
 			}
@@ -527,7 +426,7 @@ func settleGoroutines(t *testing.T, baseline int, label string) {
 		label, runtime.NumGoroutine(), baseline)
 }
 
-// TestConformanceContextEquivalence is the cancellation leg (leg 10), on
+// TestConformanceContextEquivalence is the cancellation leg (leg 8), on
 // flat and mmap-backed storage: a context cancelled before the fit returns
 // context.Canceled with a nil result; an expired deadline returns
 // context.DeadlineExceeded with a nil result; a cancel racing the fit either

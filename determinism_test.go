@@ -38,7 +38,7 @@ func detFixture(t testing.TB) *GroundTruth {
 // (captured at the commit that introduced internal/engine) live in the
 // conformance table (conformanceAlgos in conformance_test.go) — one copy,
 // pinned by TestConformanceRestartZeroBaseSeed and re-pinned across the
-// (ChunkSize, Workers) sweep by TestConformanceChunkSizeInvariance. Worker
+// worker sweep by TestConformanceParallelEvaluation. Worker
 // invariance and the EarlyStop-off equivalence are asserted there too.
 
 // TestSeedsProduceDifferentClusterings checks the flip side: the seed is

@@ -14,8 +14,8 @@
 // shared restart engine, and the hot loop — the residue computation that
 // node deletion re-evaluates at every step — is chunked over the bicluster's
 // row and column lists, under the repository-wide determinism contract:
-// results are a pure function of (dataset, options) for every
-// Workers/ChunkSize value. Run also flattens the biclusters into the
+// results are a pure function of (dataset, options) for every Workers
+// value. Run also flattens the biclusters into the
 // repository's shared disjoint-partition Result (rows → clusters, columns →
 // selected dimensions, mean H as the lower-is-better score).
 package bicluster
@@ -58,16 +58,6 @@ type Options struct {
 	// chunked residue scans inside each restart. <= 0 means
 	// runtime.GOMAXPROCS(0). The worker count never changes the result.
 	Workers int
-
-	// ChunkSize is the number of rows (resp. columns) per unit of work in
-	// the chunked residue scans. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only tunes
-	// scheduling granularity. <= 0 means a default of 512. The chunk
-	// domains are the bicluster's shrinking row/column lists, not the
-	// dataset row range, so the chunk size is not shard-aligned (compare
-	// engine.AlignChunk); the search runs on a private dense copy anyway
-	// (masking must not touch the caller's dataset).
-	ChunkSize int
 }
 
 // DefaultOptions returns the paper's usual parameters.
@@ -111,9 +101,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Biclu
 	}
 	if opts.MinCols < 2 {
 		opts.MinCols = 2
-	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
 	}
 	restarts := opts.Restarts
 	if restarts <= 0 {
@@ -183,7 +170,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 			if err := engine.Cause(ctx); err != nil {
 				return nil, nil, err
 			}
-			h, rowRes, colRes, err := residuesChunked(ctx, a, rows, cols, workers, opts.ChunkSize)
+			h, rowRes, colRes, err := residuesChunked(ctx, a, rows, cols, workers)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -221,7 +208,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 			if err := engine.Cause(ctx); err != nil {
 				return nil, nil, err
 			}
-			h, rowRes, colRes, err := residuesChunked(ctx, a, rows, cols, workers, opts.ChunkSize)
+			h, rowRes, colRes, err := residuesChunked(ctx, a, rows, cols, workers)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -263,12 +250,12 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 
 		// Node addition: add back columns then rows whose residue does not
 		// exceed the current H.
-		h, _, _, err := residuesChunked(ctx, a, rows, cols, workers, opts.ChunkSize)
+		h, _, _, err := residuesChunked(ctx, a, rows, cols, workers)
 		if err != nil {
 			return nil, nil, err
 		}
 		rows, cols = addNodes(a, rows, cols, h, n, d)
-		if h, _, _, err = residuesChunked(ctx, a, rows, cols, workers, opts.ChunkSize); err != nil {
+		if h, _, _, err = residuesChunked(ctx, a, rows, cols, workers); err != nil {
 			return nil, nil, err
 		}
 
@@ -329,15 +316,16 @@ func flatten(bics []Bicluster, n, d int) (*cluster.Result, error) {
 // statistic scans its row serially in ascending column order and every
 // per-column statistic scans its column serially in ascending row order, so
 // each entry of rowSum/colSum/rowRes/colRes is a fixed addition sequence —
-// independent of Workers and ChunkSize — and the cross-row folds (the grand
-// total and H) run serially in ascending index order. The four scans chunk
-// over the row list (resp. column list) with disjoint writes; a non-nil error
-// (cancellation cause or injected fault) leaves the outputs meaningless.
-func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, workers, chunkSize int) (h float64, rowRes, colRes []float64, err error) {
+// independent of Workers — and the cross-row folds (the grand total and H)
+// run serially in ascending index order. The four scans chunk the row list
+// (resp. column list) in engine-sized chunks with disjoint writes; a non-nil
+// error (cancellation cause or injected fault) leaves the outputs
+// meaningless.
+func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, workers int) (h float64, rowRes, colRes []float64, err error) {
 	nr, nc := len(rows), len(cols)
 	rowMean := make([]float64, nr)
 	colMean := make([]float64, nc)
-	if err := engine.ParallelChunksCtx(ctx, nr, chunkSize, workers, func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, nr, 0, workers, func(_, lo, hi int) {
 		for ti := lo; ti < hi; ti++ {
 			sum := 0.0
 			ai := a[rows[ti]]
@@ -349,7 +337,7 @@ func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, worke
 	}); err != nil {
 		return 0, nil, nil, err
 	}
-	if err := engine.ParallelChunksCtx(ctx, nc, chunkSize, workers, func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, nc, 0, workers, func(_, lo, hi int) {
 		for tj := lo; tj < hi; tj++ {
 			sum := 0.0
 			j := cols[tj]
@@ -373,7 +361,7 @@ func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, worke
 
 	rowRes = make([]float64, nr)
 	colRes = make([]float64, nc)
-	if err := engine.ParallelChunksCtx(ctx, nr, chunkSize, workers, func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, nr, 0, workers, func(_, lo, hi int) {
 		for ti := lo; ti < hi; ti++ {
 			sum := 0.0
 			ai := a[rows[ti]]
@@ -386,7 +374,7 @@ func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, worke
 	}); err != nil {
 		return 0, nil, nil, err
 	}
-	if err := engine.ParallelChunksCtx(ctx, nc, chunkSize, workers, func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, nc, 0, workers, func(_, lo, hi int) {
 		for tj := lo; tj < hi; tj++ {
 			sum := 0.0
 			j := cols[tj]

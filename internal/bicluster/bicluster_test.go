@@ -58,7 +58,7 @@ func TestRunValidation(t *testing.T) {
 // bit.
 func residues(t *testing.T, a [][]float64, rows, cols []int) (h float64, rowRes, colRes []float64) {
 	t.Helper()
-	h, rowRes, colRes, err := residuesChunked(context.Background(), a, rows, cols, 1, 0)
+	h, rowRes, colRes, err := residuesChunked(context.Background(), a, rows, cols, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,8 @@ func TestGoldenPin(t *testing.T) {
 
 // TestResiduesChunkedMatchesSerial checks bit-exact equality of the chunked
 // residue scans against the serial reference over shrinking row/column
-// lists, the way node deletion drives them.
+// lists, the way node deletion drives them. Every worker count moves the
+// engine-sized chunk boundaries.
 func TestResiduesChunkedMatchesSerial(t *testing.T) {
 	rng := stats.NewRNG(54)
 	n, d := 60, 25
@@ -74,24 +75,22 @@ func TestResiduesChunkedMatchesSerial(t *testing.T) {
 	}
 	for len(rows) > 2 && len(cols) > 2 {
 		hS, rowS, colS := residues(t, a, rows, cols)
-		for _, workers := range []int{2, 8} {
-			for _, chunk := range []int{1, 3} {
-				hC, rowC, colC, err := residuesChunked(context.Background(), a, rows, cols, workers, chunk)
-				if err != nil {
-					t.Fatal(err)
+		for _, workers := range []int{2, 3, 8} {
+			hC, rowC, colC, err := residuesChunked(context.Background(), a, rows, cols, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(hS) != math.Float64bits(hC) {
+				t.Fatalf("workers=%d: h %v != serial %v", workers, hC, hS)
+			}
+			for i := range rowS {
+				if math.Float64bits(rowS[i]) != math.Float64bits(rowC[i]) {
+					t.Fatalf("workers=%d: rowRes[%d] diverged", workers, i)
 				}
-				if math.Float64bits(hS) != math.Float64bits(hC) {
-					t.Fatalf("workers=%d chunk=%d: h %v != serial %v", workers, chunk, hC, hS)
-				}
-				for i := range rowS {
-					if math.Float64bits(rowS[i]) != math.Float64bits(rowC[i]) {
-						t.Fatalf("workers=%d chunk=%d: rowRes[%d] diverged", workers, chunk, i)
-					}
-				}
-				for j := range colS {
-					if math.Float64bits(colS[j]) != math.Float64bits(colC[j]) {
-						t.Fatalf("workers=%d chunk=%d: colRes[%d] diverged", workers, chunk, j)
-					}
+			}
+			for j := range colS {
+				if math.Float64bits(colS[j]) != math.Float64bits(colC[j]) {
+					t.Fatalf("workers=%d: colRes[%d] diverged", workers, j)
 				}
 			}
 		}
@@ -100,9 +99,9 @@ func TestResiduesChunkedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestChunkedResiduesRace drives the four chunked residue scans with many
-// more chunks than workers for several rounds through full Run calls,
-// comparing every round against the serial output — meaningful under -race,
+// TestChunkedResiduesRace drives the four chunked residue scans on 8
+// workers, four engine-sized chunks each, for several rounds through full
+// Run calls, comparing every round against the serial output — meaningful under -race,
 // which would flag any cross-chunk write overlap.
 func TestChunkedResiduesRace(t *testing.T) {
 	ds := plantBicluster(80, 20, []int{1, 3, 5, 7, 9, 11, 13}, []int{0, 2, 4, 6, 8}, 0.2, 53)
@@ -117,7 +116,6 @@ func TestChunkedResiduesRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		chunked := opts
 		chunked.Workers = 8
-		chunked.ChunkSize = 1 // one row / one column per chunk
 		bics, res, err := RunContext(context.Background(), ds, chunked)
 		if err != nil {
 			t.Fatal(err)

@@ -37,16 +37,10 @@ type Options struct {
 	// Workers bounds how many local searches run concurrently; <= 0 means
 	// runtime.GOMAXPROCS(0). The worker count never changes the result.
 	// After the local searches finish, the full budget parallelizes the
-	// final chunked assignment scan.
+	// final chunked assignment scan. (The swap-cost loop inside a local
+	// search stays serial: its running sum is order-sensitive floating
+	// point.)
 	Workers int
-
-	// ChunkSize is the number of objects per unit of work in the chunked
-	// final assignment scan. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only
-	// tunes scheduling granularity. <= 0 means a default of 512. (The
-	// swap-cost loop inside a local search stays serial: its running sum
-	// is order-sensitive floating point.)
-	ChunkSize int
 }
 
 // DefaultOptions returns the paper's recommended parameters.
@@ -105,19 +99,11 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 		iterations += l.iterations
 	}
 
-	// Final assignment: per-point nearest medoid, chunked over fixed point
-	// ranges with disjoint writes — the whole worker budget is free again
-	// once the local searches have finished.
-	chunkSize := opts.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = 512
-	}
-	// On a shard-backed dataset, chunk = shard: each worker's assignment
-	// scan stays inside one shard's backing memory. Output is unchanged
-	// either way.
-	chunkSize = engine.AlignChunk(chunkSize, ds.ShardRows())
+	// Final assignment: per-point nearest medoid, chunked over point ranges
+	// with disjoint writes — the whole worker budget is free again once the
+	// local searches have finished.
 	assign := make([]int, n)
-	if err := engine.ParallelChunksCtx(ctx, n, chunkSize, engine.DefaultWorkers(opts.Workers), func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, n, ds.ShardRows(), engine.DefaultWorkers(opts.Workers), func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			bestDist := math.Inf(1)
 			for i, m := range best.medoids {

@@ -13,7 +13,7 @@
 //
 // CLIQUE draws no random numbers — the grid search is fully deterministic —
 // but it runs through the shared restart engine like every other algorithm
-// so the engine knobs (Restarts, Workers, ChunkSize) and the conformance
+// so the engine knobs (Restarts, Workers) and the conformance
 // contract apply uniformly: every restart returns the identical result, and
 // the intra-restart worker budget parallelizes the per-object cell scan and
 // the per-dimension density scan.
@@ -60,14 +60,6 @@ type Options struct {
 	// restart. <= 0 means runtime.GOMAXPROCS(0). The worker count never
 	// changes the result.
 	Workers int
-
-	// ChunkSize is the number of objects per unit of work in the chunked
-	// cell scan (shard-aligned on a shard-backed dataset via
-	// engine.AlignChunk) and the number of dimensions per unit of work in
-	// the 1-D density scan (never shard-aligned: its domain is the
-	// dimension list). Chunk boundaries are fixed by this value alone, so
-	// any ChunkSize produces byte-identical output. <= 0 means 512.
-	ChunkSize int
 }
 
 // DefaultOptions returns a workable configuration for normalized data.
@@ -116,9 +108,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Subsp
 	if restarts <= 0 {
 		restarts = 1
 	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
 
 	// The search is deterministic, so every restart computes the identical
 	// answer; engine.Run still hosts them so Workers/Restarts behave exactly
@@ -153,9 +142,9 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int
 	}
 
 	// Precompute each object's interval index on every dimension — the
-	// per-object cell scan, chunked over fixed row ranges with disjoint
-	// writes into each row's slice of the flat backing array. On a
-	// shard-backed dataset the chunk size aligns to the shard row count.
+	// per-object cell scan, chunked over row ranges with disjoint writes
+	// into each row's slice of the flat backing array. On a shard-backed
+	// dataset each chunk is one shard.
 	cells := make([]int, n*d)
 	cellOf := make([][]int, n)
 	width := make([]float64, d)
@@ -168,8 +157,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int
 		}
 		width[j] = (hi - lo[j]) / float64(opts.Xi)
 	}
-	rowChunk := engine.AlignChunk(opts.ChunkSize, ds.ShardRows())
-	if err := engine.ParallelChunksCtx(ctx, n, rowChunk, workers, func(_, rlo, rhi int) {
+	if err := engine.ParallelChunksCtx(ctx, n, ds.ShardRows(), workers, func(_, rlo, rhi int) {
 		for i := rlo; i < rhi; i++ {
 			cellOf[i] = cells[i*d : (i+1)*d : (i+1)*d]
 			row := ds.Row(i)
@@ -197,7 +185,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int
 		members [][]int
 	}
 	perDim := make([]dimUnits, d)
-	if err := engine.ParallelChunksCtx(ctx, d, opts.ChunkSize, workers, func(_, jlo, jhi int) {
+	if err := engine.ParallelChunksCtx(ctx, d, 0, workers, func(_, jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			counts := make([][]int, opts.Xi)
 			for i := 0; i < n; i++ {

@@ -73,10 +73,10 @@ func TestGoldenPin(t *testing.T) {
 }
 
 // TestChunkedScansRace drives the two chunked hot loops (the row-ranged
-// cell scan and the per-dimension density scan) with many more chunks than
-// workers for several rounds, comparing every round against the serial
-// output — meaningful under -race, which would flag any cross-chunk write
-// overlap.
+// cell scan and the per-dimension density scan) on 8 workers, four
+// engine-sized chunks each, for several rounds, comparing every round
+// against the serial output — meaningful under -race, which would flag any
+// cross-chunk write overlap.
 func TestChunkedScansRace(t *testing.T) {
 	gt := raceFixture(t)
 	opts := DefaultOptions()
@@ -89,7 +89,6 @@ func TestChunkedScansRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		chunked := opts
 		chunked.Workers = 8
-		chunked.ChunkSize = 1 // one row / one dimension per chunk
 		subs, res, err := RunContext(context.Background(), gt.Data, chunked)
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@
 // computation of the constrained assignment step — is chunked over the
 // must-link component list, under the repository-wide determinism contract:
 // results are a pure function of (dataset, constraints, options) for every
-// Workers/ChunkSize value. The feasibility-ordered placement itself stays
+// Workers value. The feasibility-ordered placement itself stays
 // serial: it is sequential by definition (each component's choice depends
 // on where earlier components went).
 package copkmeans
@@ -90,14 +90,6 @@ type Options struct {
 	// consecutive restarts (judged in restart-index order), with Restarts as
 	// the hard cap. 0 runs the fixed best-of-Restarts protocol.
 	EarlyStop int
-
-	// ChunkSize is the number of must-link components per unit of work in
-	// the chunked distance pass. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only tunes
-	// scheduling granularity. <= 0 means a default of 512. The chunk domain
-	// is the component list, not the row range, so the chunk size is not
-	// shard-aligned (compare engine.AlignChunk).
-	ChunkSize int
 }
 
 // DefaultOptions returns a standard configuration.
@@ -210,10 +202,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cons *Constraints, opt
 	if restarts <= 0 {
 		restarts = 1
 	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
-
 	intra := engine.SplitBudget(opts.Workers, restarts)
 	results, err := engine.Stream(ctx, restarts, opts.Workers, opts.Seed,
 		opts.EarlyStop, cluster.BetterResult,
@@ -248,11 +236,11 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, pre *prep, opts Options, 
 			return nil, err
 		}
 		iterations++
-		// Distance pass: every (component, center) total, chunked over the
-		// component list with disjoint writes into dists. Each component's
-		// member sum runs serially in ascending member order, so the values
-		// are independent of Workers and ChunkSize.
-		if err := engine.ParallelChunksCtx(ctx, nc, opts.ChunkSize, workers, func(_, lo, hi int) {
+		// Distance pass: every (component, center) total, in engine-sized
+		// chunks of the component list with disjoint writes into dists. Each
+		// component's member sum runs serially in ascending member order, so
+		// the values are independent of Workers.
+		if err := engine.ParallelChunksCtx(ctx, nc, 0, workers, func(_, lo, hi int) {
 			for t := lo; t < hi; t++ {
 				members := pre.members[t]
 				for c := 0; c < opts.K; c++ {
@@ -269,7 +257,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, pre *prep, opts Options, 
 		// Placement: components in ascending root order, nearest feasible
 		// center first. Serial by nature — feasibility depends on where
 		// earlier components were placed — and the cost accumulates in the
-		// same component order for every Workers/ChunkSize value.
+		// same component order for every Workers value.
 		for t := range compAssign {
 			compAssign[t] = -1
 		}
@@ -385,7 +373,7 @@ type AssignBench struct {
 // NewAssignBench prepares a benchmark harness over ds with the given
 // constraints: centers are the deterministic seed-0 sample, so every call
 // measures the same work.
-func NewAssignBench(ds *dataset.Dataset, cons *Constraints, k, workers, chunkSize int) (*AssignBench, error) {
+func NewAssignBench(ds *dataset.Dataset, cons *Constraints, k, workers int) (*AssignBench, error) {
 	if ds == nil {
 		return nil, errors.New("copkmeans: nil dataset")
 	}
@@ -397,10 +385,6 @@ func NewAssignBench(ds *dataset.Dataset, cons *Constraints, k, workers, chunkSiz
 		return nil, err
 	}
 	opts := DefaultOptions(k)
-	opts.ChunkSize = chunkSize
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
 	rng := stats.NewRNG(0)
 	centers := make([][]float64, k)
 	for c, idx := range rng.Sample(ds.N(), k) {
@@ -419,7 +403,7 @@ func NewAssignBench(ds *dataset.Dataset, cons *Constraints, k, workers, chunkSiz
 func (b *AssignBench) Assign(ctx context.Context) (float64, error) {
 	nc := len(b.pre.roots)
 	k := b.opts.K
-	if err := engine.ParallelChunksCtx(ctx, nc, b.opts.ChunkSize, b.workers, func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, nc, 0, b.workers, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			members := b.pre.members[t]
 			for c := 0; c < k; c++ {

@@ -64,9 +64,10 @@ func TestGoldenPin(t *testing.T) {
 }
 
 // TestChunkedAssignRace drives the chunked (component × center) distance
-// scan with many more chunks than workers for several rounds, comparing
-// every round against the serial output — meaningful under -race, which
-// would flag any cross-chunk write overlap in the shared distance matrix.
+// scan on 8 workers, four engine-sized chunks each, for several rounds,
+// comparing every round against the serial output — meaningful under -race,
+// which would flag any cross-chunk write overlap in the shared distance
+// matrix.
 func TestChunkedAssignRace(t *testing.T) {
 	gt, cons := raceFixture(t)
 	opts := DefaultOptions(3)
@@ -80,7 +81,6 @@ func TestChunkedAssignRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		chunked := opts
 		chunked.Workers = 8
-		chunked.ChunkSize = 1 // one constraint component per chunk
 		res, err := RunContext(context.Background(), gt.Data, cons, chunked)
 		if err != nil {
 			t.Fatal(err)

@@ -12,12 +12,11 @@ import (
 // (Step 3, O(n·K·|V|)) and the per-cluster dimension re-selection (Step 4,
 // O(n·d)) — dominate a restart's runtime. Both are embarrassingly parallel
 // with disjoint writes, so the assigner runs them through the engine's
-// chunked primitives: chunk boundaries depend only on ChunkSize, every chunk
-// writes exclusively to its own output slots, and all floating-point
-// accumulation happens either per-point (assignment) or in a serial ordered
-// reduction over cluster indices (evaluation). Workers and ChunkSize
-// therefore tune wall-clock time only; the output is byte-identical to the
-// serial loop.
+// chunked primitives: every chunk writes exclusively to its own output slots,
+// and all floating-point accumulation happens either per-point (assignment)
+// or in a serial ordered reduction over cluster indices (evaluation), so
+// where the chunk boundaries fall never matters. Workers therefore tunes
+// wall-clock time only; the output is byte-identical to the serial loop.
 //
 // Both loops are also allocation-free in steady state
 // (TestAssignZeroAllocSteadyState, TestEvaluateZeroAllocSteadyState): every
@@ -31,11 +30,10 @@ import (
 
 // assigner holds the worker budget and per-worker scratch of one restart.
 type assigner struct {
-	workers   int
-	chunkSize int
-	scratch   *engine.Scratch[*evalScratch]
-	dimsOut   [][]int   // per-cluster selected-dims storage, cap d each
-	phiBuf    []float64 // per-chunk φ results buffer for MapChunksIntoCtx, cap k
+	workers int
+	scratch *engine.Scratch[*evalScratch]
+	dimsOut [][]int   // per-cluster selected-dims storage, cap d each
+	phiBuf  []float64 // per-chunk φ results buffer for MapChunksIntoCtx, cap k
 
 	// Packed per-cluster assignment triples: for cluster i and its t-th
 	// selected dimension j = packDims[i][t], packRep[i][t] is the
@@ -58,7 +56,7 @@ type assigner struct {
 // newAssigner sizes the scratch pool for a dataset of n objects and d
 // dimensions clustered into k clusters, with at most `workers` goroutines
 // per iteration step.
-func newAssigner(n, d, k, workers, chunkSize int) *assigner {
+func newAssigner(n, d, k, workers int) *assigner {
 	if workers < 1 {
 		workers = 1
 	}
@@ -67,14 +65,13 @@ func newAssigner(n, d, k, workers, chunkSize int) *assigner {
 		slots = k // evaluation has only k units of work
 	}
 	a := &assigner{
-		workers:   workers,
-		chunkSize: chunkSize,
-		scratch:   engine.NewScratch(slots, func() *evalScratch { return newEvalScratch(d) }),
-		dimsOut:   make([][]int, k),
-		phiBuf:    make([]float64, k),
-		packDims:  make([][]int, k),
-		packRep:   make([][]float64, k),
-		packSHat:  make([][]float64, k),
+		workers:  workers,
+		scratch:  engine.NewScratch(slots, func() *evalScratch { return newEvalScratch(d) }),
+		dimsOut:  make([][]int, k),
+		phiBuf:   make([]float64, k),
+		packDims: make([][]int, k),
+		packRep:  make([][]float64, k),
+		packSHat: make([][]float64, k),
 	}
 	for i := 0; i < k; i++ {
 		a.dimsOut[i] = make([]int, 0, d)
@@ -148,7 +145,8 @@ func (a *assigner) snapshotFitted(dst []cluster.FittedCluster) {
 
 // assign scores every object against all K candidate clusters and writes the
 // winning cluster (or cluster.Outlier) into assign[x], in parallel over
-// fixed point-range chunks. Each point's score is a sum over the cluster's
+// point-range chunks (engine-sized, or one storage shard each on a
+// shard-backed dataset). Each point's score is a sum over the cluster's
 // selected dimensions in ascending order — the same order as the serial
 // loop — and each chunk writes only assign[lo:hi], so the result does not
 // depend on workers or chunk boundaries. The per-cluster (dims, rep, ŝ²)
@@ -168,7 +166,7 @@ func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*
 		a.packDims[i], a.packRep[i], a.packSHat[i] = pd, pr, ps
 	}
 	a.ds, a.out = ds, assign
-	err := engine.ParallelChunksCtx(ctx, len(assign), a.chunkSize, a.workers, a.assignFn)
+	err := engine.ParallelChunksCtx(ctx, len(assign), ds.ShardRows(), a.workers, a.assignFn)
 	a.ds, a.out = nil, nil
 	return err
 }

@@ -141,7 +141,7 @@ func evaluateDimsReference(ds *dataset.Dataset, members []int, thr *thresholds, 
 // EvalBench exposes the two implementations of the Step-4 dimension
 // evaluation — the columnar gather kernel and the pre-kernel per-element At
 // column scan — so the repository benchmark suite (BenchmarkEvaluateColumnar)
-// can chart the kernel against its baseline on flat and sharded storage.
+// can chart the kernel against its baseline.
 // Both methods return Σ φ_ij over the selected dimensions, as a sink the
 // compiler cannot elide. Not safe for concurrent use.
 type EvalBench struct {
@@ -220,7 +220,7 @@ func NewParallelEvalBench(ds *dataset.Dataset, opts Options, membersByCluster []
 	return &ParallelEvalBench{
 		ds:       ds,
 		thr:      newThresholds(ds, opts),
-		par:      newAssigner(ds.N(), ds.D(), k, workers, opts.ChunkSize),
+		par:      newAssigner(ds.N(), ds.D(), k, workers),
 		clusters: clusters,
 	}, nil
 }

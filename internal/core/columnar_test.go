@@ -12,17 +12,28 @@ import (
 	"repro/internal/synth"
 )
 
-// storageVariants returns the same matrix flat, shard-backed, and mmap-backed
-// (written to a binary file and reopened), so every kernel test runs against
-// all three storage tiers.
+// storageVariants returns the same matrix flat, shard-backed on the heap
+// (FromShardBlocks, the mmap tier's representation without the file), and
+// mmap-backed (written to a binary file and reopened), so every kernel test
+// runs against every storage layout.
 func storageVariants(t *testing.T, ds *dataset.Dataset, shards int) map[string]*dataset.Dataset {
 	t.Helper()
-	sd, err := ds.Shards(shards)
+	n, d := ds.N(), ds.D()
+	shardRows := (n + shards - 1) / shards
+	var blocks [][]float64
+	for lo := 0; lo < n; lo += shardRows {
+		var blk []float64
+		for i := lo; i < min(lo+shardRows, n); i++ {
+			blk = append(blk, ds.Row(i)...)
+		}
+		blocks = append(blocks, blk)
+	}
+	sharded, err := dataset.FromShardBlocks(d, shardRows, blocks, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "variant.sspcb")
-	if _, err := binfmt.WriteBinaryFile(path, ds, sd.ShardRows()); err != nil {
+	if _, err := binfmt.WriteBinaryFile(path, ds, shardRows); err != nil {
 		t.Fatal(err)
 	}
 	fl, err := binfmt.OpenBinary(path)
@@ -30,7 +41,7 @@ func storageVariants(t *testing.T, ds *dataset.Dataset, shards int) map[string]*
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fl.Close() })
-	return map[string]*dataset.Dataset{"flat": ds, "sharded": sd.Dataset(), "mmap": fl.Dataset()}
+	return map[string]*dataset.Dataset{"flat": ds, "sharded": sharded, "mmap": fl.Dataset()}
 }
 
 // TestColumnarMatchesReference is the executable form of the kernel's
@@ -135,7 +146,7 @@ func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state
 		thr.values(st.prevSize, sHat[i])
 	}
 	assign := make([]int, n)
-	par := newAssigner(n, d, k, 1, 0)
+	par := newAssigner(n, d, k, 1)
 
 	// Two full warm-up iterations grow the gather/transpose scratch and the
 	// per-cluster dims buffers to their steady-state capacities.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 )
 
 // ThresholdScheme selects how the dimension-selection threshold ŝ²_ij is
@@ -132,12 +131,6 @@ type Options struct {
 	// engine.
 	EarlyStop int
 
-	// ChunkSize is the number of objects per unit of intra-restart work in
-	// the chunked assignment step. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only tunes
-	// scheduling granularity. <= 0 means a default of 512.
-	ChunkSize int
-
 	// Trace optionally observes initialization and every iteration; nil
 	// (the default) costs nothing.
 	Trace *Trace
@@ -212,12 +205,6 @@ func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
 	if o.EarlyStop < 0 {
 		o.EarlyStop = 0
 	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 512
-	}
-	// On a shard-backed dataset, chunk = shard: each worker's scan stays
-	// inside one shard's backing memory. Output is unchanged either way.
-	o.ChunkSize = engine.AlignChunk(o.ChunkSize, ds.ShardRows())
 	if err := o.Knowledge.Validate(ds.N(), ds.D(), o.K); err != nil {
 		return o, err
 	}

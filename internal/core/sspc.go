@@ -30,7 +30,7 @@ type state struct {
 // The result is a pure function of (ds, opts): restart r always draws from
 // engine.ChildSeed(opts.Seed, r), results and the early-stop decision are
 // reduced in restart order, and ties on φ keep the lowest restart — Workers
-// and ChunkSize never change the output.
+// never changes the output.
 //
 // Cancellation is checked at every restart launch, every main-loop iteration,
 // and every chunk boundary of the Step-3 assignment and Step-4 evaluation
@@ -99,7 +99,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 	haveFitted := false
 	bestScore := math.Inf(-1)
 
-	par := newAssigner(n, d, opts.K, intra, opts.ChunkSize)
+	par := newAssigner(n, d, opts.K, intra)
 	sHat := make([][]float64, opts.K) // per-cluster per-dim thresholds
 	for i := range sHat {
 		sHat[i] = make([]float64, d)

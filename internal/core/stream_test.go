@@ -83,31 +83,28 @@ type resultAndStop struct {
 	planned  int
 }
 
-// TestChunkSizeInvariance: the chunked assignment must produce byte-identical
-// results for any chunk size, with single and many intra-restart workers
-// (Restarts=1 routes the whole worker budget inside the restart). Run under
-// -race in CI, this also proves the chunk workers share no mutable state.
+// TestChunkSizeInvariance: the engine sizes the assignment chunks from the
+// worker count, so every intra-restart worker count moves the chunk
+// boundaries — and must still produce byte-identical results (Restarts=1
+// routes the whole worker budget inside the restart). Run under -race in CI,
+// this also proves the chunk workers share no mutable state.
 func TestChunkSizeInvariance(t *testing.T) {
 	gt := generate(t, synth.Config{N: 150, D: 20, K: 3, AvgDims: 5, Seed: 72})
-	run := func(chunkSize, workers int, scheme ThresholdScheme) interface{} {
+	run := func(workers int, scheme ThresholdScheme) interface{} {
 		opts := DefaultOptions(3)
 		opts.Scheme = scheme
 		if scheme == SchemeP {
 			opts.P = 0.1
 		}
 		opts.Seed = 11
-		opts.ChunkSize = chunkSize
 		opts.Workers = workers
 		return runSSPC(t, gt, opts)
 	}
 	for _, scheme := range []ThresholdScheme{SchemeM, SchemeP} {
-		base := run(0, 1, scheme)
-		for _, chunkSize := range []int{1, 3, 17, 64, 1 << 20} {
-			for _, workers := range []int{1, 8} {
-				if got := run(chunkSize, workers, scheme); !reflect.DeepEqual(base, got) {
-					t.Errorf("scheme %v: ChunkSize=%d Workers=%d diverged from the default serial run",
-						scheme, chunkSize, workers)
-				}
+		base := run(1, scheme)
+		for _, workers := range []int{2, 3, 8} {
+			if got := run(workers, scheme); !reflect.DeepEqual(base, got) {
+				t.Errorf("scheme %v: Workers=%d diverged from the serial run", scheme, workers)
 			}
 		}
 	}

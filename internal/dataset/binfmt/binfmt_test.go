@@ -102,7 +102,7 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("Info mismatch: %+v", fl.Info())
 			}
 			got := fl.Dataset()
-			if !got.IsSharded() || got.ShardRows() != shardRows {
+			if got.ShardRows() != shardRows {
 				t.Fatalf("opened dataset not shard-backed at %d rows/shard", shardRows)
 			}
 			requireSameMatrix(t, got, ds)
@@ -115,15 +115,12 @@ func TestRoundTrip(t *testing.T) {
 // granularity, not on the source dataset's own storage layout.
 func TestWriteBinaryCanonical(t *testing.T) {
 	ds := testDataset(t, 41, 5)
-	sd, err := ds.Shards(6) // different boundaries than the output's
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := openTemp(t, writeTemp(t, ds, 6)).Dataset() // different boundaries than the output's
 	var fromFlat, fromSharded bytes.Buffer
 	if _, err := WriteBinary(&fromFlat, ds, 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteBinary(&fromSharded, sd.Dataset(), 9); err != nil {
+	if _, err := WriteBinary(&fromSharded, sharded, 9); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fromFlat.Bytes(), fromSharded.Bytes()) {

@@ -3,15 +3,15 @@ package binfmt
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/csv"
 	"fmt"
 	"hash/crc64"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
+
+	"repro/internal/dataset"
 )
 
 // ConvertOptions configures ConvertCSV.
@@ -48,11 +48,12 @@ type segmentResult struct {
 // and ShardRows, never on how the input was split. Converting then opening
 // yields a dataset equal to ReadCSV over the concatenated segments.
 //
-// The accepted input language per segment is ReadCSV's: every field must
-// parse as a finite float64 and all rows (across all segments) must share
-// the first data row's width. Each segment must contain at least one data
-// row. Peak memory is O(d) per concurrent segment plus I/O buffers — rows
-// stream through temp spill files and are never all resident.
+// Each segment is parsed by dataset.ScanCSV, so the accepted input language
+// is ReadCSV's: every field must parse as a finite float64 and all rows
+// (across all segments) must share the first data row's width. Each segment
+// must contain at least one data row. Peak memory is O(d) per concurrent
+// segment plus I/O buffers — rows stream through temp spill files and are
+// never all resident.
 //
 // The write is atomic: bytes land in out+".tmp" and are renamed over out
 // only after a successful sync.
@@ -128,11 +129,10 @@ func ConvertCSV(out string, segments []string, opts ConvertOptions) (Info, error
 	return info, nil
 }
 
-// parseSegment streams one CSV segment into a raw little-endian float64
-// spill file, returning its row count and width. skipHeader drops the first
-// record. The parse rules mirror dataset.ReadCSV: ragged rows within the
-// segment, unparsable fields, and non-finite values are errors, and an empty
-// segment (no data rows) is an error because its width would be unknowable.
+// parseSegment streams one CSV segment through dataset.ScanCSV into a raw
+// little-endian float64 spill file, returning its row count and width.
+// skipHeader drops the first record. An empty segment (no data rows) is an
+// error because its width would be unknowable.
 func parseSegment(path, spill string, skipHeader bool) (rows, d int, err error) {
 	in, err := os.Open(path)
 	if err != nil {
@@ -149,47 +149,18 @@ func parseSegment(path, spill string, skipHeader bool) (rows, d int, err error) 
 		}
 	}()
 
-	cr := csv.NewReader(bufio.NewReader(in))
-	cr.FieldsPerRecord = -1 // width is checked against the first data row
-	cr.ReuseRecord = true
 	bw := bufio.NewWriter(out)
 	var rowBuf []byte
-	for {
-		rec, rerr := cr.Read()
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return 0, 0, fmt.Errorf("csv parse: %w", rerr)
-		}
-		if skipHeader {
-			skipHeader = false
-			continue
-		}
-		if rows == 0 {
-			d = len(rec)
-			rowBuf = make([]byte, 0, d*8)
-		} else if len(rec) != d {
-			return 0, 0, fmt.Errorf("row %d has %d values, want %d", rows, len(rec), d)
-		}
+	rows, d, err = dataset.ScanCSV(bufio.NewReader(in), skipHeader, false, func(vals []float64, _ int) error {
 		rowBuf = rowBuf[:0]
-		for j, field := range rec {
-			v, perr := strconv.ParseFloat(field, 64)
-			if perr != nil {
-				return 0, 0, fmt.Errorf("row %d col %d: %w", rows, j, perr)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, 0, fmt.Errorf("non-finite value at (%d,%d)", rows, j)
-			}
+		for _, v := range vals {
 			rowBuf = binary.LittleEndian.AppendUint64(rowBuf, math.Float64bits(v))
 		}
-		if _, werr := bw.Write(rowBuf); werr != nil {
-			return 0, 0, werr
-		}
-		rows++
-	}
-	if rows == 0 {
-		return 0, 0, fmt.Errorf("segment has no data rows")
+		_, werr := bw.Write(rowBuf)
+		return werr
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	return rows, d, bw.Flush()
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -77,6 +78,62 @@ func FuzzOpenBinary(f *testing.F) {
 		}
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatal("accepted file is not a canonical encoding (re-encode differs)")
+		}
+	})
+}
+
+// FuzzConvertCSV holds the disk tier's CSV ingestion to dataset.ReadCSV:
+// converting arbitrary bytes as one segment and opening the result must
+// accept exactly the inputs ReadCSV accepts, with bit-identical values.
+func FuzzConvertCSV(f *testing.F) {
+	for _, s := range []string{
+		"1,2,3\n4,5,6\n",
+		"a,b,c\n1,2,3\n",
+		"1,2\n3\n",
+		"1,2\n3,4,5\n",
+		"NaN,1\n2,3\n",
+		"-Inf,1\n2,3\n",
+		"1e309,0\n",
+		"",
+		",\n",
+		"\"1\",\"2\"\n",
+		"\"unterminated,2\n",
+		"0x1p-3,1\n",
+		"-0,-2.5e-3\n0,4\n5,6\n",
+	} {
+		f.Add(s, false)
+		f.Add(s, true)
+	}
+	f.Fuzz(func(t *testing.T, input string, header bool) {
+		ds, err := dataset.ReadCSV(strings.NewReader(input), header)
+		dir := t.TempDir()
+		seg := filepath.Join(dir, "seg.csv")
+		if werr := os.WriteFile(seg, []byte(input), 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		out := filepath.Join(dir, "out.sspcb")
+		_, cerr := ConvertCSV(out, []string{seg}, ConvertOptions{ShardRows: 2, Header: header})
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("loaders disagree: ReadCSV err = %v, ConvertCSV err = %v", err, cerr)
+		}
+		if err != nil {
+			return
+		}
+		fl, err := OpenBinary(out)
+		if err != nil {
+			t.Fatalf("OpenBinary of a converted file: %v", err)
+		}
+		defer fl.Close()
+		got := fl.Dataset()
+		if got.N() != ds.N() || got.D() != ds.D() {
+			t.Fatalf("converted shape %dx%d, ReadCSV %dx%d", got.N(), got.D(), ds.N(), ds.D())
+		}
+		for i := 0; i < ds.N(); i++ {
+			for j := 0; j < ds.D(); j++ {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(ds.At(i, j)) {
+					t.Fatalf("value (%d,%d): converted %v, ReadCSV %v", i, j, got.At(i, j), ds.At(i, j))
+				}
+			}
 		}
 	})
 }

@@ -35,7 +35,7 @@ type File struct {
 
 	data   []byte // the whole file: mapped pages or a heap copy
 	mapped bool
-	sd     *dataset.ShardedDataset
+	ds     *dataset.Dataset
 }
 
 // OpenBinary opens, maps and fully verifies a binary dataset file. Every
@@ -213,21 +213,17 @@ func (fl *File) verifyAndBuild(payloadOff int64) error {
 		}
 	}
 
-	sd, err := dataset.FromShardBlocks(d, shardRows, blocks, mins, maxs)
+	ds, err := dataset.FromShardBlocks(d, shardRows, blocks, mins, maxs)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	fl.sd = sd
+	fl.ds = ds
 	return nil
 }
 
 // Dataset returns the file's matrix for the algorithms. It shares the
 // mapping: do not use it after Close.
-func (fl *File) Dataset() *dataset.Dataset { return fl.sd.Dataset() }
-
-// Sharded returns the shard-structured view of the file's matrix. It shares
-// the mapping: do not use it after Close.
-func (fl *File) Sharded() *dataset.ShardedDataset { return fl.sd }
+func (fl *File) Dataset() *dataset.Dataset { return fl.ds }
 
 // N returns the number of objects (rows).
 func (fl *File) N() int { return fl.n }
@@ -257,15 +253,15 @@ func (fl *File) ContentHash() string {
 	return fmt.Sprintf("sspcb%d:%dx%d:%016x", Version, fl.n, fl.d, fl.payloadCRC)
 }
 
-// Close releases the file mapping. The datasets returned by Dataset and
-// Sharded must not be touched afterwards (their shard blocks alias the
+// Close releases the file mapping. The dataset returned by Dataset must not
+// be touched afterwards (their shard blocks alias the
 // mapping on mmap platforms). Close is idempotent.
 func (fl *File) Close() error {
 	if fl.data == nil {
 		return nil
 	}
 	data, mapped := fl.data, fl.mapped
-	fl.data, fl.sd = nil, nil
+	fl.data, fl.ds = nil, nil
 	if !mapped {
 		return nil
 	}

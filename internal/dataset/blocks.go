@@ -3,10 +3,10 @@ package dataset
 import "fmt"
 
 // FromShardBlocks adopts pre-built shard backing slices as a read-only
-// sharded dataset without copying them. It is the constructor behind the
-// mmap storage tier (binfmt.OpenBinary): the blocks alias regions of a
+// shard-backed dataset without copying them. It is the constructor behind
+// the mmap storage tier (binfmt.OpenBinary): the blocks alias regions of a
 // read-only file mapping, so the returned dataset refuses Set (panic) —
-// every other accessor behaves exactly as on a copied sharded dataset.
+// every other accessor behaves exactly as on flat storage.
 //
 // blocks[s] must hold shard s's rows row-major: every block except the last
 // carries exactly shardRows rows, the last carries between 1 and shardRows.
@@ -14,7 +14,7 @@ import "fmt"
 // (len(blocks) slices of d values each, adopted without copying); when nil,
 // the partials are computed by scanning the blocks. Callers handing over
 // untrusted partials must verify them first — ensureStats trusts them.
-func FromShardBlocks(d, shardRows int, blocks [][]float64, mins, maxs [][]float64) (*ShardedDataset, error) {
+func FromShardBlocks(d, shardRows int, blocks [][]float64, mins, maxs [][]float64) (*Dataset, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("dataset: FromShardBlocks: d = %d must be positive", d)
 	}
@@ -52,7 +52,7 @@ func FromShardBlocks(d, shardRows int, blocks [][]float64, mins, maxs [][]float6
 		}
 		n += rows
 	}
-	out := &Dataset{n: n, d: d, shardRows: shardRows, shards: blocks, readOnly: true}
+	out := &Dataset{n: n, d: d, shardRows: shardRows, shards: blocks}
 	out.partials = make([]shardPartial, len(blocks))
 	for s := range blocks {
 		if mins != nil {
@@ -61,5 +61,5 @@ func FromShardBlocks(d, shardRows int, blocks [][]float64, mins, maxs [][]float6
 			out.partials[s] = newShardPartial(blocks[s], d)
 		}
 	}
-	return &ShardedDataset{ds: out}, nil
+	return out, nil
 }

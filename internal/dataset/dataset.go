@@ -16,36 +16,33 @@ import (
 
 // Dataset is an n×d matrix of float64 values stored row-major. Objects are
 // rows; dimensions are columns. The zero value is unusable: construct with
-// New, FromRows, or the sharded constructors (Shards, ReadCSVSharded).
+// New, FromRows, ReadCSV, or FromShardBlocks.
 //
 // The storage behind the matrix is either flat (one contiguous backing
-// slice, the default) or shard-backed: the rows partitioned into contiguous
-// row ranges of shardRows rows each, every shard with its own backing slice
-// so a worker scanning one shard touches no other shard's memory. The two
-// layouts hold identical values and are observationally identical through
-// every accessor — sharding is a storage/locality decision, never a
-// semantic one (pinned by TestConformanceShardedVsFlat).
+// slice: every dataset built on the heap) or shard-backed: the rows
+// partitioned into contiguous row ranges of shardRows rows each, every shard
+// with its own backing slice. Shard-backed storage is the mmap tier's
+// representation (binfmt.OpenBinary), where each shard aliases a region of a
+// read-only file mapping, so it is always read-only. The two layouts are
+// observationally identical through every accessor (pinned by
+// TestConformanceDiskVsFlat).
 //
 // A Dataset is safe for concurrent readers (the parallel restart engine
 // shares one Dataset across all workers); Set must not race with readers.
 type Dataset struct {
 	n, d int
 
-	// Exactly one of data / shards backs the matrix.
+	// Exactly one of data / shards backs the matrix. Shard-backed storage is
+	// read-only: its blocks may alias a read-only file mapping, where a store
+	// would fault the process, so Set panics instead.
 	data      []float64   // flat row-major backing; nil when shard-backed
 	shards    [][]float64 // per-shard row-major backings; nil when flat
 	shardRows int         // rows per shard (last may be shorter); 0 when flat
 
 	// partials holds the per-shard column-stat partials (min/max per shard)
-	// captured when the shards were built; nil for flat storage or after a
-	// Set invalidated them. Immutable once the dataset is published; merged
-	// on demand by ensureStats.
+	// of shard-backed storage; nil for flat storage. Immutable; merged on
+	// demand by ensureStats.
 	partials []shardPartial
-
-	// readOnly marks storage that must never be written: shard blocks that
-	// alias a read-only file mapping (binfmt.OpenBinary), where a store
-	// would fault the process. Set panics instead of faulting.
-	readOnly bool
 
 	// Lazily computed per-dimension statistics over all n objects, published
 	// as one immutable snapshot so concurrent readers never observe a
@@ -109,21 +106,15 @@ func (ds *Dataset) At(i, j int) float64 {
 }
 
 // Set assigns the value of object i on dimension j and invalidates the
-// cached column statistics (including any per-shard partials). Set must not
-// be called while other goroutines read the dataset (mutate first, then
-// cluster). Set panics on a read-only dataset (storage aliasing a read-only
-// file mapping); Clone first to get a writable copy.
+// cached column statistics. Set must not be called while other goroutines
+// read the dataset (mutate first, then cluster). Set panics on shard-backed
+// storage, which may alias a read-only file mapping; Clone first to get a
+// writable copy.
 func (ds *Dataset) Set(i, j int, v float64) {
-	if ds.readOnly {
+	if ds.shards != nil {
 		panic("dataset: Set on a read-only dataset (storage aliases a read-only mapping; Clone to mutate)")
 	}
-	if ds.data != nil {
-		ds.data[i*ds.d+j] = v
-	} else {
-		s := i / ds.shardRows
-		ds.shards[s][(i-s*ds.shardRows)*ds.d+j] = v
-	}
-	ds.partials = nil
+	ds.data[i*ds.d+j] = v
 	ds.stats.Store(nil)
 }
 
@@ -250,7 +241,7 @@ func (ds *Dataset) ColInto(j int, dst []float64) []float64 {
 // The snapshot is byte-identical for flat and shard-backed storage of the
 // same values. Min/max merge exactly from the per-shard partials in any
 // order (comparisons are exact), so a shard-backed dataset reuses the
-// partials captured at ingestion. Mean and variance deliberately do NOT
+// partials verified at open. Mean and variance deliberately do NOT
 // merge from per-shard accumulators: floating-point addition is
 // order-sensitive, and a pairwise merge of per-shard Welford states would
 // differ from the flat pass in the last bits — enough to move SSPC's
@@ -315,12 +306,6 @@ func (ds *Dataset) ColMin(j int) float64 { return ds.ensureStats().mn[j] }
 // ColMax returns the maximum of dimension j.
 func (ds *Dataset) ColMax(j int) float64 { return ds.ensureStats().mx[j] }
 
-// ColRange returns max−min of dimension j.
-func (ds *Dataset) ColRange(j int) float64 {
-	st := ds.ensureStats()
-	return st.mx[j] - st.mn[j]
-}
-
 // SubsetMedian returns the median projection of the given objects on
 // dimension j. It is the µ̃_ij of the paper's objective for cluster members
 // `objs`.
@@ -370,22 +355,14 @@ func (ds *Dataset) MeanVector(objs []int) []float64 {
 	return out
 }
 
-// Clone returns a deep copy of the dataset, preserving the storage layout
-// (flat stays flat, shard-backed stays shard-backed with the same shard
-// boundaries and stat partials). The statistics snapshot is not copied. The
-// copy is always writable: cloning a read-only dataset moves the values onto
-// the heap, so the read-only marker does not carry over.
+// Clone returns a writable deep copy of the dataset in flat storage, whatever
+// the source layout: cloning a shard-backed (read-only) dataset moves its
+// values onto the heap. The statistics snapshot is not copied.
 func (ds *Dataset) Clone() *Dataset {
-	out := &Dataset{n: ds.n, d: ds.d, shardRows: ds.shardRows}
-	if ds.data != nil {
-		out.data = append([]float64(nil), ds.data...)
-		return out
+	out := &Dataset{n: ds.n, d: ds.d, data: append(make([]float64, 0, ds.n*ds.d), ds.data...)}
+	for _, blk := range ds.shards {
+		out.data = append(out.data, blk...)
 	}
-	out.shards = make([][]float64, len(ds.shards))
-	for s, blk := range ds.shards {
-		out.shards[s] = append([]float64(nil), blk...)
-	}
-	out.partials = append([]shardPartial(nil), ds.partials...)
 	return out
 }
 

@@ -69,8 +69,8 @@ func TestColumnStats(t *testing.T) {
 	if got := ds.ColVariance(1); got != 100 {
 		t.Errorf("ColVariance(1) = %v", got)
 	}
-	if ds.ColMin(1) != 10 || ds.ColMax(1) != 30 || ds.ColRange(1) != 20 {
-		t.Error("min/max/range wrong")
+	if ds.ColMin(1) != 10 || ds.ColMax(1) != 30 {
+		t.Error("min/max wrong")
 	}
 }
 

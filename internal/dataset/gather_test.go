@@ -6,7 +6,7 @@ import (
 )
 
 // gatherFixture builds an n×d dataset with distinct values per cell plus a
-// sharded re-backing of it.
+// shard-backed copy of it.
 func gatherFixture(t *testing.T, n, d, shards int) (*Dataset, *Dataset) {
 	t.Helper()
 	rows := make([][]float64, n)
@@ -20,11 +20,7 @@ func gatherFixture(t *testing.T, n, d, shards int) (*Dataset, *Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := flat.Shards(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return flat, sd.Dataset()
+	return flat, shardBacked(t, flat, shards)
 }
 
 // memberPatterns covers the index shapes the algorithms produce: ascending

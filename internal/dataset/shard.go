@@ -1,20 +1,14 @@
 package dataset
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// This file holds the shard-aware storage layer: the Shards constructor that
-// re-backs a dataset as contiguous row-range shards, the ShardedDataset view
-// exposing shard boundaries to schedulers, and the per-shard column-stat
-// partials that ensureStats merges on demand. Sharding is purely a storage
-// and memory-locality decision — every accessor returns the same values in
-// either layout, and the merged statistics snapshot is byte-identical to the
-// flat one (TestShardedStatsMatchFlat, TestConformanceShardedVsFlat).
+// This file holds the shard-backed storage layer's statistics: the per-shard
+// column-stat partials that ensureStats merges on demand, and the shard
+// granularity schedulers align row scans to. The merged statistics snapshot
+// is byte-identical to the flat one (TestShardedStatsMatchFlat).
 
-// shardPartial is the per-shard column-stat partial captured when a shard is
-// built: the exact-mergeable pieces only. Min and max merge bit-identically
+// shardPartial is the per-shard column-stat partial adopted with a shard:
+// the exact-mergeable pieces only. Min and max merge bit-identically
 // under any merge order because comparisons are exact; mean/variance partials
 // are deliberately absent (see ensureStats for why).
 type shardPartial struct {
@@ -43,9 +37,8 @@ func newShardPartial(block []float64, d int) shardPartial {
 }
 
 // mergedMinMax merges the per-shard min/max partials into whole-matrix
-// columns, or returns (nil, nil) when no partials are available (flat
-// storage, or a Set invalidated them) and the caller must track min/max
-// itself. The merge folds shards in index order, but min/max are exact so
+// columns, or returns (nil, nil) for flat storage, which has no partials, so
+// the caller must track min/max itself. The merge folds shards in index order, but min/max are exact so
 // any order would produce the same bits.
 func (ds *Dataset) mergedMinMax() (mn, mx []float64) {
 	if len(ds.partials) == 0 {
@@ -72,85 +65,7 @@ func (ds *Dataset) mergedMinMax() (mn, mx []float64) {
 
 // ShardRows reports the sharding granularity of the backing storage: the
 // number of rows per shard (the last shard may be shorter) for a
-// shard-backed dataset, or 0 for flat storage. Schedulers use it to align
-// chunk boundaries to shard boundaries (engine.AlignChunk) so each worker's
-// scan stays inside one shard's memory.
+// shard-backed dataset, or 0 for flat storage. Row scans pass it as the
+// engine's chunk size, so on shard-backed storage every chunk covers exactly
+// one shard and on flat storage (0) the engine sizes the chunks itself.
 func (ds *Dataset) ShardRows() int { return ds.shardRows }
-
-// IsSharded reports whether the dataset's rows live in per-shard backing
-// slices rather than one flat slice.
-func (ds *Dataset) IsSharded() bool { return ds.shardRows > 0 }
-
-// Shard is one contiguous row range of a sharded dataset. Data is the
-// shard's own row-major backing slice (rows Lo..Hi-1, (Hi-Lo)*d values);
-// callers must treat it as read-only.
-type Shard struct {
-	Lo, Hi int
-	Data   []float64
-}
-
-// ShardedDataset is a Dataset whose rows are partitioned into contiguous
-// row-range shards, each with its own backing slice and its own column-stat
-// partial. It is a view: Dataset() returns the same matrix for the
-// algorithms, which remain storage-agnostic. Construct with Dataset.Shards
-// or ReadCSVSharded.
-type ShardedDataset struct {
-	ds *Dataset
-}
-
-// Shards re-backs the dataset as at most k contiguous row-range shards of
-// ceil(n/min(k,n)) rows each (the last shard shorter when the division is
-// uneven), copying the rows into per-shard slices and capturing each shard's
-// column-stat partial in the same pass. k is clamped to n, so no shard is
-// ever empty; the actual shard count is NumShards. The receiver is left
-// untouched.
-func (ds *Dataset) Shards(k int) (*ShardedDataset, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("dataset: Shards(%d): shard count must be positive", k)
-	}
-	if k > ds.n {
-		k = ds.n
-	}
-	shardRows := (ds.n + k - 1) / k
-	out := &Dataset{n: ds.n, d: ds.d, shardRows: shardRows}
-	for lo := 0; lo < ds.n; lo += shardRows {
-		hi := lo + shardRows
-		if hi > ds.n {
-			hi = ds.n
-		}
-		block := make([]float64, (hi-lo)*ds.d)
-		for i := lo; i < hi; i++ {
-			copy(block[(i-lo)*ds.d:], ds.Row(i))
-		}
-		out.shards = append(out.shards, block)
-		out.partials = append(out.partials, newShardPartial(block, ds.d))
-	}
-	return &ShardedDataset{ds: out}, nil
-}
-
-// Dataset returns the sharded matrix as a *Dataset for the algorithms. The
-// returned dataset shares the shard storage with the view.
-func (sd *ShardedDataset) Dataset() *Dataset { return sd.ds }
-
-// N returns the number of objects (rows).
-func (sd *ShardedDataset) N() int { return sd.ds.n }
-
-// D returns the number of dimensions (columns).
-func (sd *ShardedDataset) D() int { return sd.ds.d }
-
-// NumShards returns the number of shards.
-func (sd *ShardedDataset) NumShards() int { return len(sd.ds.shards) }
-
-// ShardRows returns the number of rows per shard; the last shard may be
-// shorter.
-func (sd *ShardedDataset) ShardRows() int { return sd.ds.shardRows }
-
-// Shard returns shard s's row range and backing slice.
-func (sd *ShardedDataset) Shard(s int) Shard {
-	lo := s * sd.ds.shardRows
-	hi := lo + sd.ds.shardRows
-	if hi > sd.ds.n {
-		hi = sd.ds.n
-	}
-	return Shard{Lo: lo, Hi: hi, Data: sd.ds.shards[s]}
-}

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -71,147 +70,121 @@ func requireSameStats(t *testing.T, a, b *Dataset) {
 	}
 }
 
-// TestShardsPartition checks the shard geometry: contiguous row ranges
-// covering [0, n) in order, every shard with its own backing slice of the
-// right length, no shard empty.
+// shardBacked re-backs ds as read-only shard blocks of ceil(n/min(k,n)) rows
+// each through FromShardBlocks — the mmap tier's representation, built on
+// the heap — so storage tests can compare it with the flat original.
+func shardBacked(t *testing.T, ds *Dataset, k int) *Dataset {
+	t.Helper()
+	shardRows := (ds.n + min(k, ds.n) - 1) / min(k, ds.n)
+	var blocks [][]float64
+	for lo := 0; lo < ds.n; lo += shardRows {
+		blocks = append(blocks, append([]float64(nil), ds.data[lo*ds.d:min(lo+shardRows, ds.n)*ds.d]...))
+	}
+	sh, err := FromShardBlocks(ds.d, shardRows, blocks, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
+// TestShardsPartition checks the shard geometry FromShardBlocks adopts:
+// ShardRows reports the block size, every row lands in its shard, and the
+// values match the flat original — down to one row per shard.
 func TestShardsPartition(t *testing.T) {
 	ds := randomDataset(t, 23, 4, 1)
 	for _, k := range []int{1, 2, 3, 5, 23} {
-		sd, err := ds.Shards(k)
-		if err != nil {
-			t.Fatal(err)
+		sh := shardBacked(t, ds, k)
+		if want := (23 + k - 1) / k; sh.ShardRows() != want {
+			t.Fatalf("%d shards: ShardRows = %d, want %d", k, sh.ShardRows(), want)
 		}
-		if sd.N() != 23 || sd.D() != 4 {
-			t.Fatalf("Shards(%d): shape %dx%d", k, sd.N(), sd.D())
-		}
-		next := 0
-		for s := 0; s < sd.NumShards(); s++ {
-			sh := sd.Shard(s)
-			if sh.Lo != next {
-				t.Fatalf("Shards(%d): shard %d starts at %d, want %d", k, s, sh.Lo, next)
-			}
-			if sh.Hi <= sh.Lo {
-				t.Fatalf("Shards(%d): shard %d empty [%d,%d)", k, s, sh.Lo, sh.Hi)
-			}
-			if len(sh.Data) != (sh.Hi-sh.Lo)*4 {
-				t.Fatalf("Shards(%d): shard %d backing has %d values for %d rows",
-					k, s, len(sh.Data), sh.Hi-sh.Lo)
-			}
-			next = sh.Hi
-		}
-		if next != 23 {
-			t.Fatalf("Shards(%d): shards cover [0,%d), want [0,23)", k, next)
-		}
-		requireSameValues(t, ds, sd.Dataset())
+		requireSameValues(t, ds, sh)
 	}
 }
 
-// TestShardsFewerRowsThanShards: k > n clamps to one row per shard — never
-// an empty shard.
-func TestShardsFewerRowsThanShards(t *testing.T) {
-	ds := randomDataset(t, 3, 2, 2)
-	sd, err := ds.Shards(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sd.NumShards() != 3 {
-		t.Fatalf("NumShards = %d, want 3 (one row each)", sd.NumShards())
-	}
-	for s := 0; s < sd.NumShards(); s++ {
-		if sh := sd.Shard(s); sh.Hi-sh.Lo != 1 {
-			t.Fatalf("shard %d spans %d rows, want 1", s, sh.Hi-sh.Lo)
-		}
-	}
-	requireSameValues(t, ds, sd.Dataset())
-	requireSameStats(t, ds, sd.Dataset())
-}
-
-// TestShardsInvalidCount: a non-positive shard count is an error.
+// TestShardsInvalidCount: FromShardBlocks rejects every geometry that does
+// not tile the rows — a non-positive shard size or width, no blocks, a short
+// block before the last, an oversized or ragged block, and partials that do
+// not match the blocks.
 func TestShardsInvalidCount(t *testing.T) {
-	ds := randomDataset(t, 3, 2, 2)
-	for _, k := range []int{0, -1} {
-		if _, err := ds.Shards(k); err == nil {
-			t.Errorf("Shards(%d) accepted", k)
+	two := []float64{1, 2, 3, 4} // two rows of d = 2
+	one := []float64{5, 6}
+	for name, tc := range map[string]struct {
+		d, shardRows int
+		blocks       [][]float64
+		mins, maxs   [][]float64
+	}{
+		"zero shardRows":     {2, 0, [][]float64{two}, nil, nil},
+		"negative shardRows": {2, -1, [][]float64{two}, nil, nil},
+		"zero d":             {0, 2, [][]float64{two}, nil, nil},
+		"no blocks":          {2, 2, nil, nil, nil},
+		"short middle block": {2, 2, [][]float64{one, two}, nil, nil},
+		"oversized block":    {2, 1, [][]float64{two}, nil, nil},
+		"ragged block":       {2, 2, [][]float64{{1, 2, 3}}, nil, nil},
+		"mins without maxs":  {2, 2, [][]float64{two}, [][]float64{{1, 2}}, nil},
+		"partial width":      {2, 2, [][]float64{two}, [][]float64{{1}}, [][]float64{{3}}},
+	} {
+		if _, err := FromShardBlocks(tc.d, tc.shardRows, tc.blocks, tc.mins, tc.maxs); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// TestShardsSingleEquivalentToFlat: Shards(1) is one shard holding the whole
-// matrix, observationally identical to the flat dataset — values and
-// statistics bit for bit.
+// TestShardsSingleEquivalentToFlat: one shard holding the whole matrix is
+// observationally identical to the flat dataset — values and statistics bit
+// for bit.
 func TestShardsSingleEquivalentToFlat(t *testing.T) {
 	ds := randomDataset(t, 17, 5, 3)
-	sd, err := ds.Shards(1)
-	if err != nil {
-		t.Fatal(err)
+	sh := shardBacked(t, ds, 1)
+	if sh.ShardRows() != 17 || ds.ShardRows() != 0 {
+		t.Fatalf("ShardRows: shard-backed copy %d, flat original %d; want 17 and 0", sh.ShardRows(), ds.ShardRows())
 	}
-	if sd.NumShards() != 1 {
-		t.Fatalf("NumShards = %d, want 1", sd.NumShards())
-	}
-	if !sd.Dataset().IsSharded() || ds.IsSharded() {
-		t.Fatal("IsSharded: sharded copy must report true, flat original false")
-	}
-	requireSameValues(t, ds, sd.Dataset())
-	requireSameStats(t, ds, sd.Dataset())
+	requireSameValues(t, ds, sh)
+	requireSameStats(t, ds, sh)
 }
 
-// TestShardedStatsMatchFlat: the merged statistics snapshot of every shard
-// count is bitwise identical to the flat snapshot, including after a Set
-// invalidated the captured per-shard partials.
+// TestShardedStatsMatchFlat: the statistics snapshot merged from the
+// per-shard partials is bitwise identical to the flat snapshot for every
+// shard size, down to one row per shard.
 func TestShardedStatsMatchFlat(t *testing.T) {
 	ds := randomDataset(t, 101, 7, 4)
-	for _, k := range []int{2, 3, 8, 101} {
-		sd, err := ds.Shards(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameStats(t, ds, sd.Dataset())
-
-		// Mutate both copies identically: the sharded dataset drops its
-		// partials and must recompute the same bits from scratch.
-		flat := ds.Clone()
-		flat.Set(50, 3, 1234.5)
-		sh := sd.Dataset()
-		sh.Set(50, 3, 1234.5)
-		if len(sh.partials) != 0 {
-			t.Fatal("Set left stale per-shard partials behind")
-		}
-		requireSameStats(t, flat, sh)
+	for _, k := range []int{2, 3, 8, 101, 500} {
+		sh := shardBacked(t, ds, k)
+		requireSameValues(t, ds, sh)
+		requireSameStats(t, ds, sh)
 	}
 }
 
-// TestShardedClonePreservesLayout: Clone of a sharded dataset stays sharded
-// with the same boundaries, values, and statistics.
-func TestShardedClonePreservesLayout(t *testing.T) {
+// TestShardedCloneIsFlat: Clone of shard-backed storage is a writable flat
+// copy with the same values and statistics, independent of the original;
+// the original itself refuses Set.
+func TestShardedCloneIsFlat(t *testing.T) {
 	ds := randomDataset(t, 31, 3, 5)
-	sd, err := ds.Shards(4)
-	if err != nil {
-		t.Fatal(err)
+	sh := shardBacked(t, ds, 4)
+	cl := sh.Clone()
+	if cl.ShardRows() != 0 {
+		t.Fatalf("clone ShardRows = %d, want 0 (flat)", cl.ShardRows())
 	}
-	cl := sd.Dataset().Clone()
-	if cl.ShardRows() != sd.ShardRows() {
-		t.Fatalf("clone ShardRows = %d, want %d", cl.ShardRows(), sd.ShardRows())
-	}
-	requireSameValues(t, sd.Dataset(), cl)
+	requireSameValues(t, sh, cl)
 	requireSameStats(t, ds, cl)
-	// The clone's storage must be independent of the original's.
 	cl.Set(0, 0, -9999)
-	if sd.Dataset().At(0, 0) == -9999 {
+	if sh.At(0, 0) == -9999 {
 		t.Fatal("clone shares shard backing with the original")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set on shard-backed storage did not panic")
+		}
+	}()
+	sh.Set(0, 0, 1)
 }
 
 // TestShardedStatsConcurrentReaders races the lazy stats merge: many
-// goroutines trigger ensureStats on one sharded dataset concurrently while
-// others read rows (meaningful under -race), and every observed snapshot
-// must equal the flat one.
+// goroutines trigger ensureStats on one shard-backed dataset concurrently
+// while others read rows (meaningful under -race), and every observed
+// snapshot must equal the flat one.
 func TestShardedStatsConcurrentReaders(t *testing.T) {
 	ds := randomDataset(t, 257, 6, 6)
-	sd, err := ds.Shards(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := sd.Dataset()
+	sh := shardBacked(t, ds, 5)
 	want := make([]float64, ds.D())
 	for j := range want {
 		want[j] = ds.ColVariance(j)
@@ -237,77 +210,9 @@ func TestShardedStatsConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadCSVShardedMatchesFlat: the streaming sharded reader accepts the
-// same inputs as ReadCSV with identical values, shard geometry follows
-// ShardRows, and the progress callback reports monotone totals ending at the
-// final counts.
-func TestReadCSVShardedMatchesFlat(t *testing.T) {
-	const csvData = "1,2,3\n4,5,6\n7,8,9\n10,11,12\n13,14,15\n"
-	const csvHeader = "a,b,c\n" + csvData
-
-	for _, tc := range []struct {
-		name      string
-		input     string
-		header    bool
-		shardRows int
-		shards    int
-	}{
-		{"exact multiple", csvData, false, 5, 1},
-		{"partial last shard", csvData, false, 2, 3},
-		{"one row per shard", csvData, false, 1, 5},
-		{"budget beyond n", csvData, false, 100, 1},
-		{"header", csvHeader, true, 2, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			flat, err := ReadCSV(strings.NewReader(tc.input), tc.header)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var rowsSeen, shardsSeen int
-			sd, err := ReadCSVSharded(strings.NewReader(tc.input), tc.header, ShardedReadOptions{
-				ShardRows: tc.shardRows,
-				Progress: func(rows, shards int) {
-					if rows < rowsSeen || shards != shardsSeen+1 {
-						t.Errorf("progress went (%d,%d) after (%d,%d)", rows, shards, rowsSeen, shardsSeen)
-					}
-					rowsSeen, shardsSeen = rows, shards
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sd.NumShards() != tc.shards {
-				t.Errorf("NumShards = %d, want %d", sd.NumShards(), tc.shards)
-			}
-			if rowsSeen != flat.N() || shardsSeen != tc.shards {
-				t.Errorf("final progress (%d,%d), want (%d,%d)", rowsSeen, shardsSeen, flat.N(), tc.shards)
-			}
-			requireSameValues(t, flat, sd.Dataset())
-			requireSameStats(t, flat, sd.Dataset())
-		})
-	}
-}
-
-// TestReadCSVShardedHugeBudget: an absurd ShardRows budget must not
-// preallocate (or overflow into) a giant backing slice — the whole input
-// lands in one modest shard regardless.
-func TestReadCSVShardedHugeBudget(t *testing.T) {
-	sd, err := ReadCSVSharded(strings.NewReader("1,2\n3,4\n"), false, ShardedReadOptions{ShardRows: math.MaxInt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sd.NumShards() != 1 || sd.N() != 2 || sd.D() != 2 {
-		t.Fatalf("got %d shards of %dx%d", sd.NumShards(), sd.N(), sd.D())
-	}
-	if sh := sd.Shard(0); len(sh.Data) != 4 {
-		t.Fatalf("shard backing holds %d values, want 4", len(sh.Data))
-	}
-}
-
-// TestReadCSVShardedRejects: the sharded reader enforces the same contract
-// as the flat loader — ragged rows, non-finite values, empty input — plus a
-// positive ShardRows.
-func TestReadCSVShardedRejects(t *testing.T) {
+// TestReadCSVRejects: ScanCSV's contract through ReadCSV — ragged rows,
+// non-finite values, unparsable fields and empty input are errors.
+func TestReadCSVRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		input string
@@ -323,29 +228,20 @@ func TestReadCSVShardedRejects(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			header := tc.name == "header only"
-			if _, err := ReadCSVSharded(strings.NewReader(tc.input), header, ShardedReadOptions{ShardRows: 2}); err == nil {
+			if _, err := ReadCSV(strings.NewReader(tc.input), header); err == nil {
 				t.Error("accepted")
 			}
 		})
 	}
-	if _, err := ReadCSVSharded(strings.NewReader("1,2\n"), false, ShardedReadOptions{}); err == nil {
-		t.Error("ShardRows = 0 accepted")
-	}
 }
 
-// TestShardedNonFiniteNeverSurvives mirrors the fuzz loaders' finiteness
-// leg for the sharded reader on a near-miss input: values that round to
-// finite floats must load, spellings of infinity must not.
-func TestShardedNonFiniteNeverSurvives(t *testing.T) {
-	sd, err := ReadCSVSharded(strings.NewReader("1e308,-1e308\n0,0\n"), false, ShardedReadOptions{ShardRows: 1})
+// TestReadCSVNonFiniteNeverSurvives mirrors the fuzz loaders' finiteness leg
+// on a near-miss input: values that round to finite floats must load,
+// spellings of infinity must not.
+func TestReadCSVNonFiniteNeverSurvives(t *testing.T) {
+	ds, err := ReadCSV(strings.NewReader("1e308,-1e308\n0,0\n"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < sd.N(); i++ {
-		for j := 0; j < sd.D(); j++ {
-			if v := sd.Dataset().At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("non-finite %v at (%d,%d)", v, i, j)
-			}
-		}
-	}
+	requireFiniteRectangular(t, ds)
 }

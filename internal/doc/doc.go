@@ -60,12 +60,6 @@ type Options struct {
 	// Workers value). Restarts stays the hard cap. 0 (the default) runs all
 	// Restarts unconditionally.
 	EarlyStop int
-
-	// ChunkSize is the number of remaining points per unit of intra-restart
-	// work in the chunked box-membership scan. Chunk boundaries are fixed by
-	// this value alone, so any ChunkSize produces byte-identical output; it
-	// only tunes scheduling granularity. <= 0 means a default of 512.
-	ChunkSize int
 }
 
 // DefaultOptions returns a practical configuration: w = 15% of the value
@@ -106,14 +100,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if opts.EarlyStop < 0 {
 		opts.EarlyStop = 0
 	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
-	// ChunkSize deliberately stays un-aligned to dataset shards
-	// (engine.AlignChunk): the box-membership scans chunk positions in the
-	// shrinking `remaining` subset, whose positions drift from row indices
-	// as clusters are peeled off — shard-sized chunks would serialize the
-	// scan without confining it to one shard's memory.
 	intra := engine.SplitBudget(opts.Workers, restarts)
 	// Stream degenerates to Run's fixed fan-out when EarlyStop <= 0.
 	results, err := engine.Stream(ctx, restarts, opts.Workers,
@@ -206,7 +192,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 					// end of the inner loop.
 					if bestDims == nil || len(D) > len(bestDims) ||
 						(len(D) == len(bestDims) && bestMembers == nil) {
-						members, err := boxMembers(ctx, ds, remaining, prow, D, opts.W, intra, opts.ChunkSize)
+						members, err := boxMembers(ctx, ds, remaining, prow, D, opts.W, intra)
 						if err != nil {
 							return nil, err
 						}
@@ -220,7 +206,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 					}
 					continue
 				}
-				members, err := boxMembers(ctx, ds, remaining, prow, D, opts.W, intra, opts.ChunkSize)
+				members, err := boxMembers(ctx, ds, remaining, prow, D, opts.W, intra)
 				if err != nil {
 					return nil, err
 				}
@@ -302,12 +288,14 @@ func mu(a, b int, beta float64) float64 {
 }
 
 // boxMembers returns the remaining points within w of p on every dimension
-// in D, scanning `remaining` chunked over fixed index ranges. Each chunk
-// collects its own ordered sub-list and the ordered fold concatenates them
-// in chunk-index order, so the member list is byte-identical to the serial
-// scan for every workers/chunkSize value.
-func boxMembers(ctx context.Context, ds *dataset.Dataset, remaining []int, prow []float64, D []int, w float64, workers, chunkSize int) ([]int, error) {
-	return engine.MapChunksIntoCtx(ctx, len(remaining), chunkSize, workers, nil, func(_, lo, hi int) []int {
+// in D, scanning `remaining` in engine-sized index chunks. (Shard-sized
+// chunks would not help: positions in the shrinking `remaining` subset drift
+// from row indices as clusters are peeled off.) Each chunk collects its own
+// ordered sub-list and the ordered fold concatenates them in chunk-index
+// order, so the member list is byte-identical to the serial scan for every
+// workers value.
+func boxMembers(ctx context.Context, ds *dataset.Dataset, remaining []int, prow []float64, D []int, w float64, workers int) ([]int, error) {
+	return engine.MapChunksIntoCtx(ctx, len(remaining), 0, workers, nil, func(_, lo, hi int) []int {
 		var out []int
 		for _, q := range remaining[lo:hi] {
 			qrow := ds.Row(q)

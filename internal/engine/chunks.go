@@ -8,14 +8,16 @@ import (
 	"repro/internal/faults"
 )
 
-// This file holds the intra-restart primitives: the fixed-boundary chunk
-// scheduler every algorithm's hot point loops run through, the ordered
-// map-reduce on top of it, the per-worker scratch pool, and the split of the
-// worker budget between concurrent restarts and the loops inside each. The
-// shared invariant, inherited by every caller: chunk boundaries depend only
-// on chunkSize — never on the worker count or on scheduling — so output is a
-// pure function of (input, chunkSize-independent math), byte-identical for
-// every Workers/ChunkSize combination.
+// This file holds the intra-restart primitives: the chunk scheduler every
+// algorithm's hot point loops run through, the ordered map-reduce on top of
+// it, the per-worker scratch pool, and the split of the worker budget between
+// concurrent restarts and the loops inside each. Chunk boundaries are a pure
+// function of (total, chunkSize, workers) — never of scheduling — and the
+// engine sizes the chunks itself unless a caller needs specific boundaries.
+// Because boundaries may move with the worker count, the shared invariant
+// every caller inherits is: a chunked fn (and fold) must give the same result
+// wherever the boundaries fall, so output is byte-identical for every
+// Workers value.
 //
 // Both entry points — ParallelChunksCtx and MapChunksIntoCtx — take a
 // context and return an error: a canceled ctx or an injected chunk-execution
@@ -41,26 +43,31 @@ func SplitBudget(workers, restarts int) int {
 	return (w + concurrent - 1) / concurrent
 }
 
-// AlignChunk aligns an intra-restart chunk size to the storage shard
-// granularity of the dataset being scanned. With shardRows > 0 (a
-// shard-backed dataset — dataset.Dataset.ShardRows) it returns shardRows, so
-// every chunk of ParallelChunksCtx / MapChunksIntoCtx covers exactly one
-// shard and a worker's scan touches only that shard's backing slice; with
-// shardRows == 0 (flat storage) chunkSize passes through unchanged. Alignment is pure
-// scheduling and memory locality: chunk boundaries never change output
-// (TestConformanceChunkSizeInvariance), so the sharded and flat paths stay
-// byte-identical (TestConformanceShardedVsFlat).
-//
-// Align only loops whose chunk domain IS the row range [0, n) — SSPC and
-// CLARANS assignment, PROCLUS's point passes. Loops that chunk some other
-// domain (DOC's shrinking remaining-point subset, COP-KMeans's components)
-// gain no locality from shard-sized chunks and can lose their parallelism
-// to oversized chunk counts; they keep their own ChunkSize.
-func AlignChunk(chunkSize, shardRows int) int {
-	if shardRows > 0 {
-		return shardRows
+// chunkPlan is the layout of one chunked call: chunks contiguous ranges that
+// tile [0, total) in ascending order. A positive size fixes every range at
+// size elements (the last one shorter); size 0 means engine-sized ranges.
+type chunkPlan struct{ total, size, chunks int }
+
+// planChunks resolves a call's layout. A positive chunkSize is kept for the
+// callers whose boundaries matter: 1 for per-cluster folds, and a dataset's
+// ShardRows so each chunk of a row scan stays inside one storage shard.
+// chunkSize <= 0 lets the engine size the chunks: min(total, 4·max(workers,1))
+// near-equal ranges of at most ceil(total / (4·max(workers,1))) elements, so
+// every worker gets about four chunks to even out load.
+func planChunks(total, chunkSize, workers int) chunkPlan {
+	if chunkSize > 0 {
+		return chunkPlan{total: total, size: chunkSize, chunks: (total + chunkSize - 1) / chunkSize}
 	}
-	return chunkSize
+	return chunkPlan{total: total, chunks: min(total, 4*max(workers, 1))}
+}
+
+// bounds returns chunk c's range [lo, hi).
+func (p chunkPlan) bounds(c int) (lo, hi int) {
+	if p.size > 0 {
+		lo = c * p.size
+		return lo, min(lo+p.size, p.total)
+	}
+	return c * p.total / p.chunks, (c + 1) * p.total / p.chunks
 }
 
 // chunkGate is the cooperative check taken before every chunk dispatch: the
@@ -79,18 +86,19 @@ func chunkGate(ctx context.Context) error {
 	return nil
 }
 
-// ParallelChunksCtx splits [0, total) into contiguous ranges of chunkSize
-// elements (the last one shorter) and runs fn over them on up to `workers`
-// goroutines. Chunk boundaries depend only on chunkSize, never on the worker
-// count, so a caller whose fn writes exclusively to its own [lo, hi) output
-// region produces byte-identical results for every workers value — the
-// invariant the intra-restart assignment step is built on.
+// ParallelChunksCtx splits [0, total) into contiguous chunks (laid out by
+// planChunks: chunkSize elements each, or engine-sized when chunkSize <= 0)
+// and runs fn over them on up to `workers` goroutines. Chunk boundaries never
+// depend on scheduling, so a caller whose fn writes exclusively to its own
+// [lo, hi) output region, and whose per-element work ignores where the
+// boundaries fall, produces byte-identical results for every workers value —
+// the invariant the intra-restart assignment step is built on.
 //
 // fn also receives a worker slot index in [0, workers) that is stable for
 // the duration of the call, so callers can hand each worker its own scratch
 // buffers (see Scratch). Slot assignment is scheduling-dependent; fn must use
 // the slot for scratch only, never to influence output values. workers <= 1
-// or total <= chunkSize runs everything inline on slot 0.
+// or a single chunk runs everything inline on slot 0.
 //
 // A cooperative gate runs before every chunk dispatch. When ctx is canceled
 // mid-scan the scheduler stops issuing chunks and returns context.Cause(ctx)
@@ -107,30 +115,29 @@ func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if chunkSize <= 0 {
-		chunkSize = total
-	}
-	if workers <= 1 || total <= chunkSize {
-		for lo := 0; lo < total; lo += chunkSize {
+	p := planChunks(total, chunkSize, workers)
+	if workers <= 1 || p.chunks == 1 {
+		for c := 0; c < p.chunks; c++ {
 			if err := chunkGate(ctx); err != nil {
 				return err
 			}
-			hi := lo + chunkSize
-			if hi > total {
-				hi = total
-			}
+			lo, hi := p.bounds(c)
 			fn(0, lo, hi)
 		}
 		return nil
 	}
-	return parallelChunksCtx(ctx, total, chunkSize, workers, fn)
+	return runParallel(ctx, p, workers, func(worker, c int) {
+		lo, hi := p.bounds(c)
+		fn(worker, lo, hi)
+	})
 }
 
-// parallelChunksCtx is the multi-goroutine tail, split out so the serial path
-// above stays allocation-free: the chunk cursor, wait group, and error slots
-// below are captured by the worker goroutines and therefore live on the heap,
-// a cost only the path that actually spawns goroutines should pay (the
-// zero-alloc kernel pins in core run through the serial path).
+// runParallel is the multi-goroutine tail, split out so the serial paths
+// stay allocation-free: the chunk cursor, wait group, and error slots below
+// are captured by the worker goroutines and therefore live on the heap, a
+// cost only the path that actually spawns goroutines should pay (the
+// zero-alloc kernel pins in core run through the serial path). fn receives
+// the chunk index; the caller maps it to a range with p.bounds.
 //
 // A worker that trips the gate records its error under errMu (lowest chunk
 // index wins, so the reported error is scheduling-independent whenever a
@@ -139,10 +146,9 @@ func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 // recovered on the worker, and the first panic value is re-raised on the
 // calling goroutine after the pool drains, so restart-boundary containment
 // in Run/Stream sees it exactly as if the chunk had run inline.
-func parallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn func(worker, lo, hi int)) error {
-	chunks := (total + chunkSize - 1) / chunkSize
-	if workers > chunks {
-		workers = chunks
+func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, c int)) error {
+	if workers > p.chunks {
+		workers = p.chunks
 	}
 	var (
 		next     atomic.Int64
@@ -178,19 +184,14 @@ func parallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 					return
 				}
 				c := int(next.Add(1)) - 1
-				if c >= chunks {
+				if c >= p.chunks {
 					return
 				}
 				if err := chunkGate(ctx); err != nil {
 					record(c, err)
 					return
 				}
-				lo := c * chunkSize
-				hi := lo + chunkSize
-				if hi > total {
-					hi = total
-				}
-				if pv := runChunk(fn, worker, lo, hi); pv != nil {
+				if pv := runChunk(fn, worker, c); pv != nil {
 					recordPanic(pv)
 					return
 				}
@@ -210,27 +211,25 @@ func parallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 // runChunk invokes one chunk and converts a panic into a value instead of
 // letting it unwind a pool goroutine (which would kill the process before
 // the restart-boundary recover in Run/Stream could contain it).
-func runChunk(fn func(worker, lo, hi int), worker, lo, hi int) (panicked any) {
+func runChunk(fn func(worker, c int), worker, c int) (panicked any) {
 	defer func() {
 		if v := recover(); v != nil {
 			panicked = v
 		}
 	}()
-	fn(worker, lo, hi)
+	fn(worker, c)
 	return nil
 }
 
-// MapChunksIntoCtx runs fn over the same fixed chunks as ParallelChunksCtx,
-// collects one R per chunk, and folds the per-chunk results serially in
-// chunk-index order, seeded with the first chunk's result (a single chunk —
-// the common case once a range fits ChunkSize — returns fn's value directly,
-// no fold call, no copy). The fold is the ordered serial reduction of the
-// determinism contract: because chunk boundaries depend only on chunkSize
-// and the fold visits chunks in ascending order, the returned value is
-// identical for every workers count. Callers that need ChunkSize-invariance
-// too must pick an fn/fold pair whose composition does not depend on where
-// the boundaries fall (disjoint list concatenation, or sums that chunk
-// splits leave bit-identical). total <= 0 returns the zero R.
+// MapChunksIntoCtx runs fn over the same chunks as ParallelChunksCtx, collects
+// one R per chunk, and folds the per-chunk results serially in chunk-index
+// order, seeded with the first chunk's result (a single chunk returns fn's
+// value directly, no fold call, no copy). The fold is the ordered serial
+// reduction of the determinism contract. Chunk boundaries may move with the
+// worker count when the engine sizes them, so callers must pick an fn/fold
+// pair whose composition does not depend on where the boundaries fall
+// (disjoint list concatenation, or chunkSize 1 so each chunk is one unit and
+// the fold is the serial loop). total <= 0 returns the zero R.
 //
 // buf is an optional caller-owned per-chunk results buffer: the
 // multi-worker path needs one R slot per chunk, and reuses buf's backing
@@ -253,41 +252,31 @@ func MapChunksIntoCtx[R any](ctx context.Context, total, chunkSize, workers int,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if chunkSize <= 0 {
-		chunkSize = total
-	}
-	if total <= chunkSize {
-		if err := chunkGate(ctx); err != nil {
-			return zero, err
-		}
-		return fn(0, 0, total), nil
-	}
-	if workers <= 1 {
-		if err := chunkGate(ctx); err != nil {
-			return zero, err
-		}
-		acc := fn(0, 0, chunkSize)
-		for lo := chunkSize; lo < total; lo += chunkSize {
+	p := planChunks(total, chunkSize, workers)
+	if workers <= 1 || p.chunks == 1 {
+		var acc R
+		for c := 0; c < p.chunks; c++ {
 			if err := chunkGate(ctx); err != nil {
 				return zero, err
 			}
-			hi := lo + chunkSize
-			if hi > total {
-				hi = total
+			lo, hi := p.bounds(c)
+			if r := fn(0, lo, hi); c == 0 {
+				acc = r
+			} else {
+				acc = fold(acc, r)
 			}
-			acc = fold(acc, fn(0, lo, hi))
 		}
 		return acc, nil
 	}
-	chunks := (total + chunkSize - 1) / chunkSize
 	var results []R
-	if cap(buf) >= chunks {
-		results = buf[:chunks]
+	if cap(buf) >= p.chunks {
+		results = buf[:p.chunks]
 	} else {
-		results = make([]R, chunks)
+		results = make([]R, p.chunks)
 	}
-	if err := ParallelChunksCtx(ctx, total, chunkSize, workers, func(worker, lo, hi int) {
-		results[lo/chunkSize] = fn(worker, lo, hi)
+	if err := runParallel(ctx, p, workers, func(worker, c int) {
+		lo, hi := p.bounds(c)
+		results[c] = fn(worker, lo, hi)
 	}); err != nil {
 		return zero, err
 	}

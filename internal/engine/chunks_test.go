@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -219,22 +220,26 @@ func TestScratchUnderParallelChunks(t *testing.T) {
 	})
 }
 
-// TestAlignChunk: a shard granularity overrides the chunk size (one chunk
-// per shard); flat storage (shardRows = 0) passes the chunk size through
-// untouched, including the <= 0 "use default" convention.
-func TestAlignChunk(t *testing.T) {
-	for _, tc := range []struct {
-		chunkSize, shardRows, want int
-	}{
-		{512, 0, 512},
-		{0, 0, 0},
-		{-3, 0, -3},
-		{512, 100, 100},
-		{7, 100, 100},
-		{0, 100, 100},
-	} {
-		if got := AlignChunk(tc.chunkSize, tc.shardRows); got != tc.want {
-			t.Errorf("AlignChunk(%d, %d) = %d, want %d", tc.chunkSize, tc.shardRows, got, tc.want)
+// TestParallelChunksShardSize: a dataset's shard size passed as chunkSize
+// comes through unchanged — every chunk is exactly one shard, whatever the
+// worker count.
+func TestParallelChunksShardSize(t *testing.T) {
+	const total, shardRows = 1000, 128
+	for _, workers := range []int{1, 3, 8} {
+		var mu sync.Mutex
+		seen := map[int]int{}
+		parallelChunks(t, total, shardRows, workers, func(_, lo, hi int) {
+			mu.Lock()
+			seen[lo] = hi
+			mu.Unlock()
+		})
+		if len(seen) != (total+shardRows-1)/shardRows {
+			t.Fatalf("workers=%d: %d chunks, want one per shard", workers, len(seen))
+		}
+		for lo, hi := range seen {
+			if lo%shardRows != 0 || hi != min(lo+shardRows, total) {
+				t.Fatalf("workers=%d: chunk [%d,%d) is not one shard", workers, lo, hi)
+			}
 		}
 	}
 }

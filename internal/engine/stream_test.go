@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -211,24 +212,27 @@ func TestStreamEdgeCases(t *testing.T) {
 }
 
 // TestParallelChunksCoverage: every index is visited exactly once, for any
-// (chunkSize, workers) combination, and chunk boundaries depend only on
-// chunkSize.
+// (chunkSize, workers) combination. A positive chunkSize puts every chunk
+// start on a chunkSize boundary; chunkSize <= 0 gives the engine-sized
+// layout of min(total, 4·max(workers,1)) chunks whose sizes differ by at
+// most one.
 func TestParallelChunksCoverage(t *testing.T) {
 	for _, total := range []int{0, 1, 7, 100, 1000} {
 		for _, chunkSize := range []int{0, 1, 3, 64, 2000} {
 			for _, workers := range []int{1, 3, 8} {
 				visits := make([]atomic.Int64, total)
+				var mu sync.Mutex
+				var lens []int
 				parallelChunks(t, total, chunkSize, workers, func(_, lo, hi int) {
 					if lo < 0 || hi > total || lo >= hi {
 						t.Errorf("bad chunk [%d,%d) for total %d", lo, hi, total)
 					}
-					cs := chunkSize
-					if cs <= 0 {
-						cs = total
+					if chunkSize > 0 && lo%chunkSize != 0 {
+						t.Errorf("chunk start %d not on a %d boundary", lo, chunkSize)
 					}
-					if lo%cs != 0 {
-						t.Errorf("chunk start %d not on a %d boundary", lo, cs)
-					}
+					mu.Lock()
+					lens = append(lens, hi-lo)
+					mu.Unlock()
 					for i := lo; i < hi; i++ {
 						visits[i].Add(1)
 					}
@@ -239,8 +243,42 @@ func TestParallelChunksCoverage(t *testing.T) {
 							total, chunkSize, workers, i, n)
 					}
 				}
+				if chunkSize <= 0 && total > 0 {
+					sort.Ints(lens)
+					if want := min(total, 4*workers); len(lens) != want || lens[len(lens)-1]-lens[0] > 1 {
+						t.Errorf("total=%d workers=%d: engine-sized chunk lengths %v, want %d near-equal chunks",
+							total, workers, lens, want)
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestParallelChunksEngineSized: chunkSize 0 lets the engine size the chunks
+// from the worker count — 100 elements on 4 workers are 16 chunks covering
+// [0,100) exactly once.
+func TestParallelChunksEngineSized(t *testing.T) {
+	var mu sync.Mutex
+	var ranges [][2]int
+	parallelChunks(t, 100, 0, 4, func(_, lo, hi int) {
+		mu.Lock()
+		ranges = append(ranges, [2]int{lo, hi})
+		mu.Unlock()
+	})
+	if len(ranges) != 16 {
+		t.Fatalf("100 elements on 4 workers split into %d chunks, want 16", len(ranges))
+	}
+	sort.Slice(ranges, func(a, b int) bool { return ranges[a][0] < ranges[b][0] })
+	next := 0
+	for _, r := range ranges {
+		if r[0] != next || r[1] <= r[0] {
+			t.Fatalf("chunks %v do not tile [0,100)", ranges)
+		}
+		next = r[1]
+	}
+	if next != 100 {
+		t.Fatalf("chunks %v stop at %d, want 100", ranges, next)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/stats"
 )
@@ -45,18 +44,6 @@ type Config struct {
 	// exactly. Cells that report medians over independent knowledge draws
 	// (§5.3) never early-stop — every draw is part of the statistic.
 	EarlyStop int
-	// ChunkSize is forwarded to each algorithm's intra-restart chunked
-	// loops (SSPC, PROCLUS, CLARANS). Like Workers it never changes
-	// a table, only scheduling granularity; <= 0 keeps each algorithm's
-	// default.
-	ChunkSize int
-	// Shards, when > 0, re-backs every generated dataset as that many
-	// contiguous row-range shards before clustering, so each intra-restart
-	// chunk (aligned to one shard) scans its own backing memory. Sharded
-	// storage is byte-identical to flat through every accessor, so tables
-	// are identical for every value; the knob exists to exercise and
-	// benchmark the sharded path end to end. <= 0 keeps flat storage.
-	Shards int
 }
 
 // Paper returns the full-fidelity configuration.
@@ -74,20 +61,6 @@ func (c Config) normalized() Config {
 		c.Scale = 1
 	}
 	return c
-}
-
-// shardData re-backs a generated dataset according to Config.Shards;
-// Shards <= 0 returns ds unchanged. Every figure applies it right after
-// generating its dataset, before any algorithm touches it.
-func (c Config) shardData(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	if c.Shards <= 0 {
-		return ds, nil
-	}
-	sd, err := ds.Shards(c.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return sd.Dataset(), nil
 }
 
 // scaleInt scales a paper-sized quantity, keeping a sane floor.

@@ -30,9 +30,6 @@ func Figure7Context(ctx context.Context, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mg.Data, err = cfg.shardData(mg.Data); err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title: fmt.Sprintf("Figure 7: two possible groupings (n=%d, d=%d, l_real=%d each)",
 			n, mg.Data.D(), lreal),
@@ -109,7 +106,6 @@ func Figure7Context(ctx context.Context, cfg Config) (*Table, error) {
 			opts.Knowledge = kn
 			opts.Seed = s
 			opts.Workers = 1 // repeats carry the concurrency; see sspcBest
-			opts.ChunkSize = cfg.ChunkSize
 			return core.RunContext(ctx, mg.Data, opts)
 		})
 		if err != nil {

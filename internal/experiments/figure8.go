@@ -40,9 +40,6 @@ func scalability(ctx context.Context, cfg Config, points [][2]int, label func(p 
 		if err != nil {
 			return nil, err
 		}
-		if gt.Data, err = cfg.shardData(gt.Data); err != nil {
-			return nil, err
-		}
 		// Workers = 1 keeps the timed runs fully serial — with the default
 		// (all CPUs) the whole budget would flow into the intra-restart
 		// chunked loops and the timing series would depend on the core
@@ -51,7 +48,6 @@ func scalability(ctx context.Context, cfg Config, points [][2]int, label func(p 
 			opts := core.DefaultOptions(k)
 			opts.Seed = seed
 			opts.Workers = 1
-			opts.ChunkSize = cfg.ChunkSize
 			_, err := core.RunContext(ctx, gt.Data, opts)
 			return err
 		})
@@ -62,7 +58,6 @@ func scalability(ctx context.Context, cfg Config, points [][2]int, label func(p 
 			opts := proclus.DefaultOptions(k, lreal)
 			opts.Seed = seed
 			opts.Workers = 1
-			opts.ChunkSize = cfg.ChunkSize
 			_, err := proclus.RunContext(ctx, gt.Data, opts)
 			return err
 		})

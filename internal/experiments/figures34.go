@@ -37,7 +37,6 @@ func sspcBest(ctx context.Context, gt *synth.GroundTruth, k int, scheme core.Thr
 		opts.Knowledge = kn
 		opts.Seed = s
 		opts.Workers = 1
-		opts.ChunkSize = cfg.ChunkSize
 		return core.RunContext(ctx, gt.Data, opts)
 	})
 }
@@ -49,7 +48,6 @@ func proclusBest(ctx context.Context, gt *synth.GroundTruth, k, l int, cfg Confi
 		opts := proclus.DefaultOptions(k, l)
 		opts.Seed = s
 		opts.Workers = 1
-		opts.ChunkSize = cfg.ChunkSize
 		return proclus.RunContext(ctx, gt.Data, opts)
 	})
 }
@@ -126,9 +124,6 @@ func Figure3Context(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if gt.Data, err = cfg.shardData(gt.Data); err != nil {
-			return nil, err
-		}
 
 		// The five algorithm columns of this x-point are independent cells;
 		// run them concurrently. The cells' inner repeats run serially
@@ -144,7 +139,6 @@ func Figure3Context(ctx context.Context, cfg Config) (*Table, error) {
 					opts := clarans.DefaultOptions(k)
 					opts.Seed = s
 					opts.Workers = 1
-					opts.ChunkSize = cfg.ChunkSize
 					return clarans.RunContext(ctx, gt.Data, opts)
 				})
 				if err != nil {
@@ -220,9 +214,6 @@ func Figure4Context(ctx context.Context, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gt.Data, err = cfg.shardData(gt.Data); err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:   fmt.Sprintf("Figure 4: ARI vs parameter value at l_real=%d (n=%d, d=%d)", lreal, n, d),
 		XLabel:  "param idx",
@@ -290,9 +281,6 @@ func OutlierImmunityContext(ctx context.Context, cfg Config) (*Table, error) {
 			OutlierFrac: float64(pct) / 100, Seed: cfg.Seed + int64(pct),
 		})
 		if err != nil {
-			return nil, err
-		}
-		if gt.Data, err = cfg.shardData(gt.Data); err != nil {
 			return nil, err
 		}
 		res, err := sspcBest(ctx, gt, k, core.SchemeM, 0.5, nil, cfg)

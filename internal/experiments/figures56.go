@@ -14,7 +14,7 @@ import (
 // knowledgeARI runs SSPC once with knowledge sampled under kcfg and returns
 // the ARI with labeled objects removed first — the paper's protocol for the
 // §5.3 experiments.
-func knowledgeARI(ctx context.Context, gt *synth.GroundTruth, k int, kcfg synth.KnowledgeConfig, runSeed int64, chunkSize int) (float64, error) {
+func knowledgeARI(ctx context.Context, gt *synth.GroundTruth, k int, kcfg synth.KnowledgeConfig, runSeed int64) (float64, error) {
 	kn, err := synth.SampleKnowledge(gt, kcfg)
 	if err != nil {
 		return 0, err
@@ -24,7 +24,6 @@ func knowledgeARI(ctx context.Context, gt *synth.GroundTruth, k int, kcfg synth.
 	opts.Knowledge = kn
 	opts.Seed = runSeed
 	opts.Workers = 1 // repeats carry the concurrency; see sspcBest
-	opts.ChunkSize = chunkSize
 	res, err := core.RunContext(ctx, gt.Data, opts)
 	if err != nil {
 		return 0, err
@@ -43,7 +42,7 @@ func medianKnowledgeARI(ctx context.Context, gt *synth.GroundTruth, k int, kcfg 
 		func(r int, _ *stats.RNG) (float64, error) {
 			rcfg := kcfg
 			rcfg.Seed = cfg.Seed + int64(1000*r)
-			return knowledgeARI(ctx, gt, k, rcfg, cfg.Seed+int64(r), cfg.ChunkSize)
+			return knowledgeARI(ctx, gt, k, rcfg, cfg.Seed+int64(r))
 		})
 	if err != nil {
 		return 0, err
@@ -60,9 +59,6 @@ func fig5Dataset(cfg Config) (*synth.GroundTruth, error) {
 		N: 150, D: d, K: 5, AvgDims: d / 100, Seed: cfg.Seed + 50,
 	})
 	if err != nil {
-		return nil, err
-	}
-	if gt.Data, err = cfg.shardData(gt.Data); err != nil {
 		return nil, err
 	}
 	return gt, nil

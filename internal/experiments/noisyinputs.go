@@ -28,9 +28,6 @@ func NoisyInputsContext(ctx context.Context, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gt.Data, err = cfg.shardData(gt.Data); err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:   fmt.Sprintf("§6 extension: SSPC ARI vs fraction of mislabeled objects (n=150, d=%d, size=6)", d),
 		XLabel:  "corrupt%",
@@ -63,7 +60,6 @@ func NoisyInputsContext(ctx context.Context, cfg Config) (*Table, error) {
 				opts.Knowledge = kn
 				opts.Seed = cfg.Seed + int64(r)
 				opts.Workers = 1 // repeats carry the concurrency; see sspcBest
-				opts.ChunkSize = cfg.ChunkSize
 
 				trusting, err := core.RunContext(ctx, gt.Data, opts)
 				if err != nil {

@@ -38,9 +38,6 @@ func SupervisionStylesContext(ctx context.Context, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gt.Data, err = cfg.shardData(gt.Data); err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:   fmt.Sprintf("Supervision styles: ARI vs labeled objects per class (n=%d, d=%d, k=%d)", n, d, k),
 		XLabel:  "labeled/class",
@@ -71,7 +68,6 @@ func SupervisionStylesContext(ctx context.Context, cfg Config) (*Table, error) {
 					opts := copkmeans.DefaultOptions(k)
 					opts.Seed = s
 					opts.Workers = 1
-					opts.ChunkSize = cfg.ChunkSize
 					return copkmeans.RunContext(ctx, gt.Data, cons, opts)
 				})
 				if err != nil {
@@ -121,7 +117,6 @@ func seedKMeansBest(ctx context.Context, gt *synth.GroundTruth, kn *dataset.Know
 		opts.Constrained = constrained
 		opts.Seed = s
 		opts.Workers = 1
-		opts.ChunkSize = cfg.ChunkSize
 		return seedkmeans.RunContext(ctx, gt.Data, kn, opts)
 	})
 }
@@ -154,9 +149,6 @@ func SubspaceBaselinesContext(ctx context.Context, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if gt.Data, err = cfg.shardData(gt.Data); err != nil {
-			return nil, err
-		}
 		var cliqueARI, biARI, sspcARI float64
 		lreal := lreal
 		err = parallelCells(ctx, cfg.Workers,
@@ -165,7 +157,6 @@ func SubspaceBaselinesContext(ctx context.Context, cfg Config) (*Table, error) {
 				opts.Tau = 0.08
 				opts.MaxClusters = k
 				opts.Workers = 1
-				opts.ChunkSize = cfg.ChunkSize
 				_, res, err := clique.RunContext(ctx, gt.Data, opts)
 				if err != nil {
 					return err
@@ -178,7 +169,6 @@ func SubspaceBaselinesContext(ctx context.Context, cfg Config) (*Table, error) {
 					opts := bicluster.DefaultOptions(k, 50)
 					opts.Seed = s
 					opts.Workers = 1
-					opts.ChunkSize = cfg.ChunkSize
 					_, res, err := bicluster.RunContext(ctx, gt.Data, opts)
 					return res, err
 				})

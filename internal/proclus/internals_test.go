@@ -117,7 +117,7 @@ func TestAssignPointsCostNonNegative(t *testing.T) {
 	medoids := []int{gt.MembersOfClass(0)[0], gt.MembersOfClass(1)[0]}
 	dims := [][]int{gt.Dims[0], gt.Dims[1]}
 	assign := make([]int, 200)
-	cost, err := assignPoints(context.Background(), gt.Data, medoids, dims, assign, 1, 0)
+	cost, err := assignPoints(context.Background(), gt.Data, medoids, dims, assign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,6 @@ type Options struct {
 	// value). Restarts stays the hard cap. 0 (the default) runs all
 	// Restarts unconditionally.
 	EarlyStop int
-
-	// ChunkSize is the number of objects per unit of intra-restart work in
-	// the chunked point loops. Chunk boundaries are fixed by this value
-	// alone, so any ChunkSize produces byte-identical output; it only tunes
-	// scheduling granularity. <= 0 means a default of 512.
-	ChunkSize int
 }
 
 // DefaultOptions mirrors the constants of the original paper.
@@ -127,12 +121,6 @@ func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
 	if o.EarlyStop < 0 {
 		o.EarlyStop = 0
 	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 512
-	}
-	// On a shard-backed dataset, chunk = shard: each worker's scan stays
-	// inside one shard's backing memory. Output is unchanged either way.
-	o.ChunkSize = engine.AlignChunk(o.ChunkSize, ds.ShardRows())
 	return o, nil
 }
 
@@ -142,7 +130,7 @@ func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
 // beyond the restart count parallelize the chunked point loops inside each
 // restart. With Options.EarlyStop > 0 the restarts stream lazily and stop
 // once the cost has plateaued for that many consecutive restarts. The result
-// is a pure function of (ds, opts) — Workers and ChunkSize never change it.
+// is a pure function of (ds, opts) — Workers never changes it.
 //
 // Cancellation is checked at every restart launch, every iteration of the
 // medoid-replacement loop, and every chunk boundary of the point loops, so a
@@ -195,7 +183,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 		if err != nil {
 			return nil, err
 		}
-		cost, err := assignPoints(ctx, ds, medoids, dims, assign, intra, opts.ChunkSize)
+		cost, err := assignPoints(ctx, ds, medoids, dims, assign, intra)
 		if err != nil {
 			return nil, err
 		}
@@ -247,12 +235,12 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 	if err != nil {
 		return nil, err
 	}
-	finalCost, err := assignPoints(ctx, ds, bestMedoids, refined, bestAssign, intra, opts.ChunkSize)
+	finalCost, err := assignPoints(ctx, ds, bestMedoids, refined, bestAssign, intra)
 	if err != nil {
 		return nil, err
 	}
 	if opts.OutlierHandling {
-		if err := markOutliers(ctx, ds, bestMedoids, refined, bestAssign, intra, opts.ChunkSize); err != nil {
+		if err := markOutliers(ctx, ds, bestMedoids, refined, bestAssign, intra); err != nil {
 			return nil, err
 		}
 	}
@@ -458,18 +446,18 @@ func distributeDimensions(X [][]float64, d int, opts Options) [][]int {
 // assignPoints assigns every object to the medoid with the smallest
 // Manhattan segmental distance and returns the PROCLUS cost: the average
 // within-cluster segmental dispersion weighted by cluster size. The argmin
-// scan runs chunked over fixed point ranges (disjoint writes to assign); the
-// cost is a map-reduce with one unit of work per cluster, folded in
-// cluster-index order so the floating-point sum is byte-identical to the
-// serial loop for every workers/chunkSize value.
-func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims [][]int, assign []int, workers, chunkSize int) (float64, error) {
+// scan runs chunked over point ranges (disjoint writes to assign); the cost
+// is a map-reduce with one unit of work per cluster, folded in cluster-index
+// order so the floating-point sum is byte-identical to the serial loop for
+// every workers value.
+func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims [][]int, assign []int, workers int) (float64, error) {
 	n := ds.N()
 	k := len(medoids)
 	medoidRows := make([][]float64, k)
 	for i, m := range medoids {
 		medoidRows[i] = ds.Row(m)
 	}
-	if err := engine.ParallelChunksCtx(ctx, n, chunkSize, workers, func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, n, ds.ShardRows(), workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			best := math.Inf(1)
 			arg := 0
@@ -603,8 +591,8 @@ func refineDimensions(ctx context.Context, ds *dataset.Dataset, medoids []int, a
 // markOutliers discards points outside every medoid's sphere of influence:
 // the smallest segmental distance from the medoid to any other medoid in
 // the cluster's subspace. The per-point membership test runs chunked over
-// fixed point ranges; each chunk writes only its own assign slots.
-func markOutliers(ctx context.Context, ds *dataset.Dataset, medoids []int, dims [][]int, assign []int, workers, chunkSize int) error {
+// point ranges; each chunk writes only its own assign slots.
+func markOutliers(ctx context.Context, ds *dataset.Dataset, medoids []int, dims [][]int, assign []int, workers int) error {
 	k := len(medoids)
 	radius := make([]float64, k)
 	for i := 0; i < k; i++ {
@@ -619,7 +607,7 @@ func markOutliers(ctx context.Context, ds *dataset.Dataset, medoids []int, dims 
 			}
 		}
 	}
-	return engine.ParallelChunksCtx(ctx, len(assign), chunkSize, workers, func(_, lo, hi int) {
+	return engine.ParallelChunksCtx(ctx, len(assign), ds.ShardRows(), workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			inside := false
 			for i := 0; i < k; i++ {

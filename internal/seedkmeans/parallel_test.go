@@ -86,10 +86,10 @@ func TestGoldenPin(t *testing.T) {
 	}
 }
 
-// TestChunkedAssignRace drives the chunked per-object assignment scan with
-// many more chunks than workers for several rounds, comparing every round
-// against the serial output — meaningful under -race, which would flag any
-// cross-chunk write overlap in assign/dist.
+// TestChunkedAssignRace drives the chunked per-object assignment scan on 8
+// workers, four engine-sized chunks each, for several rounds, comparing
+// every round against the serial output — meaningful under -race, which
+// would flag any cross-chunk write overlap in assign/dist.
 func TestChunkedAssignRace(t *testing.T) {
 	gt, kn := raceFixture(t)
 	opts := DefaultOptions(3)
@@ -104,7 +104,6 @@ func TestChunkedAssignRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		chunked := opts
 		chunked.Workers = 8
-		chunked.ChunkSize = 1 // one object per chunk
 		res, err := RunContext(context.Background(), gt.Data, kn, chunked)
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,7 @@
 // randomized restarts (the random centroids of unseeded clusters) through
 // the shared restart engine and chunks the per-object assignment scan, under
 // the repository-wide determinism contract: results are a pure function of
-// (dataset, knowledge, options) for every Workers/ChunkSize value.
+// (dataset, knowledge, options) for every Workers value.
 package seedkmeans
 
 import (
@@ -54,14 +54,6 @@ type Options struct {
 	// consecutive restarts (judged in restart-index order), with Restarts as
 	// the hard cap. 0 runs the fixed best-of-Restarts protocol.
 	EarlyStop int
-
-	// ChunkSize is the number of objects per unit of work in the chunked
-	// assignment scan. Chunk boundaries are fixed by this value alone, so
-	// any ChunkSize produces byte-identical output; it only tunes scheduling
-	// granularity. <= 0 means a default of 512. On a shard-backed dataset
-	// the chunk size aligns to the shard row count (engine.AlignChunk), so
-	// each worker's scan stays inside one shard's backing memory.
-	ChunkSize int
 }
 
 // DefaultOptions returns the seeded variant for k clusters.
@@ -92,10 +84,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, kn *dataset.Knowledge,
 	if restarts <= 0 {
 		restarts = 1
 	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 512
-	}
-	opts.ChunkSize = engine.AlignChunk(opts.ChunkSize, ds.ShardRows())
 
 	// Per-restart-invariant supervision state, computed once and shared
 	// read-only across concurrent restarts: the seed mean of each seeded
@@ -151,12 +139,12 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, seedMeans [
 			return nil, err
 		}
 		iterations++
-		// Assignment scan, chunked over fixed object ranges with disjoint
-		// writes (assign[i], dist[i]); the cost sum is folded afterwards in
+		// Assignment scan, chunked over object ranges with disjoint writes
+		// (assign[i], dist[i]); the cost sum is folded afterwards in
 		// ascending object order — the exact addition sequence of the
 		// historical serial loop, so the result is byte-identical for every
-		// Workers/ChunkSize value.
-		if err := engine.ParallelChunksCtx(ctx, n, opts.ChunkSize, workers, func(_, lo, hi int) {
+		// Workers value.
+		if err := engine.ParallelChunksCtx(ctx, n, ds.ShardRows(), workers, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if c, ok := clamped[i]; ok {
 					assign[i] = c

@@ -34,8 +34,8 @@
 //     point loops — SSPC's O(n·K·|V|) assignment and dimension
 //     re-selection, PROCLUS's assignment / dimension-refinement / outlier
 //     passes, DOC's box-membership scans, CLARANS's final assignment —
-//     chunked over fixed ranges (Options.ChunkSize elements per chunk; any
-//     value gives identical output).
+//     chunked into ranges the engine sizes from the worker count (every
+//     chunk layout gives identical output).
 //   - Options.EarlyStop > 0 (SSPC, PROCLUS, DOC) launches restarts lazily
 //     and stops once the best objective has not improved for that many
 //     consecutive restarts, with Restarts as the hard cap. EarlyStop = 0
@@ -47,8 +47,8 @@
 // lowest restart — so Workers = 1 and Workers = N produce byte-identical
 // Results, and a single-restart run reproduces the historical serial output
 // for the same Seed. The cross-algorithm conformance suite
-// (conformance_test.go) pins all three legs — worker invariance, chunk-size
-// invariance, restart-0 ≡ base-seed — for every algorithm. Datasets are
+// (conformance_test.go) pins worker invariance (which also moves the chunk
+// boundaries) and restart-0 ≡ base-seed for all nine algorithms. Datasets are
 // safe for any number of concurrent readers; concurrent Cluster calls may
 // share one *Dataset.
 //
@@ -57,26 +57,19 @@
 //	opts.EarlyStop = 3 // stop early once φ plateaus for 3 restarts
 //	res, _ := sspc.Cluster(context.Background(), gt.Data, opts)
 //
-// # Datasets and sharding
+// # Datasets and storage
 //
 // Datasets load from CSV (ReadCSV, ReadLabeledCSV — contract in
-// docs/DATASETS.md) or are generated (Generate). For datasets too large to
-// materialize through the flat loader's intermediates, ReadCSVSharded
-// streams rows directly into shard-backed storage — contiguous row-range
-// shards, each with its own backing slice — and ShardDataset re-backs an
-// in-memory dataset the same way. Sharded storage is byte-identical to flat
-// through every accessor and every algorithm (the conformance suite pins
-// sharded-vs-flat equality for all five); the row-scanning chunked loops
-// align one chunk per shard so each worker scans only its own shard's
-// memory.
-//
-// For datasets larger than RAM there is a third storage tier: the .sspcb
-// binary format (WriteBinaryDataset, ConvertCSVToBinary) stores the shard
-// layout on disk with checksums and per-shard stat partials, and
-// OpenBinaryDataset maps it read-only so the shards alias the file's pages —
-// the algorithms run unmodified with peak heap near the gathered working
-// set, and the disk-tier conformance leg pins the results byte-identical to
-// flat. See docs/DATASETS.md, "The binary dataset format".
+// docs/DATASETS.md) or are generated (Generate); either way they live in one
+// flat heap slice. For datasets near or past the memory ceiling there is a
+// second storage tier: the .sspcb binary format (WriteBinaryDataset,
+// ConvertCSVToBinary) stores the matrix on disk as row-range shards with
+// checksums and per-shard stat partials, and OpenBinaryDataset maps it
+// read-only so the shards alias the file's pages — the algorithms run
+// unmodified with peak heap near the gathered working set, the row-scanning
+// chunked loops take one shard per chunk, and the disk-tier conformance leg
+// pins the results byte-identical to flat. See docs/DATASETS.md, "The binary
+// dataset format".
 //
 // Hot loops never read the matrix element-wise: Dataset.GatherRows and
 // Dataset.GatherColumn bulk-copy a subset of rows (or one dimension of
@@ -151,22 +144,6 @@ func NewDataset(n, d int) (*Dataset, error) { return dataset.New(n, d) }
 // FromRows builds a dataset from rows, copying the data.
 func FromRows(rows [][]float64) (*Dataset, error) { return dataset.FromRows(rows) }
 
-// ShardedDataset is a Dataset whose rows are partitioned into contiguous
-// row-range shards, each with its own backing slice and column-stat partial.
-// Sharded storage is byte-identical to flat through every accessor and every
-// algorithm; it changes memory layout (the row-scanning chunked loops align
-// one chunk per shard), never results.
-type ShardedDataset = dataset.ShardedDataset
-
-// ShardedReadOptions configures ReadCSVSharded: the rows-per-shard budget
-// and an optional ingestion-progress callback.
-type ShardedReadOptions = dataset.ShardedReadOptions
-
-// ShardDataset re-backs ds as at most k contiguous row-range shards,
-// copying the rows into per-shard slices; ds itself is left untouched. Pass
-// the result's Dataset() to any algorithm.
-func ShardDataset(ds *Dataset, k int) (*ShardedDataset, error) { return ds.Shards(k) }
-
 // ReadCSV parses numeric CSV data into a flat dataset. When header is true
 // the first record is skipped; every field must parse as a finite float64.
 func ReadCSV(r io.Reader, header bool) (*Dataset, error) { return dataset.ReadCSV(r, header) }
@@ -175,14 +152,6 @@ func ReadCSV(r io.Reader, header bool) (*Dataset, error) { return dataset.ReadCS
 // (−1 for outliers), returning the feature dataset and the label column.
 func ReadLabeledCSV(r io.Reader, header bool) (*Dataset, []int, error) {
 	return dataset.ReadLabeledCSV(r, header)
-}
-
-// ReadCSVSharded streams CSV straight into a sharded dataset, one shard of
-// opts.ShardRows rows at a time, without materializing one giant flat slice
-// or the CSV intermediates; see docs/DATASETS.md for the memory arithmetic.
-// It accepts exactly the inputs ReadCSV accepts, with identical values.
-func ReadCSVSharded(r io.Reader, header bool, opts ShardedReadOptions) (*ShardedDataset, error) {
-	return dataset.ReadCSVSharded(r, header, opts)
 }
 
 // WriteCSV writes the dataset as CSV; a non-nil labels slice (one entry per
