@@ -311,10 +311,10 @@ func benchMmapDataset(b *testing.B, gt *GroundTruth) *Dataset {
 }
 
 // BenchmarkGatherRowsMmap is BenchmarkGatherRows' disk-tier leg: the same
-// scattered-member gather, but the shard blocks alias a read-only mmap of a
-// .sspcb file instead of heap slices. Zero allocs/op by the same contract
-// (TestGatherZeroAllocMmap); the delta against BenchmarkGatherRows/flat is
-// the cost of file-backed, shard-split storage.
+// scattered-member gather, but the matrix aliases a read-only mmap of a
+// .sspcb file (16 shards) instead of a heap slice. Zero allocs/op by the same
+// contract (TestGatherZeroAllocMmap); the delta against
+// BenchmarkGatherRows/flat is the cost of file-backed storage.
 func BenchmarkGatherRowsMmap(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
 	members := gt.MembersOfClass(0)
@@ -329,8 +329,7 @@ func BenchmarkGatherRowsMmap(b *testing.B) {
 }
 
 // BenchmarkClusterMmap measures the disk tier end to end: one SSPC restart
-// at 8 workers over the mmap-backed dataset, its row scans chunked one shard
-// at a time. The Result is byte-identical to the flat fit (pinned by
+// at 8 workers over the mmap-backed dataset of a 16-shard file. The Result is byte-identical to the flat fit (pinned by
 // TestConformanceDiskVsFlat); BenchmarkAssignChunked/workers=8 is the same
 // fit on the heap.
 func BenchmarkClusterMmap(b *testing.B) {

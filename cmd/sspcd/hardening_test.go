@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -345,5 +346,81 @@ func TestDrainWaitsForQueuedJobs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("fit after drain: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// stalledWriter is a ResponseWriter for a client that stopped reading: Write
+// blocks until release is closed. writing is closed by the first Write.
+type stalledWriter struct {
+	header  http.Header
+	once    sync.Once
+	writing chan struct{}
+	release chan struct{}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.writing) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStalledClientDoesNotBlockRegistry: a client that stops reading a JSON
+// response must not stall the daemon. While a handler is stuck writing to
+// it, a registry lookup — the first step of every /assign — must return.
+func TestStalledClientDoesNotBlockRegistry(t *testing.T) {
+	m, rows, _ := fitAndModel(t)
+	enc, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer()
+	key, err := s.register(m, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.jobs["job-1"] = &job{ID: "job-1", State: "done", Model: key}
+	assignBody, err := json.Marshal(assignRequest{Model: key, Rows: rows[:4]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string]func() *http.Request{
+		"assign": func() *http.Request {
+			return httptest.NewRequest(http.MethodPost, "/assign", bytes.NewReader(assignBody))
+		},
+		"job":    func() *http.Request { return httptest.NewRequest(http.MethodGet, "/jobs/job-1", nil) },
+		"models": func() *http.Request { return httptest.NewRequest(http.MethodGet, "/models", nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := &stalledWriter{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				s.ServeHTTP(w, req())
+			}()
+			defer func() {
+				close(w.release)
+				<-served
+			}()
+			select {
+			case <-w.writing:
+			case <-time.After(2 * time.Second):
+				t.Fatal("handler never wrote its response")
+			}
+			looked := make(chan bool, 1)
+			go func() {
+				_, ok := s.lookup(key)
+				looked <- ok
+			}()
+			select {
+			case ok := <-looked:
+				if !ok {
+					t.Fatalf("lookup(%q) missed a registered model", key)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("registry lookup blocked while a stalled client held a response")
+			}
+		})
 	}
 }

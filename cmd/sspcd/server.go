@@ -444,6 +444,7 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.cancels[j.ID] = cancel
 	}
 	deadline := s.effectiveTimeout(reqTimeout)
+	snap := *j
 	s.mu.Unlock()
 
 	if cached && closeDS != nil {
@@ -515,7 +516,7 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, j, &s.mu)
+	writeJSON(w, snap)
 }
 
 // handleJobCancel cancels a running fit. The cancellation lands at the fit's
@@ -523,7 +524,7 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 // "canceled". Finished (or cached) jobs answer 409.
 func (s *server) handleJobCancel(w http.ResponseWriter, id string) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	_, ok := s.jobs[id]
 	cancel := s.cancels[id]
 	s.mu.Unlock()
 	if !ok {
@@ -535,21 +536,32 @@ func (s *server) handleJobCancel(w http.ResponseWriter, id string) {
 		return
 	}
 	cancel(context.Canceled)
+	snap, _ := s.jobSnapshot(id)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, j, &s.mu)
+	writeJSON(w, snap)
 }
 
 func (s *server) handleJob(w http.ResponseWriter, _ *http.Request, id string) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	snap, ok := s.jobSnapshot(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, j, &s.mu)
+	writeJSON(w, snap)
+}
+
+// jobSnapshot copies job id under the lock. Fit goroutines keep updating
+// the original, so handlers encode the copy, never the shared job.
+func (s *server) jobSnapshot(id string) (job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return job{}, false
+	}
+	return *j, true
 }
 
 // modelSummary is one row of GET /models.
@@ -574,7 +586,7 @@ func (s *server) handleModelList(w http.ResponseWriter) {
 	s.mu.Unlock()
 	sort.Slice(list, func(i, j int) bool { return list[i].Key < list[j].Key })
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, list, &s.mu)
+	writeJSON(w, list)
 }
 
 func (s *server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
@@ -595,7 +607,7 @@ func (s *server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]string{"key": key}, &s.mu)
+	writeJSON(w, map[string]string{"key": key})
 }
 
 func (s *server) handleModelDownload(w http.ResponseWriter, key string) {
@@ -661,7 +673,7 @@ func (s *server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string][]int{"assignments": buf.out}, &s.mu)
+	writeJSON(w, map[string][]int{"assignments": buf.out})
 }
 
 // handleAssignCSV scores a raw CSV body (no header) against the model named
@@ -705,11 +717,11 @@ func (s *server) handleAssignCSV(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeJSON encodes v while holding mu, because job values keep being
-// mutated by fit goroutines after the handler snapshots a pointer to them.
-func writeJSON(w io.Writer, v any, mu *sync.Mutex) {
-	mu.Lock()
-	defer mu.Unlock()
+// writeJSON encodes v to the client. It takes no lock: a client that stops
+// reading blocks this write, and with s.mu held that would stall every
+// registry lookup, fit admission and trace callback. Callers pass values no
+// other goroutine mutates (jobs go through jobSnapshot or a copy).
+func writeJSON(w io.Writer, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 

@@ -39,11 +39,11 @@ import (
 //     chunked loops from the worker count, it also moves every engine-sized
 //     chunk boundary.
 //  7. Disk-vs-flat invariance: a dataset round-tripped through the .sspcb
-//     binary format and reopened mmap-backed (read-only shards aliasing the
-//     file pages, row scans chunked one shard at a time) reproduces the
-//     flat Result byte for byte at every (shardRows, workers) combination,
-//     and single-restart mmap runs still hit the golden pins — the
-//     out-of-core tier is a storage decision, never a semantic one.
+//     binary format and reopened mmap-backed (one read-only slice aliasing
+//     the file's payload) reproduces the flat Result byte for byte at every
+//     (shardRows, workers) combination — the file's shard boundaries stay
+//     invisible — and single-restart mmap runs still hit the golden pins:
+//     the out-of-core tier is a storage decision, never a semantic one.
 //  8. Cancellation: a context cancelled before or during the fit yields
 //     context.Canceled (an expired deadline context.DeadlineExceeded) with a
 //     nil result — never a partial clustering — and leaves no goroutines
@@ -326,9 +326,10 @@ func TestConformanceMoreRestartsNeverWorse(t *testing.T) {
 // TestConformanceDiskVsFlat is the out-of-core storage-invariance leg (leg
 // 7): the fixture is written to a .sspcb binary file at several shard
 // granularities and reopened through the full disk path — header and extent
-// verification, checksum checks, mmap, read-only shard blocks aliasing the
-// mapped pages — and every algorithm must return a Result byte-identical to
-// the flat original for every (shardRows, workers) combination, with
+// verification, checksum checks, per-shard stat replay, mmap, one read-only
+// slice aliasing the mapped payload — and every algorithm must return a
+// Result byte-identical to the flat original for every (shardRows, workers)
+// combination (a file's shard boundaries must stay invisible), with
 // the single-restart mmap run still reproducing the pre-engine golden pin.
 // Together with the typed-error tests in internal/dataset/binfmt this is the
 // disk tier's whole contract: verified bytes behave exactly like RAM, and

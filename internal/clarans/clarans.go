@@ -103,7 +103,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	// with disjoint writes — the whole worker budget is free again once the
 	// local searches have finished.
 	assign := make([]int, n)
-	if err := engine.ParallelChunksCtx(ctx, n, ds.ShardRows(), engine.DefaultWorkers(opts.Workers), func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, n, 0, engine.DefaultWorkers(opts.Workers), func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			bestDist := math.Inf(1)
 			for i, m := range best.medoids {

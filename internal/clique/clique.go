@@ -143,8 +143,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int
 
 	// Precompute each object's interval index on every dimension — the
 	// per-object cell scan, chunked over row ranges with disjoint writes
-	// into each row's slice of the flat backing array. On a shard-backed
-	// dataset each chunk is one shard.
+	// into each row's slice of the flat backing array.
 	cells := make([]int, n*d)
 	cellOf := make([][]int, n)
 	width := make([]float64, d)
@@ -157,7 +156,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int
 		}
 		width[j] = (hi - lo[j]) / float64(opts.Xi)
 	}
-	if err := engine.ParallelChunksCtx(ctx, n, ds.ShardRows(), workers, func(_, rlo, rhi int) {
+	if err := engine.ParallelChunksCtx(ctx, n, 0, workers, func(_, rlo, rhi int) {
 		for i := rlo; i < rhi; i++ {
 			cellOf[i] = cells[i*d : (i+1)*d : (i+1)*d]
 			row := ds.Row(i)

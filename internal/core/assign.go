@@ -145,8 +145,7 @@ func (a *assigner) snapshotFitted(dst []cluster.FittedCluster) {
 
 // assign scores every object against all K candidate clusters and writes the
 // winning cluster (or cluster.Outlier) into assign[x], in parallel over
-// point-range chunks (engine-sized, or one storage shard each on a
-// shard-backed dataset). Each point's score is a sum over the cluster's
+// engine-sized point-range chunks. Each point's score is a sum over the cluster's
 // selected dimensions in ascending order — the same order as the serial
 // loop — and each chunk writes only assign[lo:hi], so the result does not
 // depend on workers or chunk boundaries. The per-cluster (dims, rep, ŝ²)
@@ -166,7 +165,7 @@ func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*
 		a.packDims[i], a.packRep[i], a.packSHat[i] = pd, pr, ps
 	}
 	a.ds, a.out = ds, assign
-	err := engine.ParallelChunksCtx(ctx, len(assign), ds.ShardRows(), a.workers, a.assignFn)
+	err := engine.ParallelChunksCtx(ctx, len(assign), 0, a.workers, a.assignFn)
 	a.ds, a.out = nil, nil
 	return err
 }

@@ -12,12 +12,11 @@ import (
 // Listing 1 of the paper) scans all d dimensions over all cluster members —
 // per the paper's own cost analysis the dominant O(n·d) term of each
 // iteration. Walking that column-wise over the row-major matrix via
-// per-element Dataset.At costs a d·8-byte stride plus a storage-dispatch
-// branch (and, on shard-backed storage, an integer division) per element.
-// The kernel instead copies the cluster's member rows ONCE per evaluation
-// (Dataset.GatherRows: per-shard copy ranges, no per-element dispatch) and
-// transposes them into d contiguous column buffers, so every per-dimension
-// pass runs over dense sequential memory.
+// per-element Dataset.At costs a d·8-byte stride per element. The kernel
+// instead copies the cluster's member rows ONCE per evaluation
+// (Dataset.GatherRows: one copy per run of consecutive rows) and transposes
+// them into d contiguous column buffers, so every per-dimension pass runs
+// over dense sequential memory.
 //
 // Bit-identity argument, relied on by every golden pin and conformance leg:
 // for each dimension j the kernel feeds the members' projections to

@@ -12,28 +12,13 @@ import (
 	"repro/internal/synth"
 )
 
-// storageVariants returns the same matrix flat, shard-backed on the heap
-// (FromShardBlocks, the mmap tier's representation without the file), and
-// mmap-backed (written to a binary file and reopened), so every kernel test
-// runs against every storage layout.
+// storageVariants returns the same matrix flat and mmap-backed (written to
+// a binary file of the given shard count and reopened), so every kernel test
+// runs against both storage tiers.
 func storageVariants(t *testing.T, ds *dataset.Dataset, shards int) map[string]*dataset.Dataset {
 	t.Helper()
-	n, d := ds.N(), ds.D()
-	shardRows := (n + shards - 1) / shards
-	var blocks [][]float64
-	for lo := 0; lo < n; lo += shardRows {
-		var blk []float64
-		for i := lo; i < min(lo+shardRows, n); i++ {
-			blk = append(blk, ds.Row(i)...)
-		}
-		blocks = append(blocks, blk)
-	}
-	sharded, err := dataset.FromShardBlocks(d, shardRows, blocks, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "variant.sspcb")
-	if _, err := binfmt.WriteBinaryFile(path, ds, shardRows); err != nil {
+	if _, err := binfmt.WriteBinaryFile(path, ds, (ds.N()+shards-1)/shards); err != nil {
 		t.Fatal(err)
 	}
 	fl, err := binfmt.OpenBinary(path)
@@ -41,14 +26,14 @@ func storageVariants(t *testing.T, ds *dataset.Dataset, shards int) map[string]*
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fl.Close() })
-	return map[string]*dataset.Dataset{"flat": ds, "sharded": sharded, "mmap": fl.Dataset()}
+	return map[string]*dataset.Dataset{"flat": ds, "mmap": fl.Dataset()}
 }
 
 // TestColumnarMatchesReference is the executable form of the kernel's
 // bit-identity argument: the gather/transpose kernel must reproduce the
 // pre-kernel per-element At column scan BIT-identically — same φ_ij bits,
 // same selection decisions — for every member-list shape on flat and
-// sharded storage. Tolerance-free on purpose: the kernel reorders memory,
+// mmap-backed storage. Tolerance-free on purpose: the kernel reorders memory,
 // never arithmetic.
 func TestColumnarMatchesReference(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 120, D: 25, K: 3, AvgDims: 6, Seed: 11})

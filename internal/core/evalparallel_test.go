@@ -38,8 +38,8 @@ func evalClusters(n, k int) [][]int {
 
 // TestEvaluateParallelMatchesSerial: the MapChunksIntoCtx evaluation returns
 // bit-identical Σ φ_i — and identical per-cluster dims and φ_i — for every
-// worker count, on flat and sharded storage, including empty and singleton
-// clusters.
+// worker count, on flat and mmap-backed storage, including empty and
+// singleton clusters.
 func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 240, D: 30, K: 3, AvgDims: 8, Seed: 21})
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package binfmt defines the on-disk binary dataset format (.sspcb) and its
 // two ends: a streaming writer (WriteBinary, ConvertCSV) and an mmap-backed
-// reader (OpenBinary) whose shards alias the file's pages directly, so the
-// algorithms cluster datasets larger than RAM through the ordinary
+// reader (OpenBinary) whose dataset aliases the file's payload directly, so
+// the algorithms cluster datasets larger than RAM through the ordinary
 // dataset accessor seam (At/Row/GatherRows/GatherColumn) with peak heap
 // ≈ the gathered working set.
 //
@@ -22,25 +22,28 @@
 //	                              d means, d variances (row-order Welford)
 //	payloadOff−8            8     headerCRC — CRC-64/ECMA of bytes [0, payloadOff−8)
 //	payloadOff              8·n·d payload: shard blocks back to back, row-major
-//	                              within each shard (exactly the in-memory
-//	                              shard layout, so the mmap aliases it zero-copy)
+//	                              within each shard — so the whole payload is
+//	                              the n×d matrix row-major, exactly the
+//	                              dataset's in-memory layout, and the mmap
+//	                              aliases it zero-copy as one slice
 //
 // The extent table is fully derivable from (n, d, shardRows); it is stored
 // anyway so a reader can locate one shard without trusting arithmetic, and
 // OpenBinary cross-checks every entry against the derived values. The stat
-// table holds per-shard column partials: min/max merge exactly in any order,
-// and mean/variance are the shard's own row-order Welford moments —
-// informational partials for future distributed scans (the dataset layer
-// still recomputes global mean/variance over rows in index order, see
-// dataset.Dataset's statistics contract). Every partial is verified against
-// the payload at open.
+// table holds per-shard column partials: min, max, and the shard's own
+// row-order Welford mean and variance. Every partial is verified against the
+// payload at open (a bit-exact replay), which is what catches a payload edit
+// whose checksums were recomputed; the dataset layer never merges them, and
+// computes its column statistics over rows in index order (see
+// dataset.Dataset's statistics contract). A shard is therefore a unit of the
+// file only — extents, stat partials, the converter's re-chunking — and no
+// shard size changes what an opened dataset holds or how it is scanned.
 //
-// The payload is row-major within each shard rather than column-major on
-// purpose: the accessor seam hands out contiguous Row slices and the mmap
-// must alias the file without copying, so the file keeps the exact byte
-// layout of the in-memory shard backing. The columnar aspects of the format
-// live in the per-shard column-stat partials and in GatherColumn's strided
-// scans over the mapped shards.
+// The payload is row-major rather than column-major on purpose: the
+// accessor seam hands out contiguous Row slices and the mmap must alias the
+// file without copying, so the file keeps the exact byte layout of the
+// in-memory matrix. The columnar aspects of the format live in the
+// per-shard column-stat partials and in GatherColumn's strided scans.
 //
 // # Integrity
 //

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataset"
 )
@@ -101,11 +102,7 @@ func TestRoundTrip(t *testing.T) {
 			if fl.Info() != (Info{N: n, D: d, ShardRows: shardRows, NumShards: wantShards, PayloadChecksum: fl.PayloadChecksum()}) {
 				t.Fatalf("Info mismatch: %+v", fl.Info())
 			}
-			got := fl.Dataset()
-			if got.ShardRows() != shardRows {
-				t.Fatalf("opened dataset not shard-backed at %d rows/shard", shardRows)
-			}
-			requireSameMatrix(t, got, ds)
+			requireSameMatrix(t, fl.Dataset(), ds)
 		})
 	}
 }
@@ -371,21 +368,63 @@ func TestOpenBinaryTypedErrors(t *testing.T) {
 func TestReadOnly(t *testing.T) {
 	ds := testDataset(t, 10, 3)
 	fl := openTemp(t, writeTemp(t, ds, 4))
+	requireReadOnly(t, fl.Dataset())
+}
+
+// requireReadOnly asserts ds refuses Set and that its Clone is a writable
+// copy that shares no storage with it.
+func requireReadOnly(t *testing.T, ds *dataset.Dataset) {
+	t.Helper()
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Set on an mmap-backed dataset did not panic")
+				t.Fatal("Set on an opened dataset did not panic")
 			}
 		}()
-		fl.Dataset().Set(0, 0, 1.0)
+		ds.Set(0, 0, 1.0)
 	}()
-	clone := fl.Dataset().Clone()
+	clone := ds.Clone()
 	clone.Set(0, 0, 42.0)
 	if clone.At(0, 0) != 42.0 {
 		t.Fatal("clone of a read-only dataset is not writable")
 	}
-	if fl.Dataset().At(0, 0) == 42.0 {
-		t.Fatal("clone shares storage with the mapping")
+	if ds.At(0, 0) == 42.0 {
+		t.Fatal("clone shares storage with the opened dataset")
+	}
+}
+
+// TestOpenBinaryDecodeCopy drives the reader's fallback for hosts whose
+// float loads are not little-endian: with aliasing switched off, every shard
+// size must decode-copy the payload off the mapping into values bit-equal
+// to the aliased open, and the copy must stay read-only like the alias.
+func TestOpenBinaryDecodeCopy(t *testing.T) {
+	const n, d = 53, 7
+	ds := testDataset(t, n, d)
+	aliasing := hostLittleEndian
+	t.Cleanup(func() { hostLittleEndian = aliasing })
+	// inFile reports whether ds's storage lies inside fl's file bytes.
+	inFile := func(fl *File, ds *dataset.Dataset) bool {
+		p := uintptr(unsafe.Pointer(&ds.Row(0)[0]))
+		base := uintptr(unsafe.Pointer(&fl.data[0]))
+		return p >= base && p < base+uintptr(len(fl.data))
+	}
+	for _, shardRows := range []int{1, 7, 16, n} {
+		t.Run(fmt.Sprintf("shardRows=%d", shardRows), func(t *testing.T) {
+			path := writeTemp(t, ds, shardRows)
+			hostLittleEndian = aliasing
+			aliased := openTemp(t, path)
+			hostLittleEndian = false
+			copied := openTemp(t, path)
+			if aliasing && !inFile(aliased, aliased.Dataset()) {
+				t.Fatal("little-endian open did not alias the file")
+			}
+			if inFile(copied, copied.Dataset()) {
+				t.Fatal("open with aliasing off still aliases the file")
+			}
+			requireSameMatrix(t, copied.Dataset(), aliased.Dataset())
+			requireSameMatrix(t, copied.Dataset(), ds)
+			requireReadOnly(t, copied.Dataset())
+		})
 	}
 }
 

@@ -21,10 +21,10 @@ var hostLittleEndian = func() bool {
 }()
 
 // File is an opened binary dataset. On little-endian hosts (with an mmap
-// platform) its shard blocks alias the mapped file pages zero-copy, so the
+// platform) its dataset aliases the mapped payload zero-copy, so the
 // resident set is whatever the algorithms actually touch; elsewhere the
-// payload is decoded into heap shards with identical values. The dataset is
-// read-only either way (Set panics). Close releases the mapping — the
+// payload is decoded into one heap slice with identical values. The dataset
+// is read-only either way (Set panics). Close releases the mapping — the
 // dataset must not be used afterwards.
 type File struct {
 	path       string
@@ -127,8 +127,8 @@ func OpenBinary(path string) (*File, error) {
 }
 
 // verifyAndBuild runs the post-map integrity checks (header CRC, extents,
-// payload CRC, stat partials, finiteness) and constructs the shard-backed
-// dataset view.
+// payload CRC, stat partials, finiteness) and constructs the read-only
+// dataset over the payload.
 func (fl *File) verifyAndBuild(payloadOff int64) error {
 	data, n, d, shardRows := fl.data, fl.n, fl.d, fl.shardRows
 
@@ -155,36 +155,30 @@ func (fl *File) verifyAndBuild(payloadOff int64) error {
 		}
 	}
 
-	// Shard blocks: alias the mapped payload when the host reads the file's
-	// little-endian float bits natively and the region is 8-aligned
-	// (payloadOff is a multiple of 8 and mappings are page-aligned, so
-	// aliasing only fails on the heap-copy fallback with an odd base);
-	// otherwise decode-copy.
-	blocks := make([][]float64, fl.numShards)
-	alias := hostLittleEndian && uintptr(unsafe.Pointer(&payload[0]))%unsafe.Alignof(float64(0)) == 0
-	for s := range blocks {
-		lo, hi := shardRowRange(n, shardRows, s)
-		region := payload[int64(lo)*int64(d)*8 : int64(hi)*int64(d)*8]
-		if alias {
-			blocks[s] = unsafe.Slice((*float64)(unsafe.Pointer(&region[0])), (hi-lo)*d)
-		} else {
-			blk := make([]float64, (hi-lo)*d)
-			for t := range blk {
-				blk[t] = math.Float64frombits(binary.LittleEndian.Uint64(region[t*8:]))
-			}
-			blocks[s] = blk
+	// The payload is the whole matrix, row-major (shards sit back to back).
+	// Alias it when the host reads the file's little-endian float bits
+	// natively and the region is 8-aligned (payloadOff is a multiple of 8 and
+	// mappings are page-aligned, so aliasing only fails on the heap-copy
+	// fallback with an odd base); otherwise decode-copy.
+	var vals []float64
+	if hostLittleEndian && uintptr(unsafe.Pointer(&payload[0]))%unsafe.Alignof(float64(0)) == 0 {
+		vals = unsafe.Slice((*float64)(unsafe.Pointer(&payload[0])), n*d)
+	} else {
+		vals = make([]float64, n*d)
+		for t := range vals {
+			vals[t] = math.Float64frombits(binary.LittleEndian.Uint64(payload[t*8:]))
 		}
 	}
 
-	// Stat table: replay each shard through the writer's accumulator and
-	// demand bit equality, rejecting non-finite payload values on the way.
-	// This both authenticates the partials the dataset layer will trust and
-	// proves the payload holds the values the writer saw.
+	// Stat table: replay each shard's rows through the writer's accumulator
+	// and demand bit equality, rejecting non-finite payload values on the
+	// way. This proves the payload holds the values the writer saw, even
+	// when both checksums were recomputed after an edit.
 	statTable := data[fixedHeaderSize+fl.numShards*extentSize : crcOff]
-	mins := make([][]float64, fl.numShards)
-	maxs := make([][]float64, fl.numShards)
 	accum := newShardAccum(d)
-	for s, blk := range blocks {
+	for s := 0; s < fl.numShards; s++ {
+		lo, hi := shardRowRange(n, shardRows, s)
+		blk := vals[lo*d : hi*d]
 		for t, v := range blk {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("%w: non-finite value in shard %d at offset %d", ErrFormat, s, t)
@@ -199,8 +193,6 @@ func (fl *File) verifyAndBuild(payloadOff int64) error {
 		stored := func(col, j int) uint64 {
 			return binary.LittleEndian.Uint64(rec[(col*d+j)*8:])
 		}
-		mins[s] = make([]float64, d)
-		maxs[s] = make([]float64, d)
 		for j := 0; j < d; j++ {
 			if stored(0, j) != math.Float64bits(got.mn[j]) ||
 				stored(1, j) != math.Float64bits(got.mx[j]) ||
@@ -208,12 +200,10 @@ func (fl *File) verifyAndBuild(payloadOff int64) error {
 				stored(3, j) != math.Float64bits(got.vr[j]) {
 				return fmt.Errorf("%w: shard %d stat partial does not match its rows", ErrChecksum, s)
 			}
-			mins[s][j] = got.mn[j]
-			maxs[s][j] = got.mx[j]
 		}
 	}
 
-	ds, err := dataset.FromShardBlocks(d, shardRows, blocks, mins, maxs)
+	ds, err := dataset.FromReadOnly(n, d, vals)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrFormat, err)
 	}
@@ -254,8 +244,8 @@ func (fl *File) ContentHash() string {
 }
 
 // Close releases the file mapping. The dataset returned by Dataset must not
-// be touched afterwards (their shard blocks alias the
-// mapping on mmap platforms). Close is idempotent.
+// be touched afterwards (it aliases the mapping on mmap platforms). Close is
+// idempotent.
 func (fl *File) Close() error {
 	if fl.data == nil {
 		return nil

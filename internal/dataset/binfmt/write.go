@@ -72,8 +72,8 @@ func shardRowRange(n, shardRows, s int) (lo, hi int) {
 }
 
 // WriteBinary writes ds in the binary dataset format with the given shard
-// granularity. The dataset's own storage layout (flat or shard-backed, and
-// its shard boundaries) is irrelevant: the writer walks rows in index order and
+// granularity. Where the dataset's storage lives (the heap, or a file with
+// other shard boundaries) is irrelevant: the writer walks rows in index order and
 // shards the payload at exactly shardRows rows, so the same values always
 // produce the same bytes — the format has one canonical encoding per
 // (data, shardRows) pair, which FuzzOpenBinary leans on.

@@ -14,35 +14,23 @@ import (
 	"repro/internal/stats"
 )
 
-// Dataset is an n×d matrix of float64 values stored row-major. Objects are
-// rows; dimensions are columns. The zero value is unusable: construct with
-// New, FromRows, ReadCSV, or FromShardBlocks.
+// Dataset is an n×d matrix of float64 values stored row-major in one
+// contiguous slice. Objects are rows; dimensions are columns. The zero value
+// is unusable: construct with New, FromRows, ReadCSV, or FromReadOnly.
 //
-// The storage behind the matrix is either flat (one contiguous backing
-// slice: every dataset built on the heap) or shard-backed: the rows
-// partitioned into contiguous row ranges of shardRows rows each, every shard
-// with its own backing slice. Shard-backed storage is the mmap tier's
-// representation (binfmt.OpenBinary), where each shard aliases a region of a
-// read-only file mapping, so it is always read-only. The two layouts are
-// observationally identical through every accessor (pinned by
-// TestConformanceDiskVsFlat).
+// A Dataset built by FromReadOnly is read-only: its backing slice may alias
+// a read-only file mapping (the mmap tier, binfmt.OpenBinary), so Set
+// panics. Every other accessor behaves identically on both kinds.
 //
 // A Dataset is safe for concurrent readers (the parallel restart engine
 // shares one Dataset across all workers); Set must not race with readers.
 type Dataset struct {
 	n, d int
 
-	// Exactly one of data / shards backs the matrix. Shard-backed storage is
-	// read-only: its blocks may alias a read-only file mapping, where a store
-	// would fault the process, so Set panics instead.
-	data      []float64   // flat row-major backing; nil when shard-backed
-	shards    [][]float64 // per-shard row-major backings; nil when flat
-	shardRows int         // rows per shard (last may be shorter); 0 when flat
-
-	// partials holds the per-shard column-stat partials (min/max per shard)
-	// of shard-backed storage; nil for flat storage. Immutable; merged on
-	// demand by ensureStats.
-	partials []shardPartial
+	// data is the row-major backing, n*d values. readOnly marks data adopted
+	// by FromReadOnly, where a store could fault the process.
+	data     []float64
+	readOnly bool
 
 	// Lazily computed per-dimension statistics over all n objects, published
 	// as one immutable snapshot so concurrent readers never observe a
@@ -90,6 +78,21 @@ func FromRows(rows [][]float64) (*Dataset, error) {
 	return ds, nil
 }
 
+// FromReadOnly adopts data — n rows of d values, row-major — as a read-only
+// dataset without copying it. It is the constructor behind the mmap storage
+// tier (binfmt.OpenBinary), where data aliases a read-only file mapping: the
+// returned dataset refuses Set (panic), and Clone gives a writable copy.
+// Unlike FromRows it does not scan the values; callers verify them first.
+func FromReadOnly(n, d int, data []float64) (*Dataset, error) {
+	if n <= 0 || d <= 0 {
+		return nil, fmt.Errorf("dataset: invalid shape %dx%d", n, d)
+	}
+	if len(data)%d != 0 || len(data)/d != n {
+		return nil, fmt.Errorf("dataset: %d values do not fill a %dx%d matrix", len(data), n, d)
+	}
+	return &Dataset{n: n, d: d, data: data, readOnly: true}, nil
+}
+
 // N returns the number of objects (rows).
 func (ds *Dataset) N() int { return ds.n }
 
@@ -97,37 +100,25 @@ func (ds *Dataset) N() int { return ds.n }
 func (ds *Dataset) D() int { return ds.d }
 
 // At returns the value of object i on dimension j.
-func (ds *Dataset) At(i, j int) float64 {
-	if ds.data != nil {
-		return ds.data[i*ds.d+j]
-	}
-	s := i / ds.shardRows
-	return ds.shards[s][(i-s*ds.shardRows)*ds.d+j]
-}
+func (ds *Dataset) At(i, j int) float64 { return ds.data[i*ds.d+j] }
 
 // Set assigns the value of object i on dimension j and invalidates the
 // cached column statistics. Set must not be called while other goroutines
-// read the dataset (mutate first, then cluster). Set panics on shard-backed
-// storage, which may alias a read-only file mapping; Clone first to get a
-// writable copy.
+// read the dataset (mutate first, then cluster). Set panics on a read-only
+// dataset (FromReadOnly), whose storage may alias a read-only file mapping;
+// Clone first to get a writable copy.
 func (ds *Dataset) Set(i, j int, v float64) {
-	if ds.shards != nil {
-		panic("dataset: Set on a read-only dataset (storage aliases a read-only mapping; Clone to mutate)")
+	if ds.readOnly {
+		panic("dataset: Set on a read-only dataset (storage may alias a read-only mapping; Clone to mutate)")
 	}
 	ds.data[i*ds.d+j] = v
 	ds.stats.Store(nil)
 }
 
 // Row returns object i's values as a slice sharing the dataset's storage.
-// Callers must not modify it; use Set for writes. Rows are contiguous in
-// both layouts (a row never straddles a shard boundary).
+// Callers must not modify it; use Set for writes.
 func (ds *Dataset) Row(i int) []float64 {
-	if ds.data != nil {
-		return ds.data[i*ds.d : (i+1)*ds.d : (i+1)*ds.d]
-	}
-	s := i / ds.shardRows
-	off := (i - s*ds.shardRows) * ds.d
-	return ds.shards[s][off : off+ds.d : off+ds.d]
+	return ds.data[i*ds.d : (i+1)*ds.d : (i+1)*ds.d]
 }
 
 // GatherRows copies the rows indexed by members into dst, row-major: dst row
@@ -135,46 +126,20 @@ func (ds *Dataset) Row(i int) []float64 {
 // values. dst must have capacity for len(members)*D() values; the filled
 // prefix is returned. GatherRows never allocates, which makes it the bulk
 // accessor for evaluation hot loops: gather a cluster's members once, then
-// scan dense sequential memory instead of paying At's branch (and, on
-// shard-backed storage, its integer division) per element.
-//
-// The copy is shard-aware: maximal runs of consecutive row indices that stay
-// inside one storage block collapse into a single copy, and the shard lookup
-// happens only when a row falls outside the previously resolved shard — for
-// the ascending member lists the algorithms produce, that is once per shard
-// crossing, never per element.
+// scan dense sequential memory instead of striding through the matrix per
+// element. Maximal runs of consecutive row indices collapse into a single
+// copy.
 func (ds *Dataset) GatherRows(members []int, dst []float64) []float64 {
 	faults.MustCheck(faults.SiteShardGather)
 	d := ds.d
 	dst = dst[:len(members)*d]
-	if ds.data != nil {
-		for t := 0; t < len(members); {
-			i := members[t]
-			run := t + 1
-			for run < len(members) && members[run] == i+(run-t) {
-				run++
-			}
-			copy(dst[t*d:run*d], ds.data[i*d:(i+run-t)*d])
-			t = run
-		}
-		return dst
-	}
-	sr := ds.shardRows
-	lo, hi := 0, 0 // row range of the currently resolved shard
-	var blk []float64
 	for t := 0; t < len(members); {
 		i := members[t]
-		if i < lo || i >= hi {
-			s := i / sr
-			lo, hi = s*sr, s*sr+sr
-			blk = ds.shards[s]
-		}
 		run := t + 1
-		for run < len(members) && members[run] == i+(run-t) && members[run] < hi {
+		for run < len(members) && members[run] == i+(run-t) {
 			run++
 		}
-		off := (i - lo) * d
-		copy(dst[t*d:run*d], blk[off:off+(run-t)*d])
+		copy(dst[t*d:run*d], ds.data[i*d:(i+run-t)*d])
 		t = run
 	}
 	return dst
@@ -182,28 +147,12 @@ func (ds *Dataset) GatherRows(members []int, dst []float64) []float64 {
 
 // GatherColumn copies the members' projections on dimension j into dst
 // (capacity >= len(members)) and returns the filled prefix. Like GatherRows
-// it never allocates and resolves the storage shard only when a row index
-// leaves the previously resolved shard, so subset column scans pay no
-// per-element shard dispatch.
+// it never allocates.
 func (ds *Dataset) GatherColumn(members []int, j int, dst []float64) []float64 {
 	faults.MustCheck(faults.SiteShardGather)
 	dst = dst[:len(members)]
-	if ds.data != nil {
-		for t, i := range members {
-			dst[t] = ds.data[i*ds.d+j]
-		}
-		return dst
-	}
-	sr := ds.shardRows
-	lo, hi := 0, 0
-	var blk []float64
 	for t, i := range members {
-		if i < lo || i >= hi {
-			s := i / sr
-			lo, hi = s*sr, s*sr+sr
-			blk = ds.shards[s]
-		}
-		dst[t] = blk[(i-lo)*ds.d+j]
+		dst[t] = ds.data[i*ds.d+j]
 	}
 	return dst
 }
@@ -217,18 +166,8 @@ func (ds *Dataset) Col(j int) []float64 {
 // avoiding an allocation on hot paths.
 func (ds *Dataset) ColInto(j int, dst []float64) []float64 {
 	dst = dst[:ds.n]
-	if ds.data != nil {
-		for i := 0; i < ds.n; i++ {
-			dst[i] = ds.data[i*ds.d+j]
-		}
-		return dst
-	}
-	next := 0
-	for _, blk := range ds.shards {
-		for off := j; off < len(blk); off += ds.d {
-			dst[next] = blk[off]
-			next++
-		}
+	for i := 0; i < ds.n; i++ {
+		dst[i] = ds.data[i*ds.d+j]
 	}
 	return dst
 }
@@ -238,16 +177,13 @@ func (ds *Dataset) ColInto(j int, dst []float64) []float64 {
 // redundantly; the computation is deterministic, so whichever snapshot wins
 // the publish is indistinguishable from the others.
 //
-// The snapshot is byte-identical for flat and shard-backed storage of the
-// same values. Min/max merge exactly from the per-shard partials in any
-// order (comparisons are exact), so a shard-backed dataset reuses the
-// partials verified at open. Mean and variance deliberately do NOT
-// merge from per-shard accumulators: floating-point addition is
-// order-sensitive, and a pairwise merge of per-shard Welford states would
-// differ from the flat pass in the last bits — enough to move SSPC's
-// selection thresholds off the golden pins. Instead the Welford recurrence
-// runs over rows in index order in both layouts: the ordered serial
-// reduction of the determinism contract, applied to statistics.
+// The Welford recurrence runs over rows in index order: the ordered serial
+// reduction of the determinism contract, applied to statistics. That is why
+// a dataset opened from a .sspcb file ignores the file's per-shard
+// mean/variance partials (verified at open, never merged): floating-point
+// addition is order-sensitive, and a pairwise merge of per-shard Welford
+// states would differ in the last bits — enough to move SSPC's selection
+// thresholds off the golden pins.
 func (ds *Dataset) ensureStats() *colStats {
 	if st := ds.stats.Load(); st != nil {
 		return st
@@ -255,15 +191,11 @@ func (ds *Dataset) ensureStats() *colStats {
 	d := ds.d
 	mean := make([]float64, d)
 	m2 := make([]float64, d)
-	mn, mx := ds.mergedMinMax()
-	track := mn == nil
-	if track {
-		mn = make([]float64, d)
-		mx = make([]float64, d)
-		for j := 0; j < d; j++ {
-			mn[j] = math.Inf(1)
-			mx[j] = math.Inf(-1)
-		}
+	mn := make([]float64, d)
+	mx := make([]float64, d)
+	for j := 0; j < d; j++ {
+		mn[j] = math.Inf(1)
+		mx[j] = math.Inf(-1)
 	}
 	for i := 0; i < ds.n; i++ {
 		row := ds.Row(i)
@@ -272,13 +204,11 @@ func (ds *Dataset) ensureStats() *colStats {
 			delta := v - mean[j]
 			mean[j] += delta / cnt
 			m2[j] += delta * (v - mean[j])
-			if track {
-				if v < mn[j] {
-					mn[j] = v
-				}
-				if v > mx[j] {
-					mx[j] = v
-				}
+			if v < mn[j] {
+				mn[j] = v
+			}
+			if v > mx[j] {
+				mx[j] = v
 			}
 		}
 	}
@@ -355,15 +285,11 @@ func (ds *Dataset) MeanVector(objs []int) []float64 {
 	return out
 }
 
-// Clone returns a writable deep copy of the dataset in flat storage, whatever
-// the source layout: cloning a shard-backed (read-only) dataset moves its
-// values onto the heap. The statistics snapshot is not copied.
+// Clone returns a writable deep copy of the dataset on the heap: cloning a
+// read-only dataset lifts the restriction. The statistics snapshot is not
+// copied.
 func (ds *Dataset) Clone() *Dataset {
-	out := &Dataset{n: ds.n, d: ds.d, data: append(make([]float64, 0, ds.n*ds.d), ds.data...)}
-	for _, blk := range ds.shards {
-		out.data = append(out.data, blk...)
-	}
-	return out
+	return &Dataset{n: ds.n, d: ds.d, data: append([]float64(nil), ds.data...)}
 }
 
 // AppendColumns returns a new dataset whose columns are this dataset's

@@ -236,3 +236,39 @@ func TestWriteCSVLabelMismatch(t *testing.T) {
 		t.Error("label length mismatch should error")
 	}
 }
+
+// TestReadCSVRejects: ScanCSV's contract through ReadCSV — ragged rows,
+// non-finite values, unparsable fields and empty input are errors.
+func TestReadCSVRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		input string
+	}{
+		{"ragged short", "1,2\n3\n"},
+		{"ragged long", "1,2\n3,4,5\n"},
+		{"NaN", "NaN,1\n2,3\n"},
+		{"Inf", "Inf,1\n2,3\n"},
+		{"overflow", "1e309,0\n"},
+		{"non-numeric", "1,2\n3,x\n"},
+		{"empty", ""},
+		{"header only", "a,b\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			header := tc.name == "header only"
+			if _, err := ReadCSV(strings.NewReader(tc.input), header); err == nil {
+				t.Error("accepted")
+			}
+		})
+	}
+}
+
+// TestReadCSVNonFiniteNeverSurvives mirrors the fuzz loaders' finiteness leg
+// on a near-miss input: values that round to finite floats must load,
+// spellings of infinity must not.
+func TestReadCSVNonFiniteNeverSurvives(t *testing.T) {
+	ds, err := ReadCSV(strings.NewReader("1e308,-1e308\n0,0\n"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireFiniteRectangular(t, ds)
+}

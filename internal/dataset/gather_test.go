@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// gatherFixture builds an n×d dataset with distinct values per cell plus a
-// shard-backed copy of it.
-func gatherFixture(t *testing.T, n, d, shards int) (*Dataset, *Dataset) {
+// gatherFixture builds an n×d dataset with distinct values per cell.
+func gatherFixture(t *testing.T, n, d int) *Dataset {
 	t.Helper()
 	rows := make([][]float64, n)
 	for i := range rows {
@@ -16,17 +15,17 @@ func gatherFixture(t *testing.T, n, d, shards int) (*Dataset, *Dataset) {
 			rows[i][j] = float64(i*d + j)
 		}
 	}
-	flat, err := FromRows(rows)
+	ds, err := FromRows(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return flat, shardBacked(t, flat, shards)
+	return ds
 }
 
 // memberPatterns covers the index shapes the algorithms produce: ascending
 // scattered lists (cluster members), dense consecutive runs (whole chunks),
-// runs straddling shard boundaries, singletons, and — although no current
-// caller produces them — arbitrary unsorted lists.
+// singletons, and — although no current caller produces them — arbitrary
+// unsorted lists.
 func memberPatterns(n int) map[string][]int {
 	all := make([]int, n)
 	for i := range all {
@@ -54,20 +53,17 @@ func memberPatterns(n int) map[string][]int {
 
 func TestGatherRowsMatchesAt(t *testing.T) {
 	const n, d = 23, 5
-	flat, sharded := gatherFixture(t, n, d, 4)
+	ds := gatherFixture(t, n, d)
 	for name, members := range memberPatterns(n) {
-		for label, ds := range map[string]*Dataset{"flat": flat, "sharded": sharded} {
-			dst := make([]float64, len(members)*d)
-			got := ds.GatherRows(members, dst)
-			if len(got) != len(members)*d {
-				t.Fatalf("%s/%s: len = %d, want %d", label, name, len(got), len(members)*d)
-			}
-			for t2, i := range members {
-				for j := 0; j < d; j++ {
-					if got[t2*d+j] != ds.At(i, j) {
-						t.Fatalf("%s/%s: row %d dim %d = %v, want %v",
-							label, name, i, j, got[t2*d+j], ds.At(i, j))
-					}
+		dst := make([]float64, len(members)*d)
+		got := ds.GatherRows(members, dst)
+		if len(got) != len(members)*d {
+			t.Fatalf("%s: len = %d, want %d", name, len(got), len(members)*d)
+		}
+		for t2, i := range members {
+			for j := 0; j < d; j++ {
+				if got[t2*d+j] != ds.At(i, j) {
+					t.Fatalf("%s: row %d dim %d = %v, want %v", name, i, j, got[t2*d+j], ds.At(i, j))
 				}
 			}
 		}
@@ -76,57 +72,36 @@ func TestGatherRowsMatchesAt(t *testing.T) {
 
 func TestGatherColumnMatchesAt(t *testing.T) {
 	const n, d = 29, 4
-	flat, sharded := gatherFixture(t, n, d, 5)
+	ds := gatherFixture(t, n, d)
 	for name, members := range memberPatterns(n) {
-		for label, ds := range map[string]*Dataset{"flat": flat, "sharded": sharded} {
-			for j := 0; j < d; j++ {
-				dst := make([]float64, len(members))
-				got := ds.GatherColumn(members, j, dst)
-				for t2, i := range members {
-					if got[t2] != ds.At(i, j) {
-						t.Fatalf("%s/%s: dim %d member %d = %v, want %v",
-							label, name, j, i, got[t2], ds.At(i, j))
-					}
+		for j := 0; j < d; j++ {
+			dst := make([]float64, len(members))
+			got := ds.GatherColumn(members, j, dst)
+			for t2, i := range members {
+				if got[t2] != ds.At(i, j) {
+					t.Fatalf("%s: dim %d member %d = %v, want %v", name, j, i, got[t2], ds.At(i, j))
 				}
 			}
 		}
 	}
 }
 
-// TestGatherRowsShardBoundaryRuns pins the run-coalescing logic: a
-// consecutive run that crosses a shard boundary must split exactly at the
-// boundary and still land every value in the right slot.
-func TestGatherRowsShardBoundaryRuns(t *testing.T) {
-	const n, d = 10, 3
-	flat, sharded := gatherFixture(t, n, d, 3) // shardRows = 4: shards [0,4) [4,8) [8,10)
-	members := []int{2, 3, 4, 5, 6, 7, 8, 9}   // one run across two boundaries
-	want := flat.GatherRows(members, make([]float64, len(members)*d))
-	got := sharded.GatherRows(members, make([]float64, len(members)*d))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("value %d: sharded %v != flat %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestGatherZeroAlloc pins the steady-state allocation contract of the bulk
-// accessors: with a pre-sized dst they never allocate, flat or sharded.
+// accessors: with a pre-sized dst they never allocate.
 func TestGatherZeroAlloc(t *testing.T) {
 	const n, d = 64, 8
-	flat, sharded := gatherFixture(t, n, d, 5)
+	ds := gatherFixture(t, n, d)
 	members := []int{0, 3, 4, 5, 17, 31, 32, 63}
-	for label, ds := range map[string]*Dataset{"flat": flat, "sharded": sharded} {
-		rowDst := make([]float64, len(members)*d)
-		colDst := make([]float64, len(members))
-		if allocs := testing.AllocsPerRun(100, func() {
-			ds.GatherRows(members, rowDst)
-		}); allocs != 0 {
-			t.Errorf("%s: GatherRows allocs/op = %v, want 0", label, allocs)
-		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			ds.GatherColumn(members, d/2, colDst)
-		}); allocs != 0 {
-			t.Errorf("%s: GatherColumn allocs/op = %v, want 0", label, allocs)
-		}
+	rowDst := make([]float64, len(members)*d)
+	colDst := make([]float64, len(members))
+	if allocs := testing.AllocsPerRun(100, func() {
+		ds.GatherRows(members, rowDst)
+	}); allocs != 0 {
+		t.Errorf("GatherRows allocs/op = %v, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ds.GatherColumn(members, d/2, colDst)
+	}); allocs != 0 {
+		t.Errorf("GatherColumn allocs/op = %v, want 0", allocs)
 	}
 }

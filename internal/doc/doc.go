@@ -288,12 +288,10 @@ func mu(a, b int, beta float64) float64 {
 }
 
 // boxMembers returns the remaining points within w of p on every dimension
-// in D, scanning `remaining` in engine-sized index chunks. (Shard-sized
-// chunks would not help: positions in the shrinking `remaining` subset drift
-// from row indices as clusters are peeled off.) Each chunk collects its own
-// ordered sub-list and the ordered fold concatenates them in chunk-index
-// order, so the member list is byte-identical to the serial scan for every
-// workers value.
+// in D, scanning `remaining` in engine-sized index chunks. Each chunk
+// collects its own ordered sub-list and the ordered fold concatenates them
+// in chunk-index order, so the member list is byte-identical to the serial
+// scan for every workers value.
 func boxMembers(ctx context.Context, ds *dataset.Dataset, remaining []int, prow []float64, D []int, w float64, workers int) ([]int, error) {
 	return engine.MapChunksIntoCtx(ctx, len(remaining), 0, workers, nil, func(_, lo, hi int) []int {
 		var out []int

@@ -48,12 +48,12 @@ func SplitBudget(workers, restarts int) int {
 // size elements (the last one shorter); size 0 means engine-sized ranges.
 type chunkPlan struct{ total, size, chunks int }
 
-// planChunks resolves a call's layout. A positive chunkSize is kept for the
-// callers whose boundaries matter: 1 for per-cluster folds, and a dataset's
-// ShardRows so each chunk of a row scan stays inside one storage shard.
-// chunkSize <= 0 lets the engine size the chunks: min(total, 4·max(workers,1))
-// near-equal ranges of at most ceil(total / (4·max(workers,1))) elements, so
-// every worker gets about four chunks to even out load.
+// planChunks resolves a call's layout. A positive chunkSize fixes every
+// chunk at that many elements, for the callers whose boundaries matter: 1
+// for per-cluster folds. chunkSize <= 0 lets the engine size the chunks:
+// min(total, 4·max(workers,1)) near-equal ranges of at most
+// ceil(total / (4·max(workers,1))) elements, so every worker gets about four
+// chunks to even out load.
 func planChunks(total, chunkSize, workers int) chunkPlan {
 	if chunkSize > 0 {
 		return chunkPlan{total: total, size: chunkSize, chunks: (total + chunkSize - 1) / chunkSize}

@@ -220,25 +220,25 @@ func TestScratchUnderParallelChunks(t *testing.T) {
 	})
 }
 
-// TestParallelChunksShardSize: a dataset's shard size passed as chunkSize
-// comes through unchanged — every chunk is exactly one shard, whatever the
-// worker count.
+// TestParallelChunksShardSize: a positive chunkSize comes through unchanged
+// — every chunk is exactly size elements (the last one shorter), whatever
+// the worker count.
 func TestParallelChunksShardSize(t *testing.T) {
-	const total, shardRows = 1000, 128
+	const total, size = 1000, 128
 	for _, workers := range []int{1, 3, 8} {
 		var mu sync.Mutex
 		seen := map[int]int{}
-		parallelChunks(t, total, shardRows, workers, func(_, lo, hi int) {
+		parallelChunks(t, total, size, workers, func(_, lo, hi int) {
 			mu.Lock()
 			seen[lo] = hi
 			mu.Unlock()
 		})
-		if len(seen) != (total+shardRows-1)/shardRows {
-			t.Fatalf("workers=%d: %d chunks, want one per shard", workers, len(seen))
+		if len(seen) != (total+size-1)/size {
+			t.Fatalf("workers=%d: %d chunks, want one per %d elements", workers, len(seen), size)
 		}
 		for lo, hi := range seen {
-			if lo%shardRows != 0 || hi != min(lo+shardRows, total) {
-				t.Fatalf("workers=%d: chunk [%d,%d) is not one shard", workers, lo, hi)
+			if lo%size != 0 || hi != min(lo+size, total) {
+				t.Fatalf("workers=%d: chunk [%d,%d) is not %d elements", workers, lo, hi, size)
 			}
 		}
 	}

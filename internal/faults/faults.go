@@ -37,7 +37,7 @@ const (
 	// error comes back to the caller as a plain error.
 	SiteChunkExec = "engine/chunk-exec"
 	// SiteShardGather fires in dataset.GatherRows / dataset.GatherColumn,
-	// the bulk accessors every columnar kernel reads shards through. The
+	// the bulk accessors every columnar kernel reads the matrix through. The
 	// hook is in a void hot path, so ModeError surfaces as a panic carrying
 	// the *InjectedError, contained at the restart boundary.
 	SiteShardGather = "dataset/shard-gather"

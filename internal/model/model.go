@@ -219,8 +219,8 @@ func Key(datasetHash, algo, options string, seed int64) string {
 
 // DatasetHash fingerprints a dataset: the hex SHA-256 over its shape and the
 // IEEE-754 bits of every value in row-major order. Byte-identical data —
-// regardless of sharding — hashes identically; any value, shape or order
-// change produces a different hash.
+// on the heap or mapped from a file — hashes identically; any value, shape
+// or order change produces a different hash.
 func DatasetHash(ds *dataset.Dataset) string {
 	h := sha256.New()
 	var buf [8]byte

@@ -457,7 +457,7 @@ func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims 
 	for i, m := range medoids {
 		medoidRows[i] = ds.Row(m)
 	}
-	if err := engine.ParallelChunksCtx(ctx, n, ds.ShardRows(), workers, func(_, lo, hi int) {
+	if err := engine.ParallelChunksCtx(ctx, n, 0, workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			best := math.Inf(1)
 			arg := 0
@@ -534,8 +534,8 @@ func refineDimensions(ctx context.Context, ds *dataset.Dataset, medoids []int, a
 		}
 	} else {
 		// Each worker gathers its cluster's member rows once
-		// (Dataset.GatherRows — per-shard copy ranges, no per-element
-		// dispatch) and accumulates over the dense block. Members are
+		// (Dataset.GatherRows — one copy per run of consecutive rows) and
+		// accumulates over the dense block. Members are
 		// collected in ascending point order, which is exactly the
 		// accumulation order of the serial single pass — a point only ever
 		// contributes to its own cluster's row — so X is bit-identical.
@@ -607,7 +607,7 @@ func markOutliers(ctx context.Context, ds *dataset.Dataset, medoids []int, dims 
 			}
 		}
 	}
-	return engine.ParallelChunksCtx(ctx, len(assign), ds.ShardRows(), workers, func(_, lo, hi int) {
+	return engine.ParallelChunksCtx(ctx, len(assign), 0, workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			inside := false
 			for i := 0; i < k; i++ {

@@ -144,7 +144,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, seedMeans [
 		// ascending object order — the exact addition sequence of the
 		// historical serial loop, so the result is byte-identical for every
 		// Workers value.
-		if err := engine.ParallelChunksCtx(ctx, n, ds.ShardRows(), workers, func(_, lo, hi int) {
+		if err := engine.ParallelChunksCtx(ctx, n, 0, workers, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if c, ok := clamped[i]; ok {
 					assign[i] = c

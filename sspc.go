@@ -59,21 +59,21 @@
 //
 // # Datasets and storage
 //
-// Datasets load from CSV (ReadCSV, ReadLabeledCSV — contract in
-// docs/DATASETS.md) or are generated (Generate); either way they live in one
-// flat heap slice. For datasets near or past the memory ceiling there is a
-// second storage tier: the .sspcb binary format (WriteBinaryDataset,
-// ConvertCSVToBinary) stores the matrix on disk as row-range shards with
-// checksums and per-shard stat partials, and OpenBinaryDataset maps it
-// read-only so the shards alias the file's pages — the algorithms run
-// unmodified with peak heap near the gathered working set, the row-scanning
-// chunked loops take one shard per chunk, and the disk-tier conformance leg
-// pins the results byte-identical to flat. See docs/DATASETS.md, "The binary
-// dataset format".
+// Every Dataset is one row-major slice. Datasets load from CSV (ReadCSV,
+// ReadLabeledCSV — contract in docs/DATASETS.md) or are generated
+// (Generate); either way the slice lives on the heap. For datasets near or
+// past the memory ceiling there is a second storage tier: the .sspcb binary
+// format (WriteBinaryDataset, ConvertCSVToBinary) stores the matrix on disk
+// with checksums and per-shard stat partials, and OpenBinaryDataset maps it
+// read-only so the dataset's slice aliases the file's pages — the
+// algorithms run unmodified with peak heap near the gathered working set,
+// and the disk-tier conformance leg pins the results byte-identical to the
+// heap at every shard size. See docs/DATASETS.md, "The binary dataset
+// format".
 //
 // Hot loops never read the matrix element-wise: Dataset.GatherRows and
 // Dataset.GatherColumn bulk-copy a subset of rows (or one dimension of
-// them) into caller scratch with per-shard copy ranges, and SSPC's
+// them) into caller scratch, one copy per run of consecutive rows, and SSPC's
 // dimension-selection pass runs on a columnar gather kernel built on them —
 // allocation-free in steady state and bit-identical to the element-wise
 // scan (see ARCHITECTURE.md, "The columnar evaluation kernel"). cmd/bench
@@ -161,9 +161,9 @@ func WriteCSV(w io.Writer, ds *Dataset, labels []int) error {
 }
 
 // BinaryDatasetFile is an opened .sspcb binary dataset: a versioned,
-// checksummed on-disk shard layout whose shards alias the mapped file pages
-// (mmap, read-only), so algorithms cluster datasets larger than RAM through
-// the ordinary accessor seam. Obtain with OpenBinaryDataset; Close releases
+// checksummed on-disk matrix whose payload the dataset aliases in the mapped
+// file pages (mmap, read-only), so algorithms cluster datasets larger than
+// RAM through the ordinary accessor seam. Obtain with OpenBinaryDataset; Close releases
 // the mapping. See docs/DATASETS.md for the format.
 type BinaryDatasetFile = binfmt.File
 
@@ -194,7 +194,7 @@ func OpenBinaryDataset(path string) (*BinaryDatasetFile, error) { return binfmt.
 
 // WriteBinaryDataset writes ds to path in the binary dataset format at the
 // given shard granularity, atomically. The bytes depend only on the values
-// and shardRows, never on ds's own storage layout.
+// and shardRows, never on where ds's storage lives.
 func WriteBinaryDataset(path string, ds *Dataset, shardRows int) (BinaryDatasetInfo, error) {
 	return binfmt.WriteBinaryFile(path, ds, shardRows)
 }
