@@ -213,13 +213,13 @@ func BenchmarkConstrainedAssignChunked(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateColumnar pits the columnar gather kernel against the
+// BenchmarkEvaluateColumnar pits the columnar kernel against the
 // pre-kernel per-element At column scan on one Step-4 cluster evaluation
 // (SelectDim over all d dimensions of one cluster's members). The two legs
-// return bit-identical φ (pinned by the kernel's oracle test); the benchmark
-// charts the locality and dispatch-elimination win. Allocations are
-// reported: the columnar leg must stay at 0 allocs/op after its scratch
-// warms up.
+// return bit-identical φ_i (pinned by the kernel's oracle test); the
+// benchmark charts the win of a row-major Welford pass that takes a median
+// only where s²_ij < ŝ²_ij. Allocations are reported: the columnar leg must
+// stay at 0 allocs/op after its scratch warms up.
 func BenchmarkEvaluateColumnar(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
 	members := gt.MembersOfClass(0)
@@ -229,7 +229,7 @@ func BenchmarkEvaluateColumnar(b *testing.B) {
 	}
 	var sink float64
 	b.Run("flat/columnar", func(b *testing.B) {
-		sink = eb.Columnar(members) // warm the gather/transpose scratch
+		sink = eb.Columnar(members) // warm the kernel scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -247,7 +247,7 @@ func BenchmarkEvaluateColumnar(b *testing.B) {
 
 // BenchmarkEvaluateParallel measures the cluster-chunked Step-4 evaluation
 // path — one full SelectDim + φ_i pass over all K clusters through
-// engine.MapChunksIntoCtx, one cluster per chunk with per-worker gather scratch —
+// engine.MapChunksIntoCtx, one cluster per chunk with per-worker kernel scratch —
 // at 1/2/4/8 workers. The returned Σφ is bit-identical across the
 // sub-benchmarks (pinned by TestConformanceParallelEvaluation and the core
 // parallel-evaluation tests); only wall-clock time changes. Single-core CI
@@ -266,7 +266,7 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sink = eb.Evaluate() // warm the per-worker gather/transpose scratch
+			sink = eb.Evaluate() // warm the per-worker kernel scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -277,9 +277,9 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkGatherRows measures the bulk row accessor feeding the columnar
-// kernel: gathering one cluster's worth of scattered member rows into a
-// dense block. Zero allocs/op by contract (TestGatherZeroAlloc).
+// BenchmarkGatherRows measures the bulk row accessor behind PROCLUS's
+// per-cluster refinement: gathering one cluster's worth of scattered member
+// rows into a dense block. Zero allocs/op by contract (TestGatherZeroAlloc).
 func BenchmarkGatherRows(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
 	members := gt.MembersOfClass(0)

@@ -24,8 +24,8 @@
 //	    that it is comparing machines, not code, and -same-host turns that
 //	    warning into a hard error
 //
-// The default suite covers the columnar evaluation kernel and its feeder
-// (BenchmarkEvaluateColumnar, BenchmarkGatherRows), the disk storage tier
+// The default suite covers the columnar evaluation kernel and the bulk row
+// gather (BenchmarkEvaluateColumnar, BenchmarkGatherRows), the disk storage tier
 // (BenchmarkGatherRowsMmap, BenchmarkClusterMmap — the same gather and
 // full-clustering shapes over an mmap-backed .sspcb file), the cluster-chunked
 // parallel evaluation path (BenchmarkEvaluateParallel), the chunked
@@ -61,8 +61,8 @@ const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|Benc
 
 // requiredKeys are the benchmark names (GOMAXPROCS suffix stripped) a valid
 // baseline must contain: the two EvaluateColumnar legs that compare the
-// gather kernel against the per-element At scan, the bulk accessor feeding
-// it (in-memory and over the mmap-backed disk tier), the worker sweeps of
+// columnar kernel against the per-element At scan, the bulk row accessor
+// (in-memory and over the mmap-backed disk tier), the worker sweeps of
 // the cluster-chunked parallel evaluation path and the chunked COP-KMeans
 // constrained-assignment pass, the disk-tier clustering leg, and the serving
 // hot path's batch sweep (the Assigner behind cmd/sspcd's /assign).

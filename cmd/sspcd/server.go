@@ -23,12 +23,13 @@ import (
 	"repro/internal/proclus"
 )
 
-// entry is one registered model: the decoded body, its encoded bytes (served
-// back on download), and the prebuilt serving assigner shared by every
-// /assign request — built once at registration so the hot path never touches
-// the model again.
+// entry is one registered model, holding only what the daemon serves: its
+// GET /models row, its encoded bytes (served back on download), and the
+// prebuilt serving assigner shared by every /assign request. The decoded
+// model is dropped after registration; its training assignments alone cost
+// n·8 bytes, and nothing reads them.
 type entry struct {
-	model    *model.Model
+	summary  modelSummary
 	encoded  []byte
 	assigner *core.Assigner
 }
@@ -158,7 +159,11 @@ func (s *server) register(m *model.Model, encoded []byte) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.models[key]; !ok {
-		s.models[key] = &entry{model: m, encoded: encoded, assigner: a}
+		s.models[key] = &entry{
+			summary:  modelSummary{Key: key, Algo: m.Algo, K: m.K, D: m.D, N: m.N, Score: m.Score},
+			encoded:  encoded,
+			assigner: a,
+		}
 	}
 	return key, nil
 }
@@ -577,11 +582,8 @@ type modelSummary struct {
 func (s *server) handleModelList(w http.ResponseWriter) {
 	s.mu.Lock()
 	list := make([]modelSummary, 0, len(s.models))
-	for key, e := range s.models {
-		list = append(list, modelSummary{
-			Key: key, Algo: e.model.Algo,
-			K: e.model.K, D: e.model.D, N: e.model.N, Score: e.model.Score,
-		})
+	for _, e := range s.models {
+		list = append(list, e.summary)
 	}
 	s.mu.Unlock()
 	sort.Slice(list, func(i, j int) bool { return list[i].Key < list[j].Key })

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -398,4 +400,94 @@ func TestPreloadModelFile(t *testing.T) {
 	if _, err := s.loadModelFile("/nonexistent.sspcm"); err == nil {
 		t.Error("missing preload file should error")
 	}
+}
+
+// TestRegistryHoldsWhatItServes: a registered model costs the daemon its
+// encoded bytes and its serving assigner, not the decoded model, whose
+// training assignments alone are n·8 bytes. Registering 200 fitted models
+// with n=4000 the way a finished fit job does (FromResult, Encode,
+// register) must grow the live heap by less than twice the encoded size per
+// model, and /models and downloads must still answer byte for byte.
+func TestRegistryHoldsWhatItServes(t *testing.T) {
+	gt, err := synth.Generate(synth.Config{N: 4000, D: 100, K: 5, AvgDims: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions(5)
+	opts.Seed = 3
+	res, err := core.RunContext(context.Background(), gt.Data, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := model.DatasetHash(gt.Data)
+	const models = 200
+	s := newServer()
+	want := make([]modelSummary, 0, models)
+	encs := make(map[string][]byte, models)
+	var encBytes int
+
+	var m0, m1 runtime.MemStats
+	settleHeap(&m0)
+	for seed := int64(0); seed < models; seed++ {
+		m, err := model.FromResult("sspc", "test", seed, hash, gt.Data.D(), res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := s.register(m, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, modelSummary{Key: key, Algo: m.Algo, K: m.K, D: m.D, N: m.N, Score: m.Score})
+		encs[key] = enc
+		encBytes += len(enc)
+	}
+	settleHeap(&m1)
+	runtime.KeepAlive(gt) // the fixture was live at m0; keep it out of the difference
+	runtime.KeepAlive(res)
+	perModel := (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / models
+	perEnc := float64(encBytes) / models
+	if perModel >= 2*perEnc {
+		t.Errorf("registry heap per model = %.0f B, want < 2 × %.0f encoded bytes", perModel, perEnc)
+	}
+	t.Logf("registry heap per model = %.0f B; encoded size %.0f B", perModel, perEnc)
+
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	sort.Slice(want, func(i, j int) bool { return want[i].Key < want[j].Key })
+	var listing bytes.Buffer
+	writeJSON(&listing, want)
+	if got := getBody(t, ts.URL+"/models"); !bytes.Equal(got, listing.Bytes()) {
+		t.Errorf("/models = %s, want %s", got, listing.Bytes())
+	}
+	for key, enc := range encs {
+		if got := getBody(t, ts.URL+"/models/"+key); !bytes.Equal(got, enc) {
+			t.Fatalf("download of %s differs from the registered bytes", key)
+		}
+	}
+}
+
+// settleHeap reads the live heap after two collections: the second frees
+// what sync.Pool caches kept alive through the first.
+func settleHeap(m *runtime.MemStats) {
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(m)
+}
+
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

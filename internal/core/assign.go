@@ -21,7 +21,7 @@ import (
 // Both loops are also allocation-free in steady state
 // (TestAssignZeroAllocSteadyState, TestEvaluateZeroAllocSteadyState): every
 // buffer — the packed assignment triples, the per-cluster dims outputs, the
-// gather/transpose scratch, the K-slot φ fold buffer handed to
+// kernel scratch, the K-slot φ fold buffer handed to
 // MapChunksIntoCtx — lives on the assigner or its per-worker scratch slots, and
 // the chunk closures are built once at construction instead of per call. The call state the closures need (dataset, clusters, outputs) is
 // published to assigner fields before each ParallelChunksCtx call; on the
@@ -93,6 +93,8 @@ func newAssigner(n, d, k, workers int) *assigner {
 			a.dimsOut[i] = ev.dims
 			st.dims = ev.dims
 			st.phi = ev.phi
+			// s.evals still holds this cluster's per-dimension outcomes.
+			st.next.seed(st.members, s.evals)
 			sum += ev.phi
 		}
 		return sum
@@ -151,7 +153,8 @@ func (a *assigner) snapshotFitted(dst []cluster.FittedCluster) {
 // depend on workers or chunk boundaries. The per-cluster (dims, rep, ŝ²)
 // triples are packed into contiguous buffers once per call, so the O(n·K·|V|)
 // inner loop reads three dense arrays instead of indirecting through cluster
-// state.
+// state. The packing runs serially before the chunks start, and it is where
+// a lazy representative takes the medians of its selected dimensions.
 // A canceled ctx aborts the scan between chunks and returns its cause; the
 // partially written assign slice must then be discarded by the caller.
 func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*state, sHat [][]float64, assign []int) error {
@@ -159,7 +162,7 @@ func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*
 		pd, pr, ps := a.packDims[i][:0], a.packRep[i][:0], a.packSHat[i][:0]
 		for _, j := range st.dims {
 			pd = append(pd, j)
-			pr = append(pr, st.rep[j])
+			pr = append(pr, st.rep.at(ds, j))
 			ps = append(ps, sHat[i][j])
 		}
 		a.packDims[i], a.packRep[i], a.packSHat[i] = pd, pr, ps
@@ -172,14 +175,14 @@ func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*
 
 // evaluate reruns SelectDim on every cluster's current members and returns
 // Σ_i φ_i, as one engine.MapChunksIntoCtx map-reduce over the cluster list: one
-// cluster per chunk, each evaluated on its own worker-slot gather scratch,
+// cluster per chunk, each evaluated on its own worker-slot kernel scratch,
 // with the per-chunk φ values folded serially in ascending cluster index
 // out of the assigner-owned phiBuf (so the multi-worker fold reuses one
 // K-slot buffer across iterations instead of allocating per call).
 // Because a chunk is exactly one cluster, the fold IS the serial Σ_i φ_i
 // loop — same additions, same order, bit-identical for every worker count —
 // and the chunk bodies write only their own cluster's state (st.dims,
-// st.phi, dimsOut[i]), so the parallel writes stay disjoint. K = 1 hits
+// st.phi, st.next, dimsOut[i]), so the parallel writes stay disjoint. K = 1 hits
 // MapChunksIntoCtx's single-chunk short-circuit and runs inline with no fold call.
 // The dims slices installed on the states alias the assigner's per-cluster
 // buffers, which the caller's cluster states own until the next evaluate

@@ -11,31 +11,35 @@ import (
 // The columnar evaluation kernel. Step 4's SelectDim pass (Lemma 1 /
 // Listing 1 of the paper) scans all d dimensions over all cluster members —
 // per the paper's own cost analysis the dominant O(n·d) term of each
-// iteration. Walking that column-wise over the row-major matrix via
-// per-element Dataset.At costs a d·8-byte stride per element. The kernel
-// instead copies the cluster's member rows ONCE per evaluation
-// (Dataset.GatherRows: one copy per run of consecutive rows) and transposes
-// them into d contiguous column buffers, so every per-dimension pass runs
-// over dense sequential memory.
+// iteration. The kernel splits that pass in two:
+//
+//   - One row-major pass over the member rows (Dataset.Row, no copy) folds
+//     every value into d per-dimension Welford accumulators.
+//   - A median is taken only for the dimensions whose sample variance is
+//     below the threshold, s²_ij < ŝ²_ij. Lemma 1 keeps v_j only if
+//     s²_ij + (µ_ij − µ̃_ij)² < ŝ²_ij, and fl(s² + x) ≥ s² for every x ≥ 0,
+//     so s² ≥ ŝ² rules v_j out whatever the median is. Such a dimension
+//     comes back unselected with φ_ij = −Inf. On clusters as
+//     low-dimensional as the paper targets, that is almost every dimension.
 //
 // Bit-identity argument, relied on by every golden pin and conformance leg:
 // for each dimension j the kernel feeds the members' projections to
 // stats.Running in member order — exactly the order the At-scan used — and
-// hands stats.MedianInPlace a buffer holding those values in that same
-// initial order, so the quickselect pivot walk is identical. The gather and
-// transpose only move bytes; no floating-point operation is added, removed,
-// or reordered. evaluateDimsReference below keeps the pre-kernel scan as the
-// executable form of this argument (TestColumnarMatchesReference) and as the
-// baseline leg of BenchmarkEvaluateColumnar.
+// every median it takes gathers the column in that same member order
+// (Dataset.GatherColumn) before stats.MedianInPlace, so the quickselect
+// pivot walk is identical. Every selection bit equals the At scan's, and so
+// does every φ_ij except the −Inf of a dimension whose median is skipped.
+// evaluateDimsReference below keeps the pre-kernel scan as the executable
+// form of this argument (TestColumnarMatchesReference) and as the baseline
+// leg of BenchmarkEvaluateColumnar.
 
 // evalScratch is one worker slot's reusable buffers for the columnar
-// evaluation kernel. rows and cols grow to the largest ni·d seen and are
-// then reused, so steady-state evaluations allocate nothing
+// evaluation kernel. col grows to the largest cluster seen and is then
+// reused, so steady-state evaluations allocate nothing
 // (TestEvaluateZeroAllocSteadyState).
 type evalScratch struct {
-	rows  []float64       // gathered member rows, row-major ni×d
-	cols  []float64       // transposed columns, d contiguous runs of ni values
 	accs  []stats.Running // per-dimension Welford accumulators
+	col   []float64       // one gathered column, for the medians that are taken
 	evals []dimEval       // per-dimension outcomes, cap d
 }
 
@@ -55,41 +59,27 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// gatherColumns fills s.cols with the members' projections — column j of the
-// cluster occupies s.cols[j*ni : (j+1)*ni], in member order — and
-// simultaneously folds every value into the per-dimension Welford
-// accumulators s.accs. One bulk gather plus one fused transpose+accumulate
-// pass replaces d strided scans of the full matrix.
-//
-// Fusing the accumulation into the row-major transpose is also where most of
-// the kernel's speed comes from: Welford's recurrence is a serial chain of
-// dependent divisions per dimension, so the column-major scan is bound by
-// division latency (ni dependent divides per dimension, one chain at a
-// time), while the row-major pass interleaves d independent chains and lets
-// the divider pipeline them. Per dimension the Add sequence is still exactly
-// member order — the same operations in the same order as the At scan, just
-// scheduled across dimensions — so every result bit matches
-// (TestColumnarMatchesReference).
-func (s *evalScratch) gatherColumns(ds *dataset.Dataset, members []int) {
-	ni, d := len(members), ds.D()
-	s.rows = growFloats(s.rows, ni*d)
-	s.cols = growFloats(s.cols, ni*d)
+// accumulate folds the members' rows into the per-dimension Welford
+// accumulators s.accs and returns them. The pass is row-major, straight from
+// the dataset's rows: Welford's recurrence is a serial chain of dependent
+// divisions per dimension, so a column-at-a-time scan would be bound by
+// division latency, while the row-major pass interleaves d independent
+// chains and lets the divider pipeline them. Per dimension the Add sequence
+// is still exactly member order — the same operations in the same order as
+// the At scan, just scheduled across dimensions.
+func (s *evalScratch) accumulate(ds *dataset.Dataset, members []int) []stats.Running {
+	d := ds.D()
 	if cap(s.accs) < d {
 		s.accs = make([]stats.Running, d)
 	}
-	ds.GatherRows(members, s.rows)
 	accs := s.accs[:d]
-	for j := range accs {
-		accs[j] = stats.Running{}
-	}
-	for t := 0; t < ni; t++ {
-		base := t * d
-		for j := 0; j < d; j++ {
-			v := s.rows[base+j]
-			s.cols[j*ni+t] = v
+	clear(accs)
+	for _, i := range members {
+		for j, v := range ds.Row(i) {
 			accs[j].Add(v)
 		}
 	}
+	return accs
 }
 
 // dispersionColumn returns s²_ij + (µ_ij − µ̃_ij)² over one gathered column.
@@ -138,7 +128,7 @@ func evaluateDimsReference(ds *dataset.Dataset, members []int, thr *thresholds, 
 }
 
 // EvalBench exposes the two implementations of the Step-4 dimension
-// evaluation — the columnar gather kernel and the pre-kernel per-element At
+// evaluation — the columnar kernel and the pre-kernel per-element At
 // column scan — so the repository benchmark suite (BenchmarkEvaluateColumnar)
 // can chart the kernel against its baseline.
 // Both methods return Σ φ_ij over the selected dimensions, as a sink the
@@ -167,7 +157,7 @@ func NewEvalBench(ds *dataset.Dataset, opts Options) (*EvalBench, error) {
 	}, nil
 }
 
-// Columnar evaluates the members through the gather/transpose kernel.
+// Columnar evaluates the members through the columnar kernel.
 func (b *EvalBench) Columnar(members []int) float64 {
 	return sumSelected(evaluateDims(b.ds, members, b.thr, b.scratch))
 }
@@ -190,7 +180,7 @@ func sumSelected(evals []dimEval) float64 {
 
 // ParallelEvalBench exposes the cluster-chunked Step-4 evaluation path — the
 // engine.MapChunksIntoCtx map-reduce assigner.evaluate runs, one cluster per chunk
-// with per-worker gather scratch and the φ fold in cluster-index order — so
+// with per-worker kernel scratch and the φ fold in cluster-index order — so
 // the repository benchmark suite (BenchmarkEvaluateParallel) can chart its
 // scaling across worker counts. Evaluate returns Σ_i φ_i, which is
 // bit-identical for every worker count (the conformance suite's
@@ -214,7 +204,7 @@ func NewParallelEvalBench(ds *dataset.Dataset, opts Options, membersByCluster []
 	k := len(membersByCluster)
 	clusters := make([]*state, k)
 	for i, members := range membersByCluster {
-		clusters[i] = &state{members: members, prevSize: maxInt(2, len(members))}
+		clusters[i] = &state{members: members, prevSize: maxInt(2, len(members)), next: newRepresentative(ds.D())}
 	}
 	return &ParallelEvalBench{
 		ds:       ds,

@@ -30,11 +30,14 @@ func storageVariants(t *testing.T, ds *dataset.Dataset, shards int) map[string]*
 }
 
 // TestColumnarMatchesReference is the executable form of the kernel's
-// bit-identity argument: the gather/transpose kernel must reproduce the
-// pre-kernel per-element At column scan BIT-identically — same φ_ij bits,
-// same selection decisions — for every member-list shape on flat and
-// mmap-backed storage. Tolerance-free on purpose: the kernel reorders memory,
-// never arithmetic.
+// bit-identity argument: the kernel must reproduce the pre-kernel
+// per-element At column scan BIT-identically for every member-list shape on
+// flat and mmap-backed storage. Every selection decision matches on all d
+// dimensions, and so does every φ_ij bit — except where the members' own
+// sample variance is already ≥ ŝ²_ij. There Lemma 1 rejects the dimension
+// whatever its median, the kernel skips the median, and φ_ij must be exactly
+// −Inf. Tolerance-free on purpose: the kernel reorders memory and skips
+// medians, never arithmetic.
 func TestColumnarMatchesReference(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 120, D: 25, K: 3, AvgDims: 6, Seed: 11})
 	if err != nil {
@@ -60,12 +63,16 @@ func TestColumnarMatchesReference(t *testing.T) {
 					t.Fatalf("len = %d, want %d", len(got), len(want))
 				}
 				for j := range want {
-					if math.Float64bits(got[j].phi) != math.Float64bits(want[j].phi) {
-						t.Errorf("dim %d: φ_ij = %x, want %x (kernel drifted from the At scan)",
-							j, math.Float64bits(got[j].phi), math.Float64bits(want[j].phi))
-					}
 					if got[j].selected != want[j].selected {
 						t.Errorf("dim %d: selected = %v, want %v", j, got[j].selected, want[j].selected)
+					}
+					wantPhi := want[j].phi
+					if _, variance := ds.SubsetMeanVariance(members, j); len(members) > 0 && variance >= thr.value(j, len(members)) {
+						wantPhi = math.Inf(-1)
+					}
+					if math.Float64bits(got[j].phi) != math.Float64bits(wantPhi) {
+						t.Errorf("dim %d: φ_ij = %x, want %x (kernel drifted from the At scan)",
+							j, math.Float64bits(got[j].phi), math.Float64bits(wantPhi))
 					}
 				}
 			})
@@ -119,11 +126,13 @@ func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state
 			dims = []int{i % d}
 		}
 		clusters[i] = &state{
-			rep:      ds.MedianVector(members),
 			dims:     dims,
 			members:  members,
 			prevSize: len(members),
+			rep:      newRepresentative(d),
+			next:     newRepresentative(d),
 		}
+		clusters[i].rep.setMedian(members)
 	}
 	sHat := make([][]float64, k)
 	for i, st := range clusters {
@@ -133,8 +142,8 @@ func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state
 	assign := make([]int, n)
 	par := newAssigner(n, d, k, 1)
 
-	// Two full warm-up iterations grow the gather/transpose scratch and the
-	// per-cluster dims buffers to their steady-state capacities.
+	// Two full warm-up iterations grow the kernel scratch, the per-cluster
+	// dims buffers and the representatives to their steady-state capacities.
 	for warm := 0; warm < 2; warm++ {
 		par.assign(context.Background(), ds, clusters, sHat, assign)
 		for _, st := range clusters {
@@ -169,7 +178,8 @@ func TestAssignZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestEvaluateZeroAllocSteadyState pins the Step-4 evaluation kernel —
-// gather, transpose, per-dimension φ_ij, dimension selection — at zero
+// Welford pass, the medians it takes, per-dimension φ_ij, dimension
+// selection, seeding each cluster's next representative — at zero
 // steady-state allocations on both storage layouts.
 func TestEvaluateZeroAllocSteadyState(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 240, D: 30, K: 3, AvgDims: 8, Seed: 10})

@@ -11,7 +11,7 @@ import (
 // through engine.MapChunksIntoCtx): worker-count bit-identity including the
 // degenerate cluster shapes, the K=1 single-chunk short-circuit, the empty
 // cluster (+Inf dispersion) leg, and a -race exercise of the per-worker
-// gather scratch slots.
+// kernel scratch slots.
 
 // evalClusters partitions the fixture's objects into k member lists:
 // round-robin over the first k-1 clusters, with optional degenerate shapes

@@ -19,20 +19,27 @@ import (
 // dimensions, so relevant dimensions dominate the score (design goal #2).
 //
 // All of the evaluators below run on the columnar kernel of columnar.go:
-// members are gathered once into dense column buffers and every
-// per-dimension quantity is computed over sequential memory, with the exact
-// accumulation order of the historical per-element At scan (see the
-// bit-identity argument in columnar.go).
+// one row-major Welford pass over the members, then a median only for the
+// dimensions whose sample variance leaves Lemma 1 undecided, with the exact
+// accumulation and gather order of the historical per-element At scan (see
+// the bit-identity argument in columnar.go).
 
 // dimEval carries the per-dimension quantities of one cluster.
 type dimEval struct {
-	phi      float64 // φ_ij (may be negative for unselected dims)
-	selected bool
+	phi    float64 // φ_ij; −Inf when the median was skipped, ≤ 0 for other unselected dims
+	median float64 // µ̃_ij, valid only when hasMedian
+	// hasMedian reports that the kernel took this dimension's median: it did
+	// exactly when s²_ij < ŝ²_ij.
+	hasMedian bool
+	selected  bool
 }
 
-// evaluateDims computes φ_ij and the selection decision for every dimension
-// of the cluster `members` through the gather/transpose kernel. The returned
-// slice aliases s.evals and is valid until the next evaluation on s.
+// evaluateDims computes the selection decision for every dimension of the
+// cluster `members`, with φ_ij wherever the members' sample variance is
+// below ŝ²_ij. A dimension with s²_ij ≥ ŝ²_ij fails Lemma 1 whatever its
+// median, so its median is never taken: it comes back unselected with
+// φ_ij = −Inf. The returned slice aliases s.evals and is valid until the next
+// evaluation on s.
 func evaluateDims(ds *dataset.Dataset, members []int, thr *thresholds, s *evalScratch) []dimEval {
 	d := ds.D()
 	out := s.evals[:0]
@@ -44,15 +51,21 @@ func evaluateDims(ds *dataset.Dataset, members []int, thr *thresholds, s *evalSc
 		s.evals = out
 		return out
 	}
-	s.gatherColumns(ds, members)
-	for j := 0; j < d; j++ {
-		r := &s.accs[j]
-		med := stats.MedianInPlace(s.cols[j*ni : (j+1)*ni])
-		diff := r.Mean() - med
-		disp := r.Variance() + diff*diff
+	accs := s.accumulate(ds, members)
+	s.col = growFloats(s.col, ni)
+	for j := range accs {
+		r := &accs[j]
+		variance := r.Variance()
 		sHat := thr.value(j, ni)
+		if !(variance < sHat) {
+			out = append(out, dimEval{phi: math.Inf(-1)})
+			continue
+		}
+		med := stats.MedianInPlace(ds.GatherColumn(members, j, s.col))
+		diff := r.Mean() - med
+		disp := variance + diff*diff
 		phi := float64(ni-1) * (1 - disp/sHat)
-		out = append(out, dimEval{phi: phi, selected: disp < sHat})
+		out = append(out, dimEval{phi: phi, median: med, hasMedian: true, selected: disp < sHat})
 	}
 	s.evals = out
 	return out

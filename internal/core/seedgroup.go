@@ -52,8 +52,14 @@ type initializer struct {
 	groups    []*seedGroup // every group created so far (for max-min)
 
 	// es backs every SelectDim / evaluateDims call of the initialization
-	// path, so repeated refinement passes reuse one gather/transpose scratch.
+	// path, so repeated refinement passes reuse one kernel scratch.
 	es *evalScratch
+
+	// hists holds each column's 1-D density histogram over all n objects,
+	// built on the first densityCandidates call; nil where a column admits
+	// none. They depend only on the column and GridBins, so every group of
+	// the initialization shares them.
+	hists []*stats.Histogram
 }
 
 // initialize returns the private seed groups keyed by class and the shared
@@ -160,38 +166,7 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 	switch {
 	case len(io) >= 2:
 		// §4.2.1/§4.2.2: the labeled objects form a temporary cluster C'.
-		// Candidates are SelectDim(C') (∪ Iv), weighted by φ_{i'j}.
-		evals := evaluateDims(init.ds, io, init.thr, init.es)
-		maxPhi := 0.0
-		for _, e := range evals {
-			if e.selected && e.phi > maxPhi {
-				maxPhi = e.phi
-			}
-		}
-		for j, e := range evals {
-			if e.selected && e.phi > 0 {
-				cands = append(cands, j)
-				weights = append(weights, e.phi)
-			}
-		}
-		// Labeled dimensions join the candidate set even if the temporary
-		// cluster does not select them; give them a competitive weight so
-		// a small or biased Io cannot drown them out.
-		inCands := make(map[int]bool, len(cands))
-		for _, j := range cands {
-			inCands[j] = true
-		}
-		for _, j := range iv {
-			if inCands[j] {
-				continue
-			}
-			w := evals[j].phi
-			if w < maxPhi || w <= 0 {
-				w = math.Max(maxPhi, 1)
-			}
-			cands = append(cands, j)
-			weights = append(weights, w)
-		}
+		cands, weights = privateCandidates(evaluateDims(init.ds, io, init.thr, init.es), iv)
 		start = init.ds.MedianVector(io)
 
 	case len(io) == 1:
@@ -234,6 +209,42 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 		sort.Ints(dims)
 	}
 	return &seedGroup{seeds: seeds, dims: dims, class: c}, nil
+}
+
+// privateCandidates returns the grid-building candidates of a class whose
+// labeled objects form a temporary cluster C' with per-dimension outcomes
+// evals: SelectDim(C') weighted by φ_{i'j}, then every labeled dimension in
+// iv that C' does not select.
+func privateCandidates(evals []dimEval, iv []int) (cands []int, weights []float64) {
+	maxPhi := 0.0
+	for _, e := range evals {
+		if e.selected && e.phi > maxPhi {
+			maxPhi = e.phi
+		}
+	}
+	for j, e := range evals {
+		if e.selected && e.phi > 0 {
+			cands = append(cands, j)
+			weights = append(weights, e.phi)
+		}
+	}
+	// Labeled dimensions join the candidate set even if the temporary
+	// cluster does not select them. They get a competitive weight, so a
+	// small or biased Io cannot drown them out. The weight never reads the
+	// rejected dimension's φ_ij: that is ≤ 0 or −Inf, or NaN where a constant
+	// column makes both s² + (µ − µ̃)² and ŝ² zero, and WeightedSample never
+	// draws a NaN weight.
+	inCands := make(map[int]bool, len(cands))
+	for _, j := range cands {
+		inCands[j] = true
+	}
+	for _, j := range iv {
+		if !inCands[j] {
+			cands = append(cands, j)
+			weights = append(weights, math.Max(maxPhi, 1))
+		}
+	}
+	return cands, weights
 }
 
 // createPublic builds a shared seed group using the max-min mechanism of
@@ -442,12 +453,19 @@ func (init *initializer) densityCandidates(start []float64) ([]int, []float64) {
 	d := init.ds.D()
 	bins := init.opts.GridBins
 	baseline := 1.0 / float64(bins)
+	if init.hists == nil {
+		init.hists = make([]*stats.Histogram, d)
+		col := make([]float64, init.ds.N())
+		for j := range init.hists {
+			// The error (no bins or no values) is the nil histogram that
+			// drops the column below.
+			init.hists[j], _ = stats.NewHistogram(init.ds.ColInto(j, col), bins)
+		}
+	}
 	cands := make([]int, 0, d)
 	weights := make([]float64, 0, d)
-	col := make([]float64, init.ds.N())
-	for j := 0; j < d; j++ {
-		h, err := stats.NewHistogram(init.ds.ColInto(j, col), bins)
-		if err != nil {
+	for j, h := range init.hists {
+		if h == nil {
 			continue
 		}
 		w := h.Density(start[j]) - baseline

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -276,5 +277,57 @@ func TestGatherFindsClusterMembers(t *testing.T) {
 	}
 	if frac := float64(inClass) / float64(len(grown)); frac < 0.9 {
 		t.Errorf("gather purity %v", frac)
+	}
+}
+
+// TestPrivateCandidatesConstantLabeledDim: a labeled dimension that the
+// temporary cluster C' rejects gets the competitive weight max(maxφ, 1),
+// never its own φ_ij. On a constant column ŝ² = 0, and the At scan's φ_ij is
+// 0/0 = NaN. WeightedSample never draws a NaN weight, so the labeled
+// dimension would drop out of every seed grid. Both evaluators feed the
+// check: the kernel skips that median (φ_ij = −Inf), the At scan does not.
+func TestPrivateCandidatesConstantLabeledDim(t *testing.T) {
+	gt, err := synth.Generate(synth.Config{N: 100, D: 10, K: 2, AvgDims: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flat = 3
+	ds := gt.Data.Clone()
+	for i := 0; i < ds.N(); i++ {
+		ds.Set(i, flat, 0.25)
+	}
+	io := gt.MembersOfClass(0)[:5]
+	iv := []int{flat}
+	thr := newThresholds(ds, DefaultOptions(2))
+	legs := map[string][]dimEval{
+		"kernel":    evaluateDims(ds, io, thr, newEvalScratch(ds.D())),
+		"reference": evaluateDimsReference(ds, io, thr, make([]float64, len(io)), nil),
+	}
+	if phi := legs["reference"][flat].phi; !math.IsNaN(phi) {
+		t.Fatalf("fixture: At-scan φ_ij on the constant column = %v, want NaN", phi)
+	}
+	for name, evals := range legs {
+		want := 1.0
+		for _, e := range evals {
+			if e.selected && e.phi > want {
+				want = e.phi
+			}
+		}
+		cands, weights := privateCandidates(evals, iv)
+		found := false
+		for u, j := range cands {
+			if w := weights[u]; math.IsNaN(w) || w <= 0 {
+				t.Errorf("%s: candidate dim %d has weight %v", name, j, w)
+			}
+			if j == flat {
+				found = true
+				if weights[u] != want {
+					t.Errorf("%s: constant labeled dim weight = %v, want max(maxφ, 1) = %v", name, weights[u], want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: labeled dim %d missing from candidates %v", name, flat, cands)
+		}
 	}
 }

@@ -13,12 +13,16 @@ import (
 
 // state is the mutable per-cluster state of the main loop.
 type state struct {
-	rep      []float64 // representative's projection on every dimension
-	dims     []int     // selected dimensions V_i
+	dims     []int // selected dimensions V_i
 	members  []int
 	phi      float64
 	prevSize int        // n_i of the previous iteration (for scheme p)
 	group    *seedGroup // the seed group currently backing this cluster
+
+	// rep is the representative Step 3 scores against and detectBadCluster
+	// compares. next holds the medians Step 4 took over this iteration's
+	// members; it becomes rep when the iteration improves φ.
+	rep, next representative
 }
 
 // RunContext executes SSPC (Listing 2 of the paper) on the dataset and
@@ -73,7 +77,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 	n, d := ds.N(), ds.D()
 	clusters := make([]*state, opts.K)
 	for i := range clusters {
-		st := &state{prevSize: maxInt(2, n/opts.K)}
+		st := &state{prevSize: maxInt(2, n/opts.K), rep: newRepresentative(d), next: newRepresentative(d)}
 		if g, ok := private[i]; ok {
 			st.group = g
 		} else {
@@ -86,7 +90,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 		}
 		st.group.inUse = true
 		medoid := st.group.drawMedoid(rng)
-		st.rep = append([]float64(nil), ds.Row(medoid)...)
+		st.rep.setVector(ds.Row(medoid))
 		st.dims = append([]int(nil), st.group.dims...)
 		clusters[i] = st
 	}
@@ -175,7 +179,11 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 
 		// Step 6: replace the representative of the bad cluster with a new
 		// medoid; every other cluster's representative becomes its median
-		// (or mean, under the ablation).
+		// (or mean, under the ablation). A median representative takes its
+		// coordinates lazily, on first read. After an improving iteration
+		// the members are the ones Step 4 just evaluated, so the medians it
+		// took carry over. After a restore, it keeps only what it already
+		// knows about the same member list.
 		bad := detectBadCluster(ds, clusters)
 		opts.Trace.emitIteration(restart, iterations, score, bestScore, improved, clusters, bestAssign, bad)
 		for i, st := range clusters {
@@ -184,12 +192,16 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 				replaceWithNewMedoid(ds, st, private, public, i, rng)
 				continue
 			}
-			if len(st.members) > 0 {
-				if opts.Representative == MeanRepresentative {
-					st.rep = ds.MeanVector(st.members)
-				} else {
-					st.rep = ds.MedianVector(st.members)
-				}
+			if len(st.members) == 0 {
+				continue
+			}
+			switch {
+			case opts.Representative == MeanRepresentative:
+				st.rep.setVector(ds.MeanVector(st.members))
+			case improved:
+				st.rep, st.next = st.next, st.rep
+			default:
+				st.rep.setMedian(st.members)
 			}
 		}
 		for _, st := range clusters {
@@ -250,7 +262,7 @@ func detectBadCluster(ds *dataset.Dataset, clusters []*state) int {
 			// Representatives within one global stddev per shared dim.
 			close := true
 			for _, dim := range shared {
-				diff := a.rep[dim] - b.rep[dim]
+				diff := a.rep.at(ds, dim) - b.rep.at(ds, dim)
 				if diff*diff > ds.ColVariance(dim) {
 					close = false
 					break
@@ -284,7 +296,7 @@ func detectBadCluster(ds *dataset.Dataset, clusters []*state) int {
 func replaceWithNewMedoid(ds *dataset.Dataset, st *state, private map[int]*seedGroup, public []*seedGroup, idx int, rng *stats.RNG) {
 	if g, ok := private[idx]; ok {
 		medoid := g.drawMedoid(rng)
-		st.rep = append(st.rep[:0], ds.Row(medoid)...)
+		st.rep.setVector(ds.Row(medoid))
 		st.dims = append(st.dims[:0], g.dims...)
 		return
 	}
@@ -309,7 +321,7 @@ func replaceWithNewMedoid(ds *dataset.Dataset, st *state, private map[int]*seedG
 	g.inUse = true
 	st.group = g
 	medoid := g.drawMedoid(rng)
-	st.rep = append(st.rep[:0], ds.Row(medoid)...)
+	st.rep.setVector(ds.Row(medoid))
 	st.dims = append(st.dims[:0], g.dims...)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -337,5 +338,40 @@ func TestKnowledgeForSubsetOfClassesOnly(t *testing.T) {
 	}
 	if frac := float64(inClass) / float64(len(members)); frac < 0.5 {
 		t.Errorf("cluster 2 purity vs class 2 = %v", frac)
+	}
+}
+
+// TestFitAllocBound pins what one whole fit allocates on the paper's
+// extremely low-dimensional shape (n=150, d=3000, five labeled objects and
+// dimensions per class): less than 2·n·d·8 bytes. A Step-4 evaluation
+// that gathered each cluster's ni×d member block again, or a Step 6 that
+// took every cluster's full median vector, would cross it.
+func TestFitAllocBound(t *testing.T) {
+	gt, err := synth.Generate(synth.Config{N: 150, D: 3000, K: 5, AvgDims: 30, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(5)
+	opts.Seed = 1
+	opts.Workers = 1
+	opts.Knowledge, err = synth.SampleKnowledge(gt, synth.KnowledgeConfig{
+		Kind: synth.ObjectsAndDims, Coverage: 1, Size: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt.Data.ColVariance(0) // the column statistics are the dataset's, not the fit's
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err = RunContext(context.Background(), gt.Data, opts)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, d := gt.Data.N(), gt.Data.D()
+	limit := uint64(2 * n * d * 8)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= limit {
+		t.Errorf("one fit allocated %d bytes, want < 2·n·d·8 = %d", got, limit)
+	} else {
+		t.Logf("one fit allocated %.2f MB (limit %.2f MB)", float64(got)/(1<<20), float64(limit)/(1<<20))
 	}
 }
