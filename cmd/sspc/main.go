@@ -86,7 +86,7 @@ func main() {
 		tau         = flag.Float64("tau", 0, "CLIQUE density threshold fraction; 0 = default")
 		delta       = flag.Float64("delta", 0, "bicluster mean-squared-residue threshold δ")
 		seed        = flag.Int64("seed", 1, "random seed")
-		restarts    = flag.Int("restarts", 0, "independent randomized restarts; best result by the algorithm's objective wins. 0 = algorithm default (1; clarans: numlocal 2)")
+		restarts    = flag.Int("restarts", 0, "independent randomized restarts; best result by the algorithm's objective wins. 0 = algorithm default (1; clarans: numlocal 2). clique runs once and ignores -seed and -restarts")
 		workers     = flag.Int("workers", 0, "concurrent restarts (spare workers parallelize each algorithm's chunked loops inside a restart); 0 = all CPUs. Never changes the result, only the wall-clock time")
 		earlyStop   = flag.Int("earlystop", 0, "sspc/proclus/doc: stop streaming restarts once the objective has not improved for this many consecutive restarts; -restarts stays the cap. 0 = run all restarts")
 		knowledge   = flag.String("knowledge", "", "knowledge file (object/dim labels): sspc, seedkmeans, copkmeans")
@@ -298,8 +298,6 @@ func main() {
 			opts.Tau = *tau
 		}
 		opts.MaxClusters = *k
-		opts.Seed = *seed
-		opts.Restarts = *restarts
 		opts.Workers = *workers
 		_, res, err = clique.RunContext(ctx, ds, opts)
 	case "copkmeans":

@@ -142,8 +142,6 @@ func conformanceAlgos() []confAlgo {
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := CLIQUEDefaults()
 				opts.Tau = 0.08
-				opts.Seed = r.seed
-				opts.Restarts = r.restarts
 				opts.Workers = r.workers
 				_, res, err := CLIQUE(ctx, ds, opts)
 				return res, err

@@ -134,8 +134,8 @@ func TestSeedsProduceDifferentClusterings(t *testing.T) {
 			return res, err
 		})
 	})
-	// CLIQUE is deliberately absent: it is fully deterministic, and its
-	// seed-indifference is pinned by TestGoldenPin in internal/clique.
+	// CLIQUE is deliberately absent: it draws no random numbers and takes
+	// no seed.
 }
 
 // The shared-dataset race probe (all nine algorithms concurrently on one

@@ -161,24 +161,6 @@ func AtLeastOneExclusiveGridDims(p DimsParams) (float64, error) {
 	return total, nil
 }
 
-// SynergyEstimate combines the two models: with both kinds of inputs, half
-// the grids are anchored on the labeled dimensions and half on the
-// temporary cluster's candidates, so failure requires both halves to fail.
-func SynergyEstimate(op ObjectsParams, dp DimsParams) (float64, error) {
-	opHalf, dpHalf := op, dp
-	opHalf.G = op.G - op.G/2
-	dpHalf.G = op.G / 2
-	a, err := AtLeastOneRelevantGridObjects(opHalf)
-	if err != nil {
-		return math.NaN(), err
-	}
-	b, err := AtLeastOneExclusiveGridDims(dpHalf)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return 1 - (1-a)*(1-b), nil
-}
-
 func atLeastOne(pGrid float64, g int) float64 {
 	if pGrid <= 0 {
 		return 0

@@ -179,24 +179,6 @@ func TestFig2Degenerate(t *testing.T) {
 	}
 }
 
-func TestSynergy(t *testing.T) {
-	op := paperObjects(5, 30)
-	dp := paperDims(5, 30)
-	both, err := SynergyEstimate(op, dp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objOnly, _ := AtLeastOneRelevantGridObjects(op)
-	dimOnly, _ := AtLeastOneExclusiveGridDims(dp)
-	if both+1e-9 < math.Max(objOnly, dimOnly)-0.05 {
-		t.Errorf("synergy %v should not fall far below best single input (%v, %v)",
-			both, objOnly, dimOnly)
-	}
-	if both < 0 || both > 1 {
-		t.Errorf("synergy out of [0,1]: %v", both)
-	}
-}
-
 func TestProbabilitiesInRange(t *testing.T) {
 	for q := 2; q <= 12; q += 2 {
 		for _, di := range []int{30, 150, 300} {

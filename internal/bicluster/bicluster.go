@@ -126,9 +126,8 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Biclu
 		bics []Bicluster
 		res  *cluster.Result
 	}
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	outs, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed,
-		func(_ int, rng *stats.RNG) (runOut, error) {
+	outs, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed, 0, nil,
+		func(_ int, rng *stats.RNG, intra int) (runOut, error) {
 			bics, res, err := runOnce(ctx, ds, opts, maskLo, maskHi, rng, intra)
 			return runOut{bics, res}, err
 		})

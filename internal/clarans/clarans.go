@@ -84,8 +84,8 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 		}
 	}
 
-	locals, err := engine.Run(ctx, numLocal, opts.Workers, opts.Seed,
-		func(_ int, rng *stats.RNG) (localOptimum, error) {
+	locals, err := engine.Run(ctx, numLocal, opts.Workers, opts.Seed, 0, nil,
+		func(_ int, rng *stats.RNG, _ int) (localOptimum, error) {
 			return localSearch(ctx, ds, opts, rng)
 		})
 	if err != nil {

@@ -12,11 +12,11 @@
 // object to the highest-dimensional cluster that covers it.
 //
 // CLIQUE draws no random numbers — the grid search is fully deterministic —
-// but it runs through the shared restart engine like every other algorithm
-// so the engine knobs (Restarts, Workers) and the conformance
-// contract apply uniformly: every restart returns the identical result, and
-// the intra-restart worker budget parallelizes the per-object cell scan and
-// the per-dimension density scan.
+// so it runs once, with no seed and no restarts. That one run still goes
+// through the shared restart engine, so launch cancellation, fault injection
+// and panic containment behave as for every other algorithm, and the whole
+// worker budget parallelizes the per-object cell scan and the per-dimension
+// density scan.
 package clique
 
 import (
@@ -44,21 +44,9 @@ type Options struct {
 	// MaxClusters bounds how many clusters Run reports (0 = all).
 	MaxClusters int
 
-	// Seed is accepted for engine uniformity. CLIQUE makes no random
-	// choices, so the seed never changes the result.
-	Seed int64
-
-	// Restarts runs the (deterministic) search that many times through the
-	// restart engine; every restart returns the identical result and the
-	// reduction keeps restart 0. <= 0 means 1. The knob exists so CLIQUE
-	// obeys the same engine contract as the randomized algorithms.
-	Restarts int
-
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over parallelize the
-	// per-object cell scan and the per-dimension density scan inside each
-	// restart. <= 0 means runtime.GOMAXPROCS(0). The worker count never
-	// changes the result.
+	// Workers bounds the goroutines of the per-object cell scan and the
+	// per-dimension density scan. <= 0 means runtime.GOMAXPROCS(0). The
+	// worker count never changes the result.
 	Workers int
 }
 
@@ -91,9 +79,9 @@ type Subspace struct {
 // RunContext executes CLIQUE and returns both the raw subspace clusters and
 // the flattened disjoint partition.
 //
-// Cancellation is checked at every restart launch, every chunk boundary of
-// the cell and density scans, and every apriori level, so a canceled run
-// returns context.Cause(ctx) — never a partial result.
+// Cancellation is checked at launch, every chunk boundary of the cell and
+// density scans, and every apriori level, so a canceled run returns
+// context.Cause(ctx) — never a partial result.
 func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Subspace, *cluster.Result, error) {
 	if ds == nil {
 		return nil, nil, errors.New("clique: nil dataset")
@@ -104,36 +92,24 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Subsp
 	if opts.Tau <= 0 || opts.Tau >= 1 {
 		return nil, nil, fmt.Errorf("clique: Tau = %v out of (0,1)", opts.Tau)
 	}
-	restarts := opts.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
 
-	// The search is deterministic, so every restart computes the identical
-	// answer; engine.Run still hosts them so Workers/Restarts behave exactly
-	// as everywhere else, and the reduction (ties keep the lowest index)
-	// always returns restart 0's result.
 	type runOut struct {
 		subs []Subspace
 		res  *cluster.Result
 	}
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	outs, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed,
-		func(_ int, _ *stats.RNG) (runOut, error) {
+	outs, err := engine.Run(ctx, 1, opts.Workers, 0, 0, nil,
+		func(_ int, _ *stats.RNG, intra int) (runOut, error) {
 			subs, res, err := runOnce(ctx, ds, opts, intra)
 			return runOut{subs, res}, err
 		})
 	if err != nil {
 		return nil, nil, err
 	}
-	best := outs[engine.Best(outs, func(a, b runOut) bool {
-		return a.res.Score > b.res.Score
-	})]
-	return best.subs, best.res, nil
+	return outs[0].subs, outs[0].res, nil
 }
 
-// runOnce is one (deterministic) CLIQUE search with `workers` goroutines
-// available for its chunked scans.
+// runOnce is the CLIQUE search with `workers` goroutines available for its
+// chunked scans.
 func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int) ([]Subspace, *cluster.Result, error) {
 	n, d := ds.N(), ds.D()
 	minDense := int(opts.Tau * float64(n))

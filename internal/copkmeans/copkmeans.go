@@ -202,10 +202,9 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cons *Constraints, opt
 	if restarts <= 0 {
 		restarts = 1
 	}
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	results, err := engine.Stream(ctx, restarts, opts.Workers, opts.Seed,
+	results, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed,
 		opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG) (*cluster.Result, error) {
+		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, pre, opts, rng, intra)
 		})
 	if err != nil {

@@ -39,7 +39,7 @@ type assigner struct {
 	// selected dimension j = packDims[i][t], packRep[i][t] is the
 	// representative's projection on j and packSHat[i][t] the selection
 	// threshold ŝ²_ij — the three values the Step-3 inner loop reads,
-	// contiguous instead of scattered over st.dims / st.rep / sHat[i].
+	// contiguous instead of scattered over st.dims / st.rep / the thresholds.
 	packDims [][]int
 	packRep  [][]float64
 	packSHat [][]float64
@@ -153,17 +153,19 @@ func (a *assigner) snapshotFitted(dst []cluster.FittedCluster) {
 // depend on workers or chunk boundaries. The per-cluster (dims, rep, ŝ²)
 // triples are packed into contiguous buffers once per call, so the O(n·K·|V|)
 // inner loop reads three dense arrays instead of indirecting through cluster
-// state. The packing runs serially before the chunks start, and it is where
-// a lazy representative takes the medians of its selected dimensions.
+// state. The packing runs serially before the chunks start, takes cluster
+// i's thresholds at its previous size st.prevSize, and is where a lazy
+// representative takes the medians of its selected dimensions.
 // A canceled ctx aborts the scan between chunks and returns its cause; the
 // partially written assign slice must then be discarded by the caller.
-func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*state, sHat [][]float64, assign []int) error {
+func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*state, thr *thresholds, assign []int) error {
 	for i, st := range clusters {
+		scale := thr.scale(st.prevSize)
 		pd, pr, ps := a.packDims[i][:0], a.packRep[i][:0], a.packSHat[i][:0]
 		for _, j := range st.dims {
 			pd = append(pd, j)
 			pr = append(pr, st.rep.at(ds, j))
-			ps = append(ps, sHat[i][j])
+			ps = append(ps, thr.globalVar[j]*scale)
 		}
 		a.packDims[i], a.packRep[i], a.packSHat[i] = pd, pr, ps
 	}

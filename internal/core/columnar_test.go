@@ -101,10 +101,10 @@ func TestEvalBenchLegsAgree(t *testing.T) {
 }
 
 // allocFixture builds one restart's worth of assignment/evaluation state —
-// clusters with ascending member lists, packed thresholds, an assigner with
+// clusters with ascending member lists, their thresholds, an assigner with
 // Workers=1 (the kernels themselves; the parallel path adds only O(workers)
 // goroutine bookkeeping per call) — and warms every lazily grown buffer.
-func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state, [][]float64, []int, *thresholds) {
+func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state, []int, *thresholds) {
 	t.Helper()
 	opts := DefaultOptions(k)
 	opts.Workers = 1
@@ -134,18 +134,13 @@ func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state
 		}
 		clusters[i].rep.setMedian(members)
 	}
-	sHat := make([][]float64, k)
-	for i, st := range clusters {
-		sHat[i] = make([]float64, d)
-		thr.values(st.prevSize, sHat[i])
-	}
 	assign := make([]int, n)
 	par := newAssigner(n, d, k, 1)
 
 	// Two full warm-up iterations grow the kernel scratch, the per-cluster
 	// dims buffers and the representatives to their steady-state capacities.
 	for warm := 0; warm < 2; warm++ {
-		par.assign(context.Background(), ds, clusters, sHat, assign)
+		par.assign(context.Background(), ds, clusters, thr, assign)
 		for _, st := range clusters {
 			st.members = st.members[:0]
 		}
@@ -156,7 +151,7 @@ func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state
 		}
 		par.evaluate(context.Background(), ds, clusters, thr)
 	}
-	return par, clusters, sHat, assign, thr
+	return par, clusters, assign, thr
 }
 
 // TestAssignZeroAllocSteadyState pins the Step-3 assignment kernel at zero
@@ -168,9 +163,9 @@ func TestAssignZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, ds := range storageVariants(t, gt.Data, 4) {
-		par, clusters, sHat, assign, _ := allocFixture(t, ds, 3)
+		par, clusters, assign, thr := allocFixture(t, ds, 3)
 		if allocs := testing.AllocsPerRun(10, func() {
-			par.assign(context.Background(), ds, clusters, sHat, assign)
+			par.assign(context.Background(), ds, clusters, thr, assign)
 		}); allocs != 0 {
 			t.Errorf("%s: assignment kernel allocs/op = %v, want 0", label, allocs)
 		}
@@ -187,7 +182,7 @@ func TestEvaluateZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for label, ds := range storageVariants(t, gt.Data, 4) {
-		par, clusters, _, _, thr := allocFixture(t, ds, 3)
+		par, clusters, _, thr := allocFixture(t, ds, 3)
 		if allocs := testing.AllocsPerRun(10, func() {
 			par.evaluate(context.Background(), ds, clusters, thr)
 		}); allocs != 0 {

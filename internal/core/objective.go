@@ -53,10 +53,11 @@ func evaluateDims(ds *dataset.Dataset, members []int, thr *thresholds, s *evalSc
 	}
 	accs := s.accumulate(ds, members)
 	s.col = growFloats(s.col, ni)
+	scale := thr.scale(ni)
 	for j := range accs {
 		r := &accs[j]
 		variance := r.Variance()
-		sHat := thr.value(j, ni)
+		sHat := thr.globalVar[j] * scale
 		if !(variance < sHat) {
 			out = append(out, dimEval{phi: math.Inf(-1)})
 			continue

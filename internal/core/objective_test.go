@@ -196,12 +196,8 @@ func TestSchemeMValuesIndependentOfSize(t *testing.T) {
 			t.Errorf("dim %d: threshold %v, want %v", j, thr.value(j, 5), want)
 		}
 	}
-	dst := make([]float64, 8)
-	thr.values(7, dst)
-	for j := range dst {
-		if dst[j] != thr.value(j, 7) {
-			t.Error("values() disagrees with value()")
-		}
+	if s := thr.scale(7); s != 0.4 {
+		t.Errorf("scheme m scale = %v, want m = 0.4", s)
 	}
 }
 

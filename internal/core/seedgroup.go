@@ -511,11 +511,7 @@ func (init *initializer) buildSeeds(cands []int, weights []float64, start []floa
 		}
 		var peak int64
 		if start != nil {
-			proj := make([]float64, len(dims))
-			for u, j := range dims {
-				proj[u] = start[j]
-			}
-			peak = g.HillClimb(g.CellOfPoint(proj))
+			peak = g.HillClimb(g.CellOfPoint(start))
 		} else {
 			peak, _ = g.Peak()
 		}

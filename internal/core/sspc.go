@@ -45,11 +45,9 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if err != nil {
 		return nil, err
 	}
-	intra := engine.SplitBudget(opts.Workers, opts.Restarts)
-	// Stream degenerates to Run's fixed fan-out when EarlyStop <= 0.
-	results, err := engine.Stream(ctx, opts.Restarts, opts.Workers,
+	results, err := engine.Run(ctx, opts.Restarts, opts.Workers,
 		opts.Seed, opts.EarlyStop, cluster.BetterResult,
-		func(restart int, rng *stats.RNG) (*cluster.Result, error) {
+		func(restart int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, opts, restart, rng, intra)
 		})
 	if err != nil {
@@ -104,10 +102,6 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 	bestScore := math.Inf(-1)
 
 	par := newAssigner(n, d, opts.K, intra)
-	sHat := make([][]float64, opts.K) // per-cluster per-dim thresholds
-	for i := range sHat {
-		sHat[i] = make([]float64, d)
-	}
 
 	iterations := 0
 	stall := 0
@@ -120,11 +114,9 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 		// Step 3: assign every object to the cluster whose φ_i it improves
 		// most, with the representative's projection standing in for the
 		// median. Objects improving no cluster go to the outlier list. The
-		// scoring runs chunked across the intra-restart workers.
-		for i, st := range clusters {
-			thr.values(st.prevSize, sHat[i])
-		}
-		if err := par.assign(ctx, ds, clusters, sHat, assign); err != nil {
+		// scoring runs chunked across the intra-restart workers, with each
+		// cluster's thresholds ŝ²_ij taken at its previous size.
+		if err := par.assign(ctx, ds, clusters, thr, assign); err != nil {
 			return nil, err
 		}
 		for _, st := range clusters {

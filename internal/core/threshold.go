@@ -61,30 +61,20 @@ func (t *thresholds) factor(ni int) float64 {
 	return f
 }
 
-// value returns ŝ²_ij for dimension j and cluster size ni.
-func (t *thresholds) value(j, ni int) float64 {
-	switch t.scheme {
-	case SchemeP:
-		return t.globalVar[j] * t.factor(ni)
-	default:
-		return t.globalVar[j] * t.m
+// scale returns the multiplier every dimension's threshold shares at cluster
+// size ni, so that ŝ²_ij = s²_j · scale(n_i): m under scheme m, the cached
+// chi-square factor under scheme p. A caller that needs many dimensions of
+// one cluster takes the scale once: under scheme p every value call takes
+// the factor mutex.
+func (t *thresholds) scale(ni int) float64 {
+	if t.scheme == SchemeP {
+		return t.factor(ni)
 	}
+	return t.m
 }
 
-// values fills dst with ŝ²_ij for all dimensions at cluster size ni.
-func (t *thresholds) values(ni int, dst []float64) []float64 {
-	if t.scheme == SchemeM {
-		for j := range t.globalVar {
-			dst[j] = t.globalVar[j] * t.m
-		}
-		return dst
-	}
-	f := t.factor(ni)
-	for j := range t.globalVar {
-		dst[j] = t.globalVar[j] * f
-	}
-	return dst
-}
+// value returns ŝ²_ij for dimension j and cluster size ni.
+func (t *thresholds) value(j, ni int) float64 { return t.globalVar[j] * t.scale(ni) }
 
 // dispersion returns s²_ij + (µ_ij − µ̃_ij)², the quantity Lemma 1 compares
 // against ŝ²_ij, for the projections of members on dimension j. buf is

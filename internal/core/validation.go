@@ -90,15 +90,17 @@ func (r *KnowledgeReport) Apply(kn *dataset.Knowledge) *dataset.Knowledge {
 // should show a concentrated sample (via the labeled objects if present, or
 // a density peak otherwise). objectTolerance scales the object criterion
 // (1.0 = the same "score < 1" rule used for seed-group growth; 2.0 is a
-// reasonable lenient default). Options supply K and the threshold scheme.
+// reasonable lenient default). Options supply K and the threshold scheme;
+// kn replaces opts.Knowledge, so the seed groups are built from the
+// knowledge under test.
 func ValidateKnowledge(ds *dataset.Dataset, kn *dataset.Knowledge, opts Options, objectTolerance float64) (*KnowledgeReport, error) {
 	if ds == nil {
 		return nil, errors.New("sspc: nil dataset")
 	}
+	// normalized also checks kn against the dataset's shape and K.
+	opts.Knowledge = kn
 	opts, err := opts.normalized(ds)
 	if err != nil {
-		// Knowledge may be the invalid part; re-validate without it so
-		// shape errors still surface.
 		return nil, err
 	}
 	if objectTolerance <= 0 {

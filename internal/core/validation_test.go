@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -68,6 +69,47 @@ func TestValidateCatchesWrongObjectLabel(t *testing.T) {
 	}
 	if len(cleaned.ObjectsOfClass(0)) < 3 {
 		t.Errorf("Apply dropped too many genuine labels: %v", cleaned.ObjectsOfClass(0))
+	}
+}
+
+// TestValidateChecksTheKnowledgeItIsGiven: ValidateKnowledge validates and
+// judges its kn argument, whatever opts.Knowledge holds.
+func TestValidateChecksTheKnowledgeItIsGiven(t *testing.T) {
+	small := generate(t, synth.Config{N: 40, D: 10, K: 2, AvgDims: 3, Seed: 1})
+	outside := dataset.NewKnowledge()
+	outside.LabelDim(50, 0)
+	if _, err := ValidateKnowledge(small.Data, outside, DefaultOptions(2), 3); err == nil {
+		t.Error("a label on dimension 50 of a 10-dimensional dataset was accepted")
+	}
+
+	// TestValidateCatchesWrongObjectLabel's fixture, with opts.Knowledge
+	// unset: the report must be the one built from kn itself.
+	gt := generate(t, synth.Config{N: 200, D: 100, K: 3, AvgDims: 10, Seed: 3})
+	kn := dataset.NewKnowledge()
+	for _, o := range gt.MembersOfClass(0)[:4] {
+		kn.LabelObject(o, 0)
+	}
+	impostor := gt.MembersOfClass(1)[0]
+	kn.LabelObject(impostor, 0)
+	withKn := DefaultOptions(3)
+	withKn.Knowledge = kn
+	want, err := ValidateKnowledge(gt.Data, kn, withKn, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ValidateKnowledge(gt.Data, kn, DefaultOptions(3), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("report without opts.Knowledge = %+v, want %+v", got, want)
+	}
+	flagged := false
+	for _, s := range got.SuspectObjects {
+		flagged = flagged || s.Object == impostor
+	}
+	if !flagged {
+		t.Errorf("impostor %d not flagged; report: %+v", impostor, got)
 	}
 }
 

@@ -73,9 +73,8 @@ func RobustNormalize(ds *Dataset) (*Dataset, error) {
 	col := make([]float64, ds.n)
 	for j := 0; j < ds.d; j++ {
 		ds.ColInto(j, col)
-		med := medianOf(col)
-		mad := madOf(col, med)
-		scale := 1.4826 * mad
+		med := stats.Median(col)
+		scale := 1.4826 * stats.MAD(col)
 		if scale == 0 {
 			sd := math.Sqrt(ds.ColVariance(j))
 			if sd == 0 {
@@ -91,18 +90,4 @@ func RobustNormalize(ds *Dataset) (*Dataset, error) {
 		}
 	}
 	return out, nil
-}
-
-// medianOf computes the median of xs without reordering it.
-func medianOf(xs []float64) float64 {
-	buf := append([]float64(nil), xs...)
-	return stats.MedianInPlace(buf)
-}
-
-func madOf(xs []float64, med float64) float64 {
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return stats.MedianInPlace(dev)
 }

@@ -100,11 +100,9 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if opts.EarlyStop < 0 {
 		opts.EarlyStop = 0
 	}
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	// Stream degenerates to Run's fixed fan-out when EarlyStop <= 0.
-	results, err := engine.Stream(ctx, restarts, opts.Workers,
+	results, err := engine.Run(ctx, restarts, opts.Workers,
 		opts.Seed, opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG) (*cluster.Result, error) {
+		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, opts, rng, intra)
 		})
 	if err != nil {

@@ -10,8 +10,7 @@ import (
 
 // This file holds the intra-restart primitives: the chunk scheduler every
 // algorithm's hot point loops run through, the ordered map-reduce on top of
-// it, the per-worker scratch pool, and the split of the worker budget between
-// concurrent restarts and the loops inside each. Chunk boundaries are a pure
+// it, and the per-worker scratch pool. Chunk boundaries are a pure
 // function of (total, chunkSize, workers) — never of scheduling — and the
 // engine sizes the chunks itself unless a caller needs specific boundaries.
 // Because boundaries may move with the worker count, the shared invariant
@@ -22,26 +21,6 @@ import (
 // Both entry points — ParallelChunksCtx and MapChunksIntoCtx — take a
 // context and return an error: a canceled ctx or an injected chunk-execution
 // fault comes back as a plain error, never as a panic.
-
-// SplitBudget splits the total worker budget between concurrent restarts and
-// the chunked loops inside each restart: with W workers and R restarts,
-// min(W, R) restarts run concurrently and each gets ceil(W / min(W, R))
-// goroutines for its inner loops — rounding up so no part of the budget is
-// stranded when W is not a multiple of R, at the cost of mild peak
-// oversubscription that also keeps cores busy as the restart stream drains.
-// The split is a scheduling heuristic only — any value produces
-// byte-identical results.
-func SplitBudget(workers, restarts int) int {
-	w := DefaultWorkers(workers)
-	concurrent := restarts
-	if concurrent > w {
-		concurrent = w
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	return (w + concurrent - 1) / concurrent
-}
 
 // chunkPlan is the layout of one chunked call: chunks contiguous ranges that
 // tile [0, total) in ascending order. A positive size fixes every range at
@@ -145,7 +124,7 @@ func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 // worker) and flips stop so siblings cease pulling chunks. A panicking fn is
 // recovered on the worker, and the first panic value is re-raised on the
 // calling goroutine after the pool drains, so restart-boundary containment
-// in Run/Stream sees it exactly as if the chunk had run inline.
+// in Run sees it exactly as if the chunk had run inline.
 func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, c int)) error {
 	if workers > p.chunks {
 		workers = p.chunks
@@ -210,7 +189,7 @@ func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, 
 
 // runChunk invokes one chunk and converts a panic into a value instead of
 // letting it unwind a pool goroutine (which would kill the process before
-// the restart-boundary recover in Run/Stream could contain it).
+// the restart-boundary recover in Run could contain it).
 func runChunk(fn func(worker, c int), worker, c int) (panicked any) {
 	defer func() {
 		if v := recover(); v != nil {

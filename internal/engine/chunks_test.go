@@ -28,31 +28,6 @@ func parallelChunks(t *testing.T, total, chunkSize, workers int, fn func(worker,
 	}
 }
 
-// TestSplitBudgetSplit pins the budget arithmetic: min(W, R) concurrent
-// restarts, each getting ceil(W / min(W, R)) intra workers.
-func TestSplitBudgetSplit(t *testing.T) {
-	cases := []struct {
-		workers, restarts, want int
-	}{
-		{8, 1, 8}, // single restart: the whole budget goes inside
-		{8, 8, 1}, // one worker per restart
-		{8, 4, 2}, // even split
-		{8, 3, 3}, // ceil(8/3): round up, don't strand budget
-		{1, 5, 1}, // serial stays serial
-		{4, 0, 4}, // degenerate restart count clamps to 1
-		{4, -2, 4},
-	}
-	for _, c := range cases {
-		if got := SplitBudget(c.workers, c.restarts); got != c.want {
-			t.Errorf("SplitBudget(%d, %d) = %d, want %d", c.workers, c.restarts, got, c.want)
-		}
-	}
-	// workers <= 0 resolves through DefaultWorkers first.
-	if got := SplitBudget(0, 1); got != DefaultWorkers(0) {
-		t.Errorf("SplitBudget(0, 1) = %d, want GOMAXPROCS (%d)", got, DefaultWorkers(0))
-	}
-}
-
 // TestMapChunksOrderedReduction: the fold visits chunks in ascending index
 // order regardless of worker count, so list concatenation reproduces the
 // serial order exactly.

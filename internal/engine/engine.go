@@ -1,13 +1,15 @@
 // Package engine runs the randomized restarts every algorithm in this
 // repository is built on (SSPC's medoid restarts, PROCLUS and DOC trials,
 // CLARANS local searches, the experiment harness's best-of-N protocol)
-// across a bounded worker pool.
+// across a bounded worker pool, and hands each restart its share of the
+// worker budget for the chunked loops inside it.
 //
 // The engine is race-safe by construction: restart r always draws from its
 // own RNG seeded with ChildSeed(seed, r), results are collected into a slice
-// indexed by restart, and reductions happen after all restarts finish. A run
-// with Workers = N is therefore byte-identical to a run with Workers = 1 —
-// parallelism changes wall-clock time, never output.
+// indexed by restart, and the early-stop decision is taken while consuming
+// that slice in restart order. A run with Workers = N is therefore
+// byte-identical to a run with Workers = 1 — parallelism changes wall-clock
+// time, never output.
 package engine
 
 import (
@@ -99,7 +101,7 @@ func (e *PanicError) Unwrap() error {
 // safeCall invokes one restart with panic containment and the restart-launch
 // fault gate inside the recover scope (so an injected launch panic is
 // contained exactly like a panic from fn itself).
-func safeCall[R any](r int, rng *stats.RNG, fn func(restart int, rng *stats.RNG) (R, error)) (res R, err error) {
+func safeCall[R any](r int, rng *stats.RNG, intra int, fn func(restart int, rng *stats.RNG, intra int) (R, error)) (res R, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Restart: r, Value: v, Stack: debug.Stack()}
@@ -109,7 +111,7 @@ func safeCall[R any](r int, rng *stats.RNG, fn func(restart int, rng *stats.RNG)
 		var zero R
 		return zero, gateErr
 	}
-	return fn(r, rng)
+	return fn(r, rng, intra)
 }
 
 // restartErr wraps a restart failure with its index — unless the failure is
@@ -124,119 +126,37 @@ func restartErr(ctx context.Context, r int, err error) error {
 	return fmt.Errorf("engine: restart %d: %w", r, err)
 }
 
-// Run executes fn for restarts 0..n-1 across at most `workers` goroutines
-// (<= 0 means GOMAXPROCS) and returns the per-restart results in restart
-// order. Each invocation receives a fresh RNG seeded with
-// ChildSeed(seed, restart), so the result slice does not depend on the
-// worker count or on scheduling.
+// Run executes fn for restarts 0..n-1 on at most `workers` goroutines (<= 0
+// means GOMAXPROCS) and returns the per-restart results in restart order.
+// Restart r receives a fresh RNG seeded with ChildSeed(seed, r) and intra,
+// its share of the worker budget for the chunked loops inside it: min(W, n)
+// restarts run at once and each gets ceil(W / min(W, n)) goroutines,
+// rounding up so no part of the budget W is stranded when it is not a
+// multiple of the restart count. intra is a scheduling hint only; no
+// restart's result may depend on it.
 //
-// The first failing restart cancels the remaining ones; the error reported
-// is the recorded failure with the lowest restart index, wrapped with that
-// index. A canceled ctx stops the run and returns context.Cause(ctx). A
-// panicking restart is contained into a typed *PanicError instead of
-// crashing the process.
-func Run[R any](ctx context.Context, n, workers int, seed int64, fn func(restart int, rng *stats.RNG) (R, error)) ([]R, error) {
+// Results are consumed in restart-index order. plateau > 0 stops early: after
+// consuming restart r, the run ends iff none of restarts bestIdx+1..r
+// improved on the incumbent best at bestIdx under `better` and
+// r-bestIdx >= plateau, and Run returns the consumed prefix (at least
+// min(plateau+1, n) results). Workers may compute restarts beyond the stop
+// point speculatively; those results and failures are discarded, never
+// reduced. The returned slice is therefore a pure function of (n, seed,
+// plateau, fn), byte-identical for every worker count, provided `better` is
+// a pure function of its arguments. plateau <= 0 runs all n restarts and
+// better may be nil.
+//
+// The first failing restart stops new launches; the error reported is the
+// consumed failure with the lowest restart index, wrapped with that index. A
+// canceled ctx stops the run and returns context.Cause(ctx). A panicking
+// restart is contained into a typed *PanicError instead of crashing the
+// process.
+func Run[R any](ctx context.Context, n, workers int, seed int64, plateau int,
+	better func(a, b R) bool, fn func(restart int, rng *stats.RNG, intra int) (R, error)) ([]R, error) {
 	if fn == nil {
 		return nil, errors.New("engine: nil restart function")
 	}
-	if n <= 0 {
-		return nil, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers = DefaultWorkers(workers)
-	if workers > n {
-		workers = n
-	}
-	results := make([]R, n)
-
-	if workers == 1 {
-		for r := 0; r < n; r++ {
-			if err := Cause(ctx); err != nil {
-				return nil, err
-			}
-			res, err := safeCall(r, stats.NewRNG(ChildSeed(seed, r)), fn)
-			if err != nil {
-				return nil, restartErr(ctx, r, err)
-			}
-			results[r] = res
-		}
-		return results, nil
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	errs := make([]error, n)
-	var skipped atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r := int(next.Add(1)) - 1
-				if r >= n {
-					return
-				}
-				if runCtx.Err() != nil {
-					skipped.Store(true)
-					return
-				}
-				res, err := safeCall(r, stats.NewRNG(ChildSeed(seed, r)), fn)
-				if err != nil {
-					errs[r] = err
-					cancel()
-					return
-				}
-				results[r] = res
-			}
-		}()
-	}
-	wg.Wait()
-
-	for r, err := range errs {
-		if err != nil {
-			return nil, restartErr(ctx, r, err)
-		}
-	}
-	if skipped.Load() {
-		// No restart failed but some never ran: the parent ctx was canceled.
-		return nil, Cause(ctx)
-	}
-	return results, nil
-}
-
-// Stream executes fn for restarts 0..n-1 like Run, but launches restarts
-// lazily and stops early once the incumbent best result has not improved for
-// `plateau` consecutive restarts. It returns the prefix of per-restart
-// results that was actually consumed (always at least min(plateau+1, n)
-// long on success).
-//
-// The early-stop decision is taken in restart-index order: after consuming
-// restart r, the stream ends iff none of restarts bestIdx+1..r improved on
-// the incumbent best at bestIdx and r-bestIdx >= plateau. Workers may
-// compute restarts beyond the stop point speculatively; those results are
-// discarded, never reduced. The consumed prefix is therefore a pure
-// function of (n, seed, plateau, fn) — byte-identical for every worker
-// count — and `better` must be a pure function of its arguments.
-//
-// plateau <= 0 disables early stopping: Stream degenerates to Run exactly
-// (all n restarts, identical results slice). Errors follow Run's contract:
-// the recorded failure with the lowest restart index wins, wrapped with that
-// index, except that failures beyond the stop point are discarded with the
-// results.
-func Stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
-	better func(a, b R) bool, fn func(restart int, rng *stats.RNG) (R, error)) ([]R, error) {
-	if plateau <= 0 {
-		return Run(ctx, n, workers, seed, fn)
-	}
-	if fn == nil {
-		return nil, errors.New("engine: nil restart function")
-	}
-	if better == nil {
+	if plateau > 0 && better == nil {
 		return nil, errors.New("engine: nil better predicate")
 	}
 	if n <= 0 {
@@ -245,28 +165,35 @@ func Stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers = DefaultWorkers(workers)
-	if workers > n {
-		workers = n
+	budget := DefaultWorkers(workers)
+	workers = min(budget, n)
+	intra := (budget + workers - 1) / workers
+
+	results := make([]R, n)
+	bestIdx := 0
+	// stopAfter applies the early-stop rule once restart r is consumed.
+	stopAfter := func(r int) bool {
+		if plateau <= 0 {
+			return false
+		}
+		if r > 0 && better(results[r], results[bestIdx]) {
+			bestIdx = r
+		}
+		return r-bestIdx >= plateau
 	}
 
 	if workers == 1 {
-		var results []R
-		bestIdx := 0
 		for r := 0; r < n; r++ {
 			if err := Cause(ctx); err != nil {
 				return nil, err
 			}
-			res, err := safeCall(r, stats.NewRNG(ChildSeed(seed, r)), fn)
+			res, err := safeCall(r, stats.NewRNG(ChildSeed(seed, r)), intra, fn)
 			if err != nil {
 				return nil, restartErr(ctx, r, err)
 			}
-			results = append(results, res)
-			if r > 0 && better(res, results[bestIdx]) {
-				bestIdx = r
-			}
-			if r-bestIdx >= plateau {
-				break
+			results[r] = res
+			if stopAfter(r) {
+				return results[: r+1 : r+1], nil
 			}
 		}
 		return results, nil
@@ -275,28 +202,31 @@ func Stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make([]R, n)
 	errs := make([]error, n)
 	done := make([]chan struct{}, n)
 	for r := range done {
 		done[r] = make(chan struct{})
 	}
 
-	// Producers take one launch token per restart; the consumer issues one
-	// more per consumed slot. That caps the speculative overhang at
-	// workers+plateau restarts beyond the stop point, so cheap restart
-	// functions cannot race through the whole schedule before the stream
-	// decides to stop — restarts genuinely launch lazily.
-	lookahead := workers + plateau
-	if lookahead > n {
-		lookahead = n
+	// Workers take one launch token per restart. Without early stop every
+	// token is issued up front. With it, the consumer issues one more per
+	// consumed slot, which caps the speculative overhang at workers+plateau
+	// restarts beyond the stop point, so cheap restarts cannot race through
+	// the whole schedule before the run decides to stop. At most n tokens
+	// are ever issued, so the buffer never blocks a send.
+	lookahead := n
+	if plateau > 0 {
+		lookahead = min(n, workers+plateau)
 	}
-	tokens := make(chan struct{}, lookahead+n)
+	tokens := make(chan struct{}, n)
 	for i := 0; i < lookahead; i++ {
 		tokens <- struct{}{}
 	}
-	stopCh := make(chan struct{})
 
+	// Restart indices are taken in ascending order and every taken index
+	// launches, so when restart f fails, every restart below f has launched
+	// and the in-order consumer below never waits on a slot that will not
+	// close.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -305,19 +235,18 @@ func Stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 			defer wg.Done()
 			for {
 				select {
-				case <-stopCh:
-					return
 				case <-runCtx.Done():
 					return
 				case <-tokens:
 				}
-				r := int(next.Add(1)) - 1
-				if r >= n {
+				if runCtx.Err() != nil {
 					return
 				}
-				res, err := safeCall(r, stats.NewRNG(ChildSeed(seed, r)), fn)
+				r := int(next.Add(1)) - 1
+				res, err := safeCall(r, stats.NewRNG(ChildSeed(seed, r)), intra, fn)
 				if err != nil {
 					errs[r] = err
+					cancel()
 				} else {
 					results[r] = res
 				}
@@ -326,16 +255,12 @@ func Stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 		}()
 	}
 
-	// Consume slots in restart-index order so the stop decision (and the
-	// returned prefix) cannot depend on completion order.
-	consumed := 0
-	bestIdx := 0
+	consumed := n
 	var firstErr error
 	for r := 0; r < n; r++ {
 		select {
 		case <-done[r]:
 		case <-ctx.Done():
-			close(stopCh)
 			cancel()
 			wg.Wait()
 			return nil, Cause(ctx)
@@ -344,16 +269,14 @@ func Stream[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 			firstErr = restartErr(ctx, r, errs[r])
 			break
 		}
-		consumed = r + 1
-		tokens <- struct{}{}
-		if r > 0 && better(results[r], results[bestIdx]) {
-			bestIdx = r
+		if r+lookahead < n {
+			tokens <- struct{}{}
 		}
-		if r-bestIdx >= plateau {
+		if stopAfter(r) {
+			consumed = r + 1
 			break
 		}
 	}
-	close(stopCh)
 	cancel()
 	wg.Wait()
 	if firstErr != nil {

@@ -13,11 +13,11 @@ import (
 	"repro/internal/stats"
 )
 
-// streamScores is a deterministic restart function for the stream tests:
-// restart r yields scores[r] (higher is better). Restarts beyond the table
+// streamScores is a deterministic restart function for the tests of Run's
+// streaming mode (plateau > 0, the early stop): restart r yields scores[r] (higher is better). Restarts beyond the table
 // fail the test — they must never be consumed.
-func streamScores(scores []float64) func(r int, _ *stats.RNG) (float64, error) {
-	return func(r int, _ *stats.RNG) (float64, error) {
+func streamScores(scores []float64) func(r int, _ *stats.RNG, _ int) (float64, error) {
+	return func(r int, _ *stats.RNG, _ int) (float64, error) {
 		if r >= len(scores) {
 			return 0, fmt.Errorf("restart %d beyond score table", r)
 		}
@@ -34,7 +34,7 @@ func higher(a, b float64) bool { return a > b }
 func TestStreamPlateauStops(t *testing.T) {
 	scores := []float64{1, 0.5, 3, 2, 2.5, 9, 9, 9} // 5.. must be cut off
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := Stream(context.Background(), len(scores), workers, 1, 2, higher, streamScores(scores))
+		got, err := Run(context.Background(), len(scores), workers, 1, 2, higher, streamScores(scores))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -49,7 +49,7 @@ func TestStreamPlateauStops(t *testing.T) {
 // so the stream consumes every restart.
 func TestStreamNoPlateauRunsAll(t *testing.T) {
 	scores := []float64{1, 2, 3, 4, 5, 6}
-	got, err := Stream(context.Background(), len(scores), 4, 1, 1, higher, streamScores(scores))
+	got, err := Run(context.Background(), len(scores), 4, 1, 1, higher, streamScores(scores))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,50 +58,23 @@ func TestStreamNoPlateauRunsAll(t *testing.T) {
 	}
 }
 
-// TestStreamDisabledEqualsRun pins the PR-1 compatibility contract:
-// plateau <= 0 must reproduce Run exactly, including for restart functions
-// that consume random draws.
-func TestStreamDisabledEqualsRun(t *testing.T) {
-	draw := func(r int, rng *stats.RNG) ([]float64, error) {
-		out := make([]float64, 2+r%3)
-		for i := range out {
-			out[i] = rng.Float64()
-		}
-		return out, nil
-	}
-	fixed, err := Run(context.Background(), 20, 4, 7, draw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, plateau := range []int{0, -1} {
-		streamed, err := Stream(context.Background(), 20, 4, 7, plateau,
-			func(a, b []float64) bool { return a[0] > b[0] }, draw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(fixed, streamed) {
-			t.Fatalf("plateau=%d diverged from Run", plateau)
-		}
-	}
-}
-
 // TestStreamWorkerCountInvariant: the consumed prefix is a pure function of
 // (n, seed, plateau, fn) — byte-identical for every worker count — even when
 // restarts consume different numbers of random draws.
 func TestStreamWorkerCountInvariant(t *testing.T) {
-	draw := func(r int, rng *stats.RNG) (float64, error) {
+	draw := func(r int, rng *stats.RNG, _ int) (float64, error) {
 		v := rng.Float64()
 		for i := 0; i < r%4; i++ {
 			v = rng.Float64()
 		}
 		return v, nil
 	}
-	serial, err := Stream(context.Background(), 40, 1, 99, 3, higher, draw)
+	serial, err := Run(context.Background(), 40, 1, 99, 3, higher, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 40} {
-		parallel, err := Stream(context.Background(), 40, workers, 99, 3, higher, draw)
+		parallel, err := Run(context.Background(), 40, workers, 99, 3, higher, draw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +91,11 @@ func TestStreamCancelsRemainder(t *testing.T) {
 	const n = 10000
 	const workers = 4
 	var launched atomic.Int64
-	scores := func(r int, _ *stats.RNG) (float64, error) {
+	scores := func(r int, _ *stats.RNG, _ int) (float64, error) {
 		launched.Add(1)
 		return -float64(r), nil // restart 0 is best; nothing ever improves
 	}
-	got, err := Stream(context.Background(), n, workers, 1, 3, higher, scores)
+	got, err := Run(context.Background(), n, workers, 1, 3, higher, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +114,8 @@ func TestStreamCancelsRemainder(t *testing.T) {
 func TestStreamErrorPropagation(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		_, err := Stream(context.Background(), 32, workers, 1, 5, higher,
-			func(r int, _ *stats.RNG) (float64, error) {
+		_, err := Run(context.Background(), 32, workers, 1, 5, higher,
+			func(r int, _ *stats.RNG, _ int) (float64, error) {
 				if r == 3 {
 					return 0, sentinel
 				}
@@ -157,13 +130,13 @@ func TestStreamErrorPropagation(t *testing.T) {
 // TestStreamErrorBeyondStopDiscarded: failures past the stop point are
 // speculative work and must not surface.
 func TestStreamErrorBeyondStopDiscarded(t *testing.T) {
-	scores := func(r int, _ *stats.RNG) (float64, error) {
+	scores := func(r int, _ *stats.RNG, _ int) (float64, error) {
 		if r >= 6 {
 			return 0, errors.New("speculative failure")
 		}
 		return -float64(r), nil // stops after restarts 0..2
 	}
-	got, err := Stream(context.Background(), 64, 1, 1, 2, higher, scores)
+	got, err := Run(context.Background(), 64, 1, 1, 2, higher, scores)
 	if err != nil {
 		t.Fatalf("speculative failure surfaced: %v", err)
 	}
@@ -180,7 +153,7 @@ func TestStreamContextCancellation(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := Stream(ctx, 1000, 2, 1, 50, higher, func(r int, _ *stats.RNG) (float64, error) {
+		_, err := Run(ctx, 1000, 2, 1, 50, higher, func(r int, _ *stats.RNG, _ int) (float64, error) {
 			select {
 			case started <- struct{}{}:
 			default:
@@ -199,15 +172,15 @@ func TestStreamContextCancellation(t *testing.T) {
 }
 
 func TestStreamEdgeCases(t *testing.T) {
-	if _, err := Stream[int](context.Background(), 3, 2, 1, 2, nil, func(int, *stats.RNG) (int, error) { return 0, nil }); err == nil {
+	if _, err := Run[int](context.Background(), 3, 2, 1, 2, nil, func(int, *stats.RNG, int) (int, error) { return 0, nil }); err == nil {
 		t.Error("nil better predicate accepted")
 	}
-	if _, err := Stream[int](context.Background(), 3, 2, 1, 2, func(a, b int) bool { return a > b }, nil); err == nil {
+	if _, err := Run[int](context.Background(), 3, 2, 1, 2, func(a, b int) bool { return a > b }, nil); err == nil {
 		t.Error("nil restart function accepted")
 	}
-	res, err := Stream(context.Background(), 0, 2, 1, 2, higher, streamScores(nil))
+	res, err := Run(context.Background(), 0, 2, 1, 2, higher, streamScores(nil))
 	if err != nil || res != nil {
-		t.Errorf("Stream(n=0) = (%v, %v), want (nil, nil)", res, err)
+		t.Errorf("Run(n=0) = (%v, %v), want (nil, nil)", res, err)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package eval implements the external cluster-quality metrics used in the
 // paper's evaluation: the Adjusted Rand Index in the exact form of Equation 5
 // (the Yeung–Ruzzo formulation the paper cites), plus the standard
-// Hubert–Arabie ARI, the plain Rand index, purity, normalized mutual
-// information, and dimension-selection precision/recall for projected
-// clusters.
+// Hubert–Arabie ARI, purity, normalized mutual information, and
+// dimension-selection precision/recall for projected clusters.
 //
 // Outliers (label −1) on either side are treated as singletons: an outlier is
 // never "in the same cluster" as any other object. This penalizes discarding
@@ -134,19 +133,6 @@ func ARIHubertArabie(truth, pred []int) (float64, error) {
 		return 0, nil
 	}
 	return (pc.A - expected) / (maxIdx - expected), nil
-}
-
-// RandIndex computes the unadjusted Rand index (A+D)/(A+B+C+D).
-func RandIndex(truth, pred []int) (float64, error) {
-	pc, err := CountPairs(truth, pred)
-	if err != nil {
-		return math.NaN(), err
-	}
-	total := pc.A + pc.B + pc.C + pc.D
-	if total == 0 {
-		return 1, nil
-	}
-	return (pc.A + pc.D) / total, nil
 }
 
 // Filter returns copies of truth and pred with the objects in drop removed.

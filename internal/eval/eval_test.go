@@ -143,19 +143,6 @@ func TestHubertArabieAgreesOnStructure(t *testing.T) {
 	}
 }
 
-func TestRandIndex(t *testing.T) {
-	truth := []int{0, 0, 1, 1}
-	pred := []int{0, 1, 0, 1}
-	// a=0; same-T pairs: (0,1),(2,3) → b=2; same-P: (0,2),(1,3) → c=2; d=2.
-	got, err := RandIndex(truth, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2.0/6.0 {
-		t.Errorf("Rand = %v, want 1/3", got)
-	}
-}
-
 func TestFilterDropsObjects(t *testing.T) {
 	truth := []int{0, 1, 2, 0}
 	pred := []int{0, 1, 2, 1}
@@ -281,51 +268,5 @@ func TestARIBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPairwiseScores(t *testing.T) {
-	truth := []int{0, 0, 1, 1}
-	pred := []int{0, 1, 1, 1}
-	// a=1, b=1, c=2: precision 1/3, recall 1/2, F1 = 0.4.
-	s, err := Pairwise(truth, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s.Precision-1.0/3) > 1e-12 || math.Abs(s.Recall-0.5) > 1e-12 {
-		t.Errorf("pairwise = %+v", s)
-	}
-	if math.Abs(s.F1-0.4) > 1e-12 {
-		t.Errorf("F1 = %v", s.F1)
-	}
-	perfect, _ := Pairwise(truth, truth)
-	if perfect.Precision != 1 || perfect.Recall != 1 || perfect.F1 != 1 {
-		t.Errorf("perfect pairwise = %+v", perfect)
-	}
-	if _, err := Pairwise([]int{0}, []int{0, 1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
-func TestConditionalEntropy(t *testing.T) {
-	truth := []int{0, 0, 1, 1}
-	// Prediction determines the class exactly: H(truth|pred) = 0.
-	h, err := ConditionalEntropy(truth, []int{5, 5, 9, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h) > 1e-12 {
-		t.Errorf("deterministic H = %v", h)
-	}
-	// One cluster holding both classes evenly: H = ln 2.
-	h, err = ConditionalEntropy(truth, []int{0, 0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h-math.Log(2)) > 1e-12 {
-		t.Errorf("uninformative H = %v, want ln 2", h)
-	}
-	if _, err := ConditionalEntropy(nil, nil); err == nil {
-		t.Error("empty should error")
 	}
 }

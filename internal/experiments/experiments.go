@@ -46,13 +46,6 @@ type Config struct {
 	EarlyStop int
 }
 
-// Paper returns the full-fidelity configuration.
-func Paper() Config { return Config{Repeats: 10, Scale: 1.0, Seed: 1} }
-
-// Quick returns a configuration small enough for CI and benchmarks while
-// preserving every qualitative shape.
-func Quick() Config { return Config{Repeats: 3, Scale: 0.4, Seed: 1} }
-
 func (c Config) normalized() Config {
 	if c.Repeats <= 0 {
 		c.Repeats = 3
@@ -122,9 +115,9 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 // consecutive repeats (still judged in repeat order — the winner stays
 // worker-count invariant); 0 always runs all repeats.
 func bestOf(ctx context.Context, repeats, workers, earlyStop int, baseSeed int64, fn func(seed int64) (*cluster.Result, error)) (*cluster.Result, error) {
-	results, err := engine.Stream(ctx, repeats, workers, baseSeed, earlyStop,
+	results, err := engine.Run(ctx, repeats, workers, baseSeed, earlyStop,
 		cluster.BetterResult,
-		func(r int, _ *stats.RNG) (*cluster.Result, error) {
+		func(r int, _ *stats.RNG, _ int) (*cluster.Result, error) {
 			return fn(baseSeed + int64(r))
 		})
 	if err != nil {
@@ -143,8 +136,8 @@ func bestOf(ctx context.Context, repeats, workers, earlyStop int, baseSeed int64
 // Cells must not share mutable state; determinism is theirs to keep — every
 // cell in this package is a pure function of the config seeds.
 func parallelCells(ctx context.Context, workers int, cells ...func() error) error {
-	_, err := engine.Run(ctx, len(cells), workers, 0,
-		func(i int, _ *stats.RNG) (struct{}, error) {
+	_, err := engine.Run(ctx, len(cells), workers, 0, 0, nil,
+		func(i int, _ *stats.RNG, _ int) (struct{}, error) {
 			return struct{}{}, cells[i]()
 		})
 	return err

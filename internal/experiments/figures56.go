@@ -38,8 +38,8 @@ func knowledgeARI(ctx context.Context, gt *synth.GroundTruth, k int, kcfg synth.
 // repeats run concurrently; each keeps its historical knowledge and run
 // seeds, so the median is identical for every worker count.
 func medianKnowledgeARI(ctx context.Context, gt *synth.GroundTruth, k int, kcfg synth.KnowledgeConfig, cfg Config) (float64, error) {
-	vals, err := engine.Run(ctx, cfg.Repeats, cfg.Workers, cfg.Seed,
-		func(r int, _ *stats.RNG) (float64, error) {
+	vals, err := engine.Run(ctx, cfg.Repeats, cfg.Workers, cfg.Seed, 0, nil,
+		func(r int, _ *stats.RNG, _ int) (float64, error) {
 			rcfg := kcfg
 			rcfg.Seed = cfg.Seed + int64(1000*r)
 			return knowledgeARI(ctx, gt, k, rcfg, cfg.Seed+int64(r))

@@ -41,8 +41,8 @@ func NoisyInputsContext(ctx context.Context, cfg Config) (*Table, error) {
 		// The repeats are independent (each draws and corrupts its own
 		// knowledge copy); run them concurrently with their historical
 		// seeds, so the medians match the serial protocol exactly.
-		outcomes, err := engine.Run(ctx, cfg.Repeats, cfg.Workers, cfg.Seed,
-			func(r int, _ *stats.RNG) (repeatOutcome, error) {
+		outcomes, err := engine.Run(ctx, cfg.Repeats, cfg.Workers, cfg.Seed, 0, nil,
+			func(r int, _ *stats.RNG, _ int) (repeatOutcome, error) {
 				// Objects-only knowledge: labeled dimensions would mask the
 				// object corruption entirely (they anchor the grids on their
 				// own), which hides exactly the effect this experiment

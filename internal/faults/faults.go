@@ -29,8 +29,8 @@ import (
 // production code; TestFaultsSitesExercised pins that arming each one
 // actually fires.
 const (
-	// SiteRestartLaunch fires in engine.Run / engine.Stream immediately
-	// before a restart function is invoked.
+	// SiteRestartLaunch fires in engine.Run immediately before a restart
+	// function is invoked.
 	SiteRestartLaunch = "engine/restart-launch"
 	// SiteChunkExec fires in the engine chunk scheduler before each chunk
 	// of a ParallelChunksCtx / MapChunksIntoCtx call is dispatched; the

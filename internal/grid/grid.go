@@ -11,16 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-)
 
-// Source abstracts the dataset access a grid needs; *dataset.Dataset
-// satisfies it.
-type Source interface {
-	N() int
-	At(i, j int) float64
-	ColMin(j int) float64
-	ColMax(j int) float64
-}
+	"repro/internal/dataset"
+)
 
 // Grid is a multi-dimensional equi-width histogram over a subset of
 // dimensions.
@@ -37,7 +30,7 @@ type Grid struct {
 // excludes likely members of already-initialized seed groups this way
 // (§4.2). It returns an error when the cell space cannot be encoded or when
 // no objects are included.
-func Build(src Source, dims []int, bins int, include []int) (*Grid, error) {
+func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, error) {
 	if len(dims) == 0 {
 		return nil, errors.New("grid: no building dimensions")
 	}
@@ -55,7 +48,7 @@ func Build(src Source, dims []int, bins int, include []int) (*Grid, error) {
 		cells: make(map[int64][]int),
 	}
 	for t, j := range dims {
-		lo, hi := src.ColMin(j), src.ColMax(j)
+		lo, hi := ds.ColMin(j), ds.ColMax(j)
 		if hi <= lo {
 			hi = lo + 1
 		}
@@ -63,11 +56,11 @@ func Build(src Source, dims []int, bins int, include []int) (*Grid, error) {
 		g.width[t] = (hi - lo) / float64(bins)
 	}
 	fold := func(i int) {
-		key := g.encodeObject(src, i)
+		key := g.CellOfPoint(ds.Row(i))
 		g.cells[key] = append(g.cells[key], i)
 	}
 	if include == nil {
-		for i := 0; i < src.N(); i++ {
+		for i := 0; i < ds.N(); i++ {
 			fold(i)
 		}
 	} else {
@@ -80,9 +73,6 @@ func Build(src Source, dims []int, bins int, include []int) (*Grid, error) {
 	}
 	return g, nil
 }
-
-// Dims returns the grid's building dimensions.
-func (g *Grid) Dims() []int { return g.dims }
 
 // coord returns the clamped cell coordinate of value v along axis t.
 func (g *Grid) coord(t int, v float64) int {
@@ -113,21 +103,12 @@ func (g *Grid) decode(key int64) []int {
 	return coords
 }
 
-func (g *Grid) encodeObject(src Source, i int) int64 {
+// CellOfPoint returns the encoded cell containing a full d-dimensional point,
+// such as a dataset row; it reads only the point's building dimensions.
+func (g *Grid) CellOfPoint(point []float64) int64 {
 	var key int64
 	for t, j := range g.dims {
-		key = key*int64(g.bins) + int64(g.coord(t, src.At(i, j)))
-	}
-	return key
-}
-
-// CellOfPoint returns the encoded cell containing an arbitrary point given
-// by its projections on the grid's building dimensions (same order as
-// Dims()).
-func (g *Grid) CellOfPoint(proj []float64) int64 {
-	var key int64
-	for t := range g.dims {
-		key = key*int64(g.bins) + int64(g.coord(t, proj[t]))
+		key = key*int64(g.bins) + int64(g.coord(t, point[j]))
 	}
 	return key
 }

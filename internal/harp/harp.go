@@ -94,8 +94,8 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if restarts <= 0 {
 		restarts = 1
 	}
-	results, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed,
-		func(restart int, rng *stats.RNG) (*cluster.Result, error) {
+	results, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed, 0, nil,
+		func(restart int, rng *stats.RNG, _ int) (*cluster.Result, error) {
 			var order []int
 			if opts.Seed != 0 || restart > 0 {
 				order = rng.Perm(n)

@@ -140,11 +140,9 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if err != nil {
 		return nil, err
 	}
-	intra := engine.SplitBudget(opts.Workers, opts.Restarts)
-	// Stream degenerates to Run's fixed fan-out when EarlyStop <= 0.
-	results, err := engine.Stream(ctx, opts.Restarts, opts.Workers,
+	results, err := engine.Run(ctx, opts.Restarts, opts.Workers,
 		opts.Seed, opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG) (*cluster.Result, error) {
+		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, opts, rng, intra)
 		})
 	if err != nil {

@@ -101,10 +101,9 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, kn *dataset.Knowledge,
 		}
 	}
 
-	intra := engine.SplitBudget(opts.Workers, restarts)
-	results, err := engine.Stream(ctx, restarts, opts.Workers, opts.Seed,
+	results, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed,
 		opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG) (*cluster.Result, error) {
+		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 			return runOnce(ctx, ds, opts, seedMeans, clamped, rng, intra)
 		})
 	if err != nil {

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Sum returns the sum of xs. An empty slice sums to 0.
 func Sum(xs []float64) float64 {
@@ -51,20 +48,6 @@ func MeanVariance(xs []float64) (mean, variance float64) {
 	return m, m2 / float64(n-1)
 }
 
-// PopulationVariance returns the biased (n denominator) variance.
-func PopulationVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m, v := MeanVariance(xs)
-	_ = m
-	return v * float64(n-1) / float64(n)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)
@@ -92,19 +75,7 @@ func Max(xs []float64) float64 {
 // the two central order statistics, matching the usual definition of the
 // sample median the paper's µ̃ refers to.
 func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	buf := make([]float64, n)
-	copy(buf, xs)
-	if n%2 == 1 {
-		return quickSelect(buf, n/2)
-	}
-	lo := quickSelect(buf, n/2-1)
-	// After selecting k-1, element k is the min of the right partition.
-	hi := Min(buf[n/2:])
-	return (lo + hi) / 2
+	return MedianInPlace(append([]float64(nil), xs...))
 }
 
 // MedianInPlace is Median but reorders xs instead of copying, for hot paths.
@@ -117,6 +88,7 @@ func MedianInPlace(xs []float64) float64 {
 		return quickSelect(xs, n/2)
 	}
 	lo := quickSelect(xs, n/2-1)
+	// After selecting k-1, element k is the min of the right partition.
 	hi := Min(xs[n/2:])
 	return (lo + hi) / 2
 }
@@ -165,34 +137,9 @@ func quickSelect(buf []float64, k int) float64 {
 	return buf[lo]
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks. It returns NaN for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return Min(xs)
-	}
-	if q >= 1 {
-		return Max(xs)
-	}
-	buf := make([]float64, n)
-	copy(buf, xs)
-	sort.Float64s(buf)
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return buf[lo]
-	}
-	frac := pos - float64(lo)
-	return buf[lo]*(1-frac) + buf[hi]*frac
-}
-
 // MAD returns the median absolute deviation from the median, a robust scale
-// estimate used in tests of the objective function's robustness claims.
+// estimate: RobustNormalize scales by it, and tests of the objective
+// function's robustness claims use it.
 func MAD(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()

@@ -70,14 +70,6 @@ func TestVarianceShiftInvariance(t *testing.T) {
 	}
 }
 
-func TestPopulationVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	// mean 2.5, squared devs 2.25+0.25+0.25+2.25=5, /4 = 1.25
-	if got := PopulationVariance(xs); !almostEqual(got, 1.25, 1e-12) {
-		t.Errorf("PopulationVariance = %v, want 1.25", got)
-	}
-}
-
 func TestMedianOddEven(t *testing.T) {
 	if got := Median([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("odd median = %v, want 2", got)
@@ -123,22 +115,6 @@ func TestMedianMatchesSortReference(t *testing.T) {
 		if !almostEqual(got, want, 1e-12) {
 			t.Fatalf("trial %d: Median = %v, want %v (xs=%v)", trial, got, want, xs)
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("q.5 = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("q.25 = %v", got)
 	}
 }
 

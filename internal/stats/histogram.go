@@ -53,9 +53,6 @@ func (h *Histogram) Bin(v float64) int {
 // Count returns the number of values in the cell containing v.
 func (h *Histogram) Count(v float64) int { return h.Counts[h.Bin(v)] }
 
-// Total returns the number of values folded into the histogram.
-func (h *Histogram) Total() int { return h.total }
-
 // PeakBin returns the index of the densest cell (ties: lowest index).
 func (h *Histogram) PeakBin() int {
 	best, arg := -1, 0

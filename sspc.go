@@ -18,8 +18,9 @@
 // # Parallelism and determinism
 //
 // Every randomized algorithm here (SSPC, PROCLUS, CLARANS, DOC, and HARP's
-// randomized scan orders) runs its independent restarts through a shared
-// worker-pool engine. Each Options struct exposes two knobs:
+// randomized scan orders) runs its independent restarts through one shared
+// restart scheduler, which consumes them in restart order and decides how
+// the worker budget is split. Each Options struct exposes two knobs:
 //
 //   - Restarts: the number of independent randomized runs; the best result
 //     by the algorithm's own objective is returned. For CLARANS it overrides
@@ -31,7 +32,9 @@
 // restart-based searches can stream their restarts adaptively:
 //
 //   - Workers beyond the restart count are spent on each algorithm's hot
-//     point loops — SSPC's O(n·K·|V|) assignment and dimension
+//     point loops: the scheduler hands each of the min(Workers, Restarts)
+//     concurrent restarts ceil(Workers / min(Workers, Restarts))
+//     goroutines for SSPC's O(n·K·|V|) assignment and dimension
 //     re-selection, PROCLUS's assignment / dimension-refinement / outlier
 //     passes, DOC's box-membership scans, CLARANS's final assignment —
 //     chunked into ranges the engine sizes from the worker count (every
@@ -48,7 +51,8 @@
 // Results, and a single-restart run reproduces the historical serial output
 // for the same Seed. The cross-algorithm conformance suite
 // (conformance_test.go) pins worker invariance (which also moves the chunk
-// boundaries) and restart-0 ≡ base-seed for all nine algorithms. Datasets are
+// boundaries) and restart-0 ≡ base-seed for all nine algorithms (CLIQUE draws
+// no random numbers, so it has no seed and runs once). Datasets are
 // safe for any number of concurrent readers; concurrent Cluster calls may
 // share one *Dataset.
 //
