@@ -185,11 +185,11 @@ func BenchmarkAssignChunked(b *testing.B) {
 	}
 }
 
-// BenchmarkConstrainedAssignChunked measures one chunked COP-KMeans
-// constrained-assignment pass (the (component × center) distance scan plus
-// the serial feasibility placement) at 1/2/4/8 workers. The pass output is
-// byte-identical across every sub-benchmark (the conformance suite pins the
-// full Run); only wall-clock time changes.
+// BenchmarkConstrainedAssignChunked measures one COP-KMeans constrained
+// assignment step — the fit's own code: the chunked (component × center)
+// distance scan plus the serial feasibility placement — at 1/2/4/8
+// workers. The pass output is byte-identical across every sub-benchmark
+// (the conformance suite pins the full Run); only wall-clock time changes.
 func BenchmarkConstrainedAssignChunked(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 50, 4, 20)
 	kn, err := SampleKnowledge(gt, KnowledgeConfig{Kind: ObjectsOnly, Coverage: 1, Size: 5, Seed: 9})
@@ -247,10 +247,11 @@ func BenchmarkEvaluateColumnar(b *testing.B) {
 
 // BenchmarkEvaluateParallel measures the cluster-chunked Step-4 evaluation
 // path — one full SelectDim + φ_i pass over all K clusters through
-// engine.MapChunksIntoCtx, one cluster per chunk with per-worker kernel scratch —
-// at 1/2/4/8 workers. The returned Σφ is bit-identical across the
-// sub-benchmarks (pinned by TestConformanceParallelEvaluation and the core
-// parallel-evaluation tests); only wall-clock time changes. Single-core CI
+// engine.ParallelChunksCtx, one cluster per chunk with per-worker kernel
+// scratch, then the φ_i sum in cluster order — at 1/2/4/8 workers. The
+// returned Σφ is bit-identical across the sub-benchmarks (pinned by
+// TestConformanceParallelEvaluation and the core parallel-evaluation
+// tests); only wall-clock time changes. Single-core CI
 // caveat: with one core the curve is flat and the workers>1 legs only add
 // scheduling overhead — run on multi-core hardware for the speedup numbers.
 func BenchmarkEvaluateParallel(b *testing.B) {
@@ -277,9 +278,9 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkGatherRows measures the bulk row accessor behind PROCLUS's
-// per-cluster refinement: gathering one cluster's worth of scattered member
-// rows into a dense block. Zero allocs/op by contract (TestGatherZeroAlloc).
+// BenchmarkGatherRows measures the bulk row accessor: gathering one
+// cluster's worth of scattered member rows into a dense block. Zero
+// allocs/op by contract (TestGatherZeroAlloc).
 func BenchmarkGatherRows(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 200, 5, 12)
 	members := gt.MembersOfClass(0)
@@ -369,8 +370,8 @@ func BenchmarkExperimentsParallel(b *testing.B) {
 
 // The *Chunked benchmarks below measure the intra-restart chunked loops of
 // the baselines at 1/2/4/8 workers: Restarts=1 routes the whole worker
-// budget into each algorithm's chunked point loops (PROCLUS assignment /
-// refinement / outlier passes, DOC box-membership scans). Results are
+// budget into each algorithm's chunked loops (PROCLUS locality, assignment,
+// cost and outlier passes; DOC box-membership scans). Results are
 // byte-identical across every sub-benchmark (pinned by
 // TestConformanceParallelEvaluation); only
 // wall-clock time changes. Single-core CI caveat: the CI container has one

@@ -49,6 +49,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -115,6 +116,9 @@ func main() {
 	if (*in == "") == (*data == "") || (*k <= 0 && *load == "") {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *scheme != "" && *scheme != "m" && *scheme != "p" {
+		fail(fmt.Errorf("unknown threshold scheme %q (m | p)", *scheme))
 	}
 
 	var ds *dataset.Dataset
@@ -372,8 +376,10 @@ func main() {
 		if res.Fitted == nil {
 			fail(fmt.Errorf("-save: algorithm %q does not emit a servable model (sspc, proclus and doc do)", *algo))
 		}
-		fp := fmt.Sprintf("algo=%s k=%d scheme=%s m=%v p=%v l=%d w=%v restarts=%d earlystop=%d normalize=%s",
-			*algo, *k, *scheme, *m, *p, *l, *w, *restarts, *earlyStop, *normalize)
+		fp, err := modelOptions(*algo, *k, *scheme, *m, *p, *l, *w, *restarts, *earlyStop, *normalize, sup, *validate)
+		if err != nil {
+			fail(err)
+		}
 		// Binary inputs carry their fingerprint in the verified header
 		// (shard-layout-invariant payload checksum) — no full rescan; CSV
 		// inputs hash the in-memory matrix as before.
@@ -390,6 +396,41 @@ func main() {
 		}
 		fmt.Fprintf(out, "# saved model %s key=%s\n", *save, mdl.Key())
 	}
+}
+
+// modelOptions is the Options component of a saved model's registry key: the
+// flags that determine the fit's result. For SSPC it also records what the
+// fit consumed beyond the flags: a SHA-256 digest of the merged labels
+// (sup.AsKnowledge) when there are any, and validate=true under -validate.
+// Without either, the string is the flag list alone, so keys of unsupervised
+// fits saved before the digest existed still match.
+func modelOptions(algo string, k int, scheme string, m, p float64, l int, w float64, restarts, earlyStop int, normalize string, sup *core.Supervision, validate bool) (string, error) {
+	fp := fmt.Sprintf("algo=%s k=%d scheme=%s m=%v p=%v l=%d w=%v restarts=%d earlystop=%d normalize=%s",
+		algo, k, scheme, m, p, l, w, restarts, earlyStop, normalize)
+	if algo != "sspc" {
+		return fp, nil
+	}
+	kn, err := sup.AsKnowledge()
+	if err != nil {
+		return "", err
+	}
+	if !kn.Empty() {
+		fp += " labels=" + labelDigest(kn)
+	}
+	if validate {
+		fp += " validate=true"
+	}
+	return fp, nil
+}
+
+// labelDigest hashes kn class by class in ascending order, each class with
+// its objects and dimensions ascending.
+func labelDigest(kn *dataset.Knowledge) string {
+	h := sha256.New()
+	for _, c := range kn.Classes() {
+		fmt.Fprintf(h, "class %d objects %v dims %v\n", c, kn.ObjectsOfClass(c), kn.DimsOfClass(c))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // serveModel is the -load path: decode a saved model, check it against the

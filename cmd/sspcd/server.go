@@ -75,7 +75,8 @@ type fitRequest struct {
 
 	Normalize string `json:"normalize,omitempty"` // "" | "none" | "zscore" | "minmax" | "robust"
 
-	// SSPC threshold scheme: "m" (default) or "p", with its parameter.
+	// SSPC threshold scheme: "m" (default) or "p", with its parameter. Any
+	// other scheme is refused with a 400; M = 0 means core's default m.
 	Scheme string  `json:"scheme,omitempty"`
 	M      float64 `json:"m,omitempty"`
 	P      float64 `json:"p,omitempty"`
@@ -358,7 +359,7 @@ func (r *fitRequest) run(ctx context.Context, ds *dataset.Dataset, trace *core.T
 		if r.Scheme == "p" {
 			opts.Scheme = core.SchemeP
 			opts.P = r.P
-		} else if r.M > 0 {
+		} else if r.M != 0 {
 			opts.M = r.M
 		}
 		opts.Seed = r.Seed
@@ -402,6 +403,10 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, bodyErrStatus(err), "fit request: %v", err)
+		return
+	}
+	if req.Scheme != "" && req.Scheme != "m" && req.Scheme != "p" {
+		httpError(w, http.StatusBadRequest, "fit request: unknown threshold scheme %q (m | p)", req.Scheme)
 		return
 	}
 	var reqTimeout time.Duration

@@ -244,6 +244,24 @@ func TestFitPollAssignAndCache(t *testing.T) {
 	}
 }
 
+// TestFitOutOfRangeMFails: a non-zero m reaches core unchanged, so an
+// out-of-range value fails the job with core's error instead of silently
+// fitting the default m under its own registry key.
+func TestFitOutOfRangeMFails(t *testing.T) {
+	_, ts := testServer(t)
+	_, rows, _ := fitAndModel(t)
+	resp := postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9, M: -1})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fit status %d", resp.StatusCode)
+	}
+	var j job
+	decodeJSON(t, resp, &j)
+	done := pollJob(t, ts.URL, j.ID)
+	if done.State != "failed" || done.Model != "" || !strings.Contains(done.Error, "m = -1") {
+		t.Fatalf("m=-1 job = %+v, want a failed job carrying core's range error", done)
+	}
+}
+
 // TestFitDataFile covers the out-of-core fit path: the dataset arrives as a
 // .sspcb file path instead of inline rows, the registry hash comes from the
 // file's header fingerprint, and — because that fingerprint is invariant
@@ -329,6 +347,10 @@ func TestErrorPaths(t *testing.T) {
 		}, http.StatusBadRequest},
 		{"unknown fit field", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/fit", "application/json", strings.NewReader(`{"algo":"sspc","k":2,"bogus":1}`))
+		}, http.StatusBadRequest},
+		{"unknown threshold scheme", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/fit", "application/json",
+				strings.NewReader(`{"algo":"sspc","k":2,"scheme":"bogus","rows":[[1,2],[3,4],[5,6],[7,8]]}`))
 		}, http.StatusBadRequest},
 		{"bad model upload", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/models", "application/octet-stream", strings.NewReader("not a model"))

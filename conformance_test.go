@@ -34,10 +34,9 @@ import (
 //     budget flows into the intra-restart chunked loops, and worker counts
 //     below, at, and above K reproduce the serial golden pins. The sweep
 //     routes every evaluation-chunking branch of the cluster-chunked Step-4
-//     map-reduce (single-chunk short-circuit, partial slot reuse, more
-//     workers than clusters), and because the engine sizes the other
-//     chunked loops from the worker count, it also moves every engine-sized
-//     chunk boundary.
+//     pass (single chunk, partial slot reuse, more workers than clusters),
+//     and because the engine sizes the other chunked loops from the worker
+//     count, it also moves every engine-sized chunk boundary.
 //  7. Disk-vs-flat invariance: a dataset round-tripped through the .sspcb
 //     binary format and reopened mmap-backed (one read-only slice aliasing
 //     the file's payload) reproduces the flat Result byte for byte at every
@@ -238,12 +237,12 @@ func TestConformanceWorkersInvariance(t *testing.T) {
 
 // TestConformanceParallelEvaluation is the parallel-evaluation leg (leg 6):
 // with Restarts = 1 the whole worker budget flows into the intra-restart
-// loops, so the per-cluster Step-4 evaluation map-reduce (and PROCLUS's
-// per-medoid dimension passes) chunk across Workers goroutines. The sweep
-// straddles the fixtures' K = 3 — fewer workers than clusters (slot reuse
-// across chunks), exactly K, and far more than K (idle slots) — and every
-// point must reproduce the serial golden pin bit for bit, because the φ fold
-// visits one-cluster chunks in ascending cluster index: the exact addition
+// loops, so the per-cluster Step-4 evaluation (and PROCLUS's per-medoid
+// dimension passes) chunk across Workers goroutines. The sweep straddles the
+// fixtures' K = 3 — fewer workers than clusters (slot reuse across chunks),
+// exactly K, and far more than K (idle slots) — and every point must
+// reproduce the serial golden pin bit for bit, because the φ_i slots are
+// summed after the chunks in ascending cluster index: the exact addition
 // sequence of the serial loop. The engine sizes every other chunked loop
 // from the worker count, so each point of the sweep also moves those chunk
 // boundaries, and the pin proves no loop depends on where they fall.

@@ -64,7 +64,7 @@ func mmapFixture(t *testing.T, gt *GroundTruth) *Dataset {
 // panic} × {flat, mmap} must fail the run with a typed injected error — a
 // panic contained into *engine.PanicError, never a crashed process — with a
 // nil result and no leaked goroutines. Error mode at the chunk gate must stay
-// a plain error in the PROCLUS and bicluster chunk loops too.
+// a plain error in the chunk loops of the chunkFaultFits too.
 func TestFaultsFitMatrix(t *testing.T) {
 	gt := detFixture(t)
 	storage := map[string]*Dataset{"flat": gt.Data, "mmap": mmapFixture(t, gt)}
@@ -103,11 +103,13 @@ func TestFaultsFitMatrix(t *testing.T) {
 
 	// Error mode at the chunk gate must come back as a plain injected error,
 	// never a contained panic, in every algorithm's chunk loops — including
-	// PROCLUS's dimension, refinement and outlier passes and Cheng–Church's
-	// residue scans. A delay-mode probe counts the fit's chunk gates; arming
-	// the first three and the last eight of them reaches PROCLUS's first
-	// dimension pass and its refinement, final assignment and outlier tail,
-	// and lands inside the residue scans for the bicluster search.
+	// PROCLUS's dimension and outlier passes, DOC's box scans, SSPC's Step-4
+	// evaluation and Cheng–Church's residue scans. A delay-mode probe counts
+	// the fit's chunk gates; arming the first three and the last eight of
+	// them reaches PROCLUS's first dimension pass and its outlier tail,
+	// DOC's first and last box scans, SSPC's first and last Step-3 scans and
+	// its last Step-4 evaluation, and lands inside the residue scans for the
+	// bicluster search.
 	for _, f := range chunkFaultFits {
 		for label, ds := range storage {
 			armFaults(t, faults.Plan{Site: faults.SiteChunkExec, Mode: faults.ModeDelay})
@@ -149,7 +151,7 @@ func TestFaultsFitMatrix(t *testing.T) {
 
 // chunkFaultFits are single-restart fits whose intra-restart chunk loops get
 // the whole worker budget, so every chunk pass runs through the scheduler's
-// gate (PROCLUS's refinement pass only chunks with workers to spare).
+// gate on its multi-goroutine path.
 var chunkFaultFits = []struct {
 	name string
 	fit  func(ds *Dataset) (*Result, error)
@@ -159,6 +161,19 @@ var chunkFaultFits = []struct {
 		opts.Seed = 7
 		opts.Workers = 4
 		return PROCLUS(context.Background(), ds, opts)
+	}},
+	{"DOC", func(ds *Dataset) (*Result, error) {
+		opts := DOCDefaults(3, 15)
+		opts.Seed = 11
+		opts.Workers = 4
+		return DOC(context.Background(), ds, opts)
+	}},
+	{"SSPC", func(ds *Dataset) (*Result, error) {
+		opts := DefaultOptions(3)
+		opts.Seed = 5
+		opts.Restarts = 1
+		opts.Workers = 4
+		return Cluster(context.Background(), ds, opts)
 	}},
 	{"Bicluster", func(ds *Dataset) (*Result, error) {
 		opts := BiclusterDefaults(3, 50)

@@ -214,8 +214,8 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cons *Constraints, opt
 }
 
 // runOnce is one restart: random initial centers, then alternate the
-// constrained assignment (chunked distance pass + serial feasibility-ordered
-// placement) with the serial center update until the centers stop moving.
+// constrained assignment (assignComponents) with the serial center update
+// until the centers stop moving.
 func runOnce(ctx context.Context, ds *dataset.Dataset, pre *prep, opts Options, rng *stats.RNG, workers int) (*cluster.Result, error) {
 	n, d := ds.N(), ds.D()
 	centers := make([][]float64, opts.K)
@@ -235,59 +235,10 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, pre *prep, opts Options, 
 			return nil, err
 		}
 		iterations++
-		// Distance pass: every (component, center) total, in engine-sized
-		// chunks of the component list with disjoint writes into dists. Each
-		// component's member sum runs serially in ascending member order, so
-		// the values are independent of Workers.
-		if err := engine.ParallelChunksCtx(ctx, nc, 0, workers, func(_, lo, hi int) {
-			for t := lo; t < hi; t++ {
-				members := pre.members[t]
-				for c := 0; c < opts.K; c++ {
-					total := 0.0
-					for _, i := range members {
-						total += distSq(ds.Row(i), centers[c])
-					}
-					dists[t*opts.K+c] = total
-				}
-			}
-		}); err != nil {
+		var err error
+		cost, err = assignComponents(ctx, ds, pre, centers, dists, compAssign, workers)
+		if err != nil {
 			return nil, err
-		}
-		// Placement: components in ascending root order, nearest feasible
-		// center first. Serial by nature — feasibility depends on where
-		// earlier components were placed — and the cost accumulates in the
-		// same component order for every Workers value.
-		for t := range compAssign {
-			compAssign[t] = -1
-		}
-		cost = 0
-		for t := 0; t < nc; t++ {
-			type cand struct {
-				c    int
-				dist float64
-			}
-			cands := make([]cand, opts.K)
-			for c := 0; c < opts.K; c++ {
-				cands[c] = cand{c, dists[t*opts.K+c]}
-			}
-			// Sort candidates by distance (stable: ties keep center order).
-			for i := 1; i < len(cands); i++ {
-				for j := i; j > 0 && cands[j].dist < cands[j-1].dist; j-- {
-					cands[j], cands[j-1] = cands[j-1], cands[j]
-				}
-			}
-			placed := false
-			for _, cd := range cands {
-				if feasible(t, cd.c, pre, compAssign) {
-					compAssign[t] = cd.c
-					cost += cd.dist
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				return nil, fmt.Errorf("%w: component %d has no feasible cluster", ErrInfeasible, pre.roots[t])
-			}
 		}
 		for i := 0; i < n; i++ {
 			assign[i] = compAssign[pre.root[i]]
@@ -338,6 +289,62 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, pre *prep, opts Options, 
 	return res, nil
 }
 
+// assignComponents is one constrained assignment step, writing each
+// must-link component's cluster into compAssign and returning the cost. The
+// distance pass fills dists[t*k+c] with component t's squared distance to
+// center c, chunked over the components with each member sum in ascending
+// member order. The placement is serial by nature — feasibility depends on
+// where earlier components went: components in ascending root order each
+// take their nearest feasible center, so the cost accumulates in the same
+// order for every workers value.
+func assignComponents(ctx context.Context, ds *dataset.Dataset, pre *prep, centers [][]float64, dists []float64, compAssign []int, workers int) (float64, error) {
+	k := len(centers)
+	if err := engine.ParallelChunksCtx(ctx, len(pre.roots), 0, workers, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			members := pre.members[t]
+			for c := 0; c < k; c++ {
+				total := 0.0
+				for _, i := range members {
+					total += distSq(ds.Row(i), centers[c])
+				}
+				dists[t*k+c] = total
+			}
+		}
+	}); err != nil {
+		return 0, err
+	}
+	for t := range compAssign {
+		compAssign[t] = -1
+	}
+	cost := 0.0
+	cands := make([]struct {
+		c    int
+		dist float64
+	}, k)
+	for t := range compAssign {
+		for c := 0; c < k; c++ {
+			cands[c].c, cands[c].dist = c, dists[t*k+c]
+		}
+		// Sort candidates by distance (stable: ties keep center order).
+		for i := 1; i < len(cands); i++ {
+			for j := i; j > 0 && cands[j].dist < cands[j-1].dist; j-- {
+				cands[j], cands[j-1] = cands[j-1], cands[j]
+			}
+		}
+		for _, cd := range cands {
+			if feasible(t, cd.c, pre, compAssign) {
+				compAssign[t] = cd.c
+				cost += cd.dist
+				break
+			}
+		}
+		if compAssign[t] < 0 {
+			return 0, fmt.Errorf("%w: component %d has no feasible cluster", ErrInfeasible, pre.roots[t])
+		}
+	}
+	return cost, nil
+}
+
 // feasible checks whether placing component t in cluster c violates any
 // cannot-link against already-placed components.
 func feasible(t, c int, pre *prep, compAssign []int) bool {
@@ -356,13 +363,12 @@ func feasible(t, c int, pre *prep, compAssign []int) bool {
 	return true
 }
 
-// AssignBench exposes one chunked constrained-assignment pass (the distance
-// pass plus the serial feasibility placement) for benchmarking; see
-// cmd/bench and BenchmarkConstrainedAssignChunked.
+// AssignBench exposes one constrained assignment step (assignComponents,
+// the fit's own code) for benchmarking; see cmd/bench and
+// BenchmarkConstrainedAssignChunked.
 type AssignBench struct {
 	ds      *dataset.Dataset
 	pre     *prep
-	opts    Options
 	centers [][]float64
 	dists   []float64
 	comp    []int
@@ -383,70 +389,23 @@ func NewAssignBench(ds *dataset.Dataset, cons *Constraints, k, workers int) (*As
 	if err != nil {
 		return nil, err
 	}
-	opts := DefaultOptions(k)
 	rng := stats.NewRNG(0)
 	centers := make([][]float64, k)
 	for c, idx := range rng.Sample(ds.N(), k) {
 		centers[c] = append([]float64(nil), ds.Row(idx)...)
 	}
 	return &AssignBench{
-		ds: ds, pre: pre, opts: opts, centers: centers,
+		ds: ds, pre: pre, centers: centers,
 		dists:   make([]float64, len(pre.roots)*k),
 		comp:    make([]int, len(pre.roots)),
 		workers: engine.DefaultWorkers(workers),
 	}, nil
 }
 
-// Assign runs one constrained assignment pass under ctx and returns its
+// Assign runs one constrained assignment step under ctx and returns its
 // cost; a canceled ctx or an injected chunk fault returns the error instead.
 func (b *AssignBench) Assign(ctx context.Context) (float64, error) {
-	nc := len(b.pre.roots)
-	k := b.opts.K
-	if err := engine.ParallelChunksCtx(ctx, nc, 0, b.workers, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			members := b.pre.members[t]
-			for c := 0; c < k; c++ {
-				total := 0.0
-				for _, i := range members {
-					total += distSq(b.ds.Row(i), b.centers[c])
-				}
-				b.dists[t*k+c] = total
-			}
-		}
-	}); err != nil {
-		return 0, err
-	}
-	for t := range b.comp {
-		b.comp[t] = -1
-	}
-	cost := 0.0
-	cands := make([]struct {
-		c    int
-		dist float64
-	}, k)
-	for t := 0; t < nc; t++ {
-		for c := 0; c < k; c++ {
-			cands[c].c, cands[c].dist = c, b.dists[t*k+c]
-		}
-		for i := 1; i < len(cands); i++ {
-			for j := i; j > 0 && cands[j].dist < cands[j-1].dist; j-- {
-				cands[j], cands[j-1] = cands[j-1], cands[j]
-			}
-		}
-		placed := false
-		for _, cd := range cands {
-			if feasible(t, cd.c, b.pre, b.comp) {
-				b.comp[t] = cd.c
-				cost += cd.dist
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return 0, fmt.Errorf("%w: component %d has no feasible cluster", ErrInfeasible, b.pre.roots[t])
-		}
-	}
-	return cost, nil
+	return assignComponents(ctx, b.ds, b.pre, b.centers, b.dists, b.comp, b.workers)
 }
 
 func distSq(a, b []float64) float64 {

@@ -21,19 +21,18 @@ import (
 // Both loops are also allocation-free in steady state
 // (TestAssignZeroAllocSteadyState, TestEvaluateZeroAllocSteadyState): every
 // buffer — the packed assignment triples, the per-cluster dims outputs, the
-// kernel scratch, the K-slot φ fold buffer handed to
-// MapChunksIntoCtx — lives on the assigner or its per-worker scratch slots, and
-// the chunk closures are built once at construction instead of per call. The call state the closures need (dataset, clusters, outputs) is
+// kernel scratch — lives on the assigner or its per-worker scratch slots,
+// and the chunk closures are built once at construction instead of per
+// call. The call state the closures need (dataset, clusters, outputs) is
 // published to assigner fields before each ParallelChunksCtx call; on the
-// parallel path ParallelChunksCtx's WaitGroup provides the happens-before edge,
-// and a field is only written between calls, never during one.
+// parallel path ParallelChunksCtx's WaitGroup provides the happens-before
+// edge, and a field is only written between calls, never during one.
 
 // assigner holds the worker budget and per-worker scratch of one restart.
 type assigner struct {
 	workers int
 	scratch *engine.Scratch[*evalScratch]
-	dimsOut [][]int   // per-cluster selected-dims storage, cap d each
-	phiBuf  []float64 // per-chunk φ results buffer for MapChunksIntoCtx, cap k
+	dimsOut [][]int // per-cluster selected-dims storage, cap d each
 
 	// Packed per-cluster assignment triples: for cluster i and its t-th
 	// selected dimension j = packDims[i][t], packRep[i][t] is the
@@ -50,7 +49,7 @@ type assigner struct {
 	thr      *thresholds
 	out      []int
 	assignFn func(worker, lo, hi int)
-	evalFn   func(worker, lo, hi int) float64
+	evalFn   func(worker, lo, hi int)
 }
 
 // newAssigner sizes the scratch pool for a dataset of n objects and d
@@ -68,7 +67,6 @@ func newAssigner(n, d, k, workers int) *assigner {
 		workers:  workers,
 		scratch:  engine.NewScratch(slots, func() *evalScratch { return newEvalScratch(d) }),
 		dimsOut:  make([][]int, k),
-		phiBuf:   make([]float64, k),
 		packDims: make([][]int, k),
 		packRep:  make([][]float64, k),
 		packSHat: make([][]float64, k),
@@ -84,9 +82,8 @@ func newAssigner(n, d, k, workers int) *assigner {
 			a.out[x] = scorePoint(a.ds.Row(x), a.packDims, a.packRep, a.packSHat)
 		}
 	}
-	a.evalFn = func(worker, lo, hi int) float64 {
+	a.evalFn = func(worker, lo, hi int) {
 		s := a.scratch.Get(worker)
-		sum := 0.0
 		for i := lo; i < hi; i++ {
 			st := a.clusters[i]
 			ev := evaluateCluster(a.ds, st.members, a.thr, s, a.dimsOut[i])
@@ -95,17 +92,10 @@ func newAssigner(n, d, k, workers int) *assigner {
 			st.phi = ev.phi
 			// s.evals still holds this cluster's per-dimension outcomes.
 			st.next.seed(st.members, s.evals)
-			sum += ev.phi
 		}
-		return sum
 	}
 	return a
 }
-
-// addPhi is the ordered fold of the evaluation map-reduce. Because evaluate
-// runs one cluster per chunk, each chunk value is a single φ_i and the fold
-// reproduces the serial Σ_i φ_i addition order exactly.
-func addPhi(acc, chunk float64) float64 { return acc + chunk }
 
 // scorePoint is the Step-3 scoring rule over packed per-cluster triples: the
 // point's improvement of cluster i is Σ_t (1 − diff²/ŝ²) over i's selected
@@ -176,22 +166,24 @@ func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*
 }
 
 // evaluate reruns SelectDim on every cluster's current members and returns
-// Σ_i φ_i, as one engine.MapChunksIntoCtx map-reduce over the cluster list: one
-// cluster per chunk, each evaluated on its own worker-slot kernel scratch,
-// with the per-chunk φ values folded serially in ascending cluster index
-// out of the assigner-owned phiBuf (so the multi-worker fold reuses one
-// K-slot buffer across iterations instead of allocating per call).
-// Because a chunk is exactly one cluster, the fold IS the serial Σ_i φ_i
-// loop — same additions, same order, bit-identical for every worker count —
-// and the chunk bodies write only their own cluster's state (st.dims,
-// st.phi, st.next, dimsOut[i]), so the parallel writes stay disjoint. K = 1 hits
-// MapChunksIntoCtx's single-chunk short-circuit and runs inline with no fold call.
-// The dims slices installed on the states alias the assigner's per-cluster
-// buffers, which the caller's cluster states own until the next evaluate
-// call.
+// Σ_i φ_i. The clusters run through engine.ParallelChunksCtx one per chunk,
+// each evaluated on its own worker-slot kernel scratch, and each chunk
+// writes only its own cluster's state (st.dims, st.phi, st.next,
+// dimsOut[i]), so the parallel writes stay disjoint. After the call the
+// st.phi slots are summed serially in ascending cluster index — the same
+// additions in the same order for every worker count. The dims slices
+// installed on the states alias the assigner's per-cluster buffers, which
+// the caller's cluster states own until the next evaluate call.
 func (a *assigner) evaluate(ctx context.Context, ds *dataset.Dataset, clusters []*state, thr *thresholds) (float64, error) {
 	a.ds, a.clusters, a.thr = ds, clusters, thr
-	total, err := engine.MapChunksIntoCtx(ctx, len(clusters), 1, a.scratch.Slots(), a.phiBuf, a.evalFn, addPhi)
+	err := engine.ParallelChunksCtx(ctx, len(clusters), 1, a.scratch.Slots(), a.evalFn)
 	a.ds, a.clusters, a.thr = nil, nil, nil
-	return total, err
+	if err != nil {
+		return 0, err
+	}
+	total := 0.0
+	for _, st := range clusters {
+		total += st.phi
+	}
+	return total, nil
 }

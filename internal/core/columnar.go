@@ -178,12 +178,12 @@ func sumSelected(evals []dimEval) float64 {
 	return phi
 }
 
-// ParallelEvalBench exposes the cluster-chunked Step-4 evaluation path — the
-// engine.MapChunksIntoCtx map-reduce assigner.evaluate runs, one cluster per chunk
-// with per-worker kernel scratch and the φ fold in cluster-index order — so
-// the repository benchmark suite (BenchmarkEvaluateParallel) can chart its
-// scaling across worker counts. Evaluate returns Σ_i φ_i, which is
-// bit-identical for every worker count (the conformance suite's
+// ParallelEvalBench exposes the cluster-chunked Step-4 evaluation path —
+// assigner.evaluate, one cluster per engine.ParallelChunksCtx chunk with
+// per-worker kernel scratch, then the φ_i slots summed in cluster-index
+// order — so the repository benchmark suite (BenchmarkEvaluateParallel)
+// can chart its scaling across worker counts. Evaluate returns Σ_i φ_i,
+// which is bit-identical for every worker count (the conformance suite's
 // parallel-evaluation leg pins the same property end to end). Not safe for
 // concurrent use.
 type ParallelEvalBench struct {

@@ -8,10 +8,11 @@ import (
 )
 
 // Tests of the cluster-chunked Step-4 evaluation path (assigner.evaluate
-// through engine.MapChunksIntoCtx): worker-count bit-identity including the
-// degenerate cluster shapes, the K=1 single-chunk short-circuit, the empty
-// cluster (+Inf dispersion) leg, and a -race exercise of the per-worker
-// kernel scratch slots.
+// through engine.ParallelChunksCtx, with the φ_i slots summed in cluster
+// order after the call): worker-count bit-identity including the degenerate
+// cluster shapes, the K=1 single-chunk case, the empty cluster (+Inf
+// dispersion) leg, and a -race exercise of the per-worker kernel scratch
+// slots.
 
 // evalClusters partitions the fixture's objects into k member lists:
 // round-robin over the first k-1 clusters, with optional degenerate shapes
@@ -36,7 +37,7 @@ func evalClusters(n, k int) [][]int {
 	return members
 }
 
-// TestEvaluateParallelMatchesSerial: the MapChunksIntoCtx evaluation returns
+// TestEvaluateParallelMatchesSerial: the chunked evaluation returns
 // bit-identical Σ φ_i — and identical per-cluster dims and φ_i — for every
 // worker count, on flat and mmap-backed storage, including empty and
 // singleton clusters.
@@ -82,10 +83,9 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEvaluateParallelSingleCluster: K=1 takes MapChunksIntoCtx's single-chunk
-// short-circuit (fn runs inline on slot 0, no fold), and still agrees
-// bit-for-bit with the columnar single-cluster evaluator at every worker
-// count.
+// TestEvaluateParallelSingleCluster: K=1 is a single chunk (it runs inline
+// on slot 0, and the sum adds one φ_i to 0.0), and still agrees bit-for-bit
+// with the columnar single-cluster evaluator at every worker count.
 func TestEvaluateParallelSingleCluster(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 120, D: 20, K: 2, AvgDims: 6, Seed: 22})
 	if err != nil {
@@ -104,6 +104,38 @@ func TestEvaluateParallelSingleCluster(t *testing.T) {
 		}
 		if got := pb.Evaluate(); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("workers=%d: K=1 evaluation = %v, want %v", workers, got, want)
+		}
+	}
+}
+
+// TestEvaluateSumsInClusterOrder: Σφ is the per-cluster φ_i added in
+// ascending cluster index, at every worker count. On this fixture the
+// descending sum differs in the last bit, so a sum in any other order fails.
+func TestEvaluateSumsInClusterOrder(t *testing.T) {
+	gt, err := synth.Generate(synth.Config{N: 240, D: 20, K: 6, AvgDims: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([][]int, 6)
+	for c := range members {
+		members[c] = gt.MembersOfClass(c)
+	}
+	for _, workers := range []int{1, 4} {
+		pb, err := NewParallelEvalBench(gt.Data, DefaultOptions(6), members, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pb.Evaluate()
+		asc, desc := 0.0, 0.0
+		for i := range pb.clusters {
+			asc += pb.clusters[i].phi
+			desc += pb.clusters[len(pb.clusters)-1-i].phi
+		}
+		if asc == desc {
+			t.Fatal("fixture sums to the same bits in both orders; it cannot tell them apart")
+		}
+		if math.Float64bits(got) != math.Float64bits(asc) {
+			t.Errorf("workers=%d: Σφ = %x, want the ascending-cluster sum %x", workers, math.Float64bits(got), math.Float64bits(asc))
 		}
 	}
 }

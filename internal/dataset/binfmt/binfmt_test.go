@@ -176,19 +176,12 @@ func TestConvertCSVMatchesWriteBinary(t *testing.T) {
 		t.Run(fmt.Sprintf("split=%v", split), func(t *testing.T) {
 			segs := writeCSVSegments(t, ds, split)
 			out := filepath.Join(t.TempDir(), "out.sspcb")
-			rowsSeen, shardsSeen := 0, 0
-			info, err := ConvertCSV(out, segs, ConvertOptions{
-				ShardRows: shardRows,
-				Progress:  func(rows, shards int) { rowsSeen, shardsSeen = rows, shards },
-			})
+			info, err := ConvertCSV(out, segs, ConvertOptions{ShardRows: shardRows})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if info.N != n || info.D != d || info.NumShards != (n+shardRows-1)/shardRows {
 				t.Fatalf("info = %+v", info)
-			}
-			if rowsSeen != n || shardsSeen != info.NumShards {
-				t.Fatalf("final progress (%d,%d), want (%d,%d)", rowsSeen, shardsSeen, n, info.NumShards)
 			}
 			got, err := os.ReadFile(out)
 			if err != nil {

@@ -24,10 +24,6 @@ type ConvertOptions struct {
 	// continuation segments are raw data rows (a pre-split file has one
 	// header at most).
 	Header bool
-
-	// Progress, when non-nil, is called on the assembling goroutine after
-	// every sealed shard with the rows written so far and the shard count.
-	Progress func(rows, shards int)
 }
 
 // segmentResult is one parsed segment: its row count, width, and the temp
@@ -179,13 +175,9 @@ func assemble(f *os.File, payloadOff int64, n, d int, results []segmentResult, o
 	perShard := make([]stats, 0, numShards)
 	row := make([]float64, d)
 	rowBytes := make([]byte, d*8)
-	written := 0
 	seal := func() {
 		perShard = append(perShard, accum.finish())
 		accum.reset()
-		if opts.Progress != nil {
-			opts.Progress(written, len(perShard))
-		}
 	}
 	for _, res := range results {
 		spill, err := os.Open(res.path)
@@ -207,7 +199,6 @@ func assemble(f *os.File, payloadOff int64, n, d int, results []segmentResult, o
 				spill.Close()
 				return Info{}, err
 			}
-			written++
 			if accum.rows == opts.ShardRows {
 				seal()
 			}

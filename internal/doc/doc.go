@@ -286,15 +286,15 @@ func mu(a, b int, beta float64) float64 {
 }
 
 // boxMembers returns the remaining points within w of p on every dimension
-// in D, scanning `remaining` in engine-sized index chunks. Each chunk
-// collects its own ordered sub-list and the ordered fold concatenates them
-// in chunk-index order, so the member list is byte-identical to the serial
-// scan for every workers value.
+// in D, scanning `remaining` in engine-sized index chunks. Each chunk marks
+// its own slots of inBox, and the members are collected afterwards in
+// `remaining` order, so the list is byte-identical to the serial scan for
+// every workers value.
 func boxMembers(ctx context.Context, ds *dataset.Dataset, remaining []int, prow []float64, D []int, w float64, workers int) ([]int, error) {
-	return engine.MapChunksIntoCtx(ctx, len(remaining), 0, workers, nil, func(_, lo, hi int) []int {
-		var out []int
-		for _, q := range remaining[lo:hi] {
-			qrow := ds.Row(q)
+	inBox := make([]bool, len(remaining))
+	if err := engine.ParallelChunksCtx(ctx, len(remaining), 0, workers, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			qrow := ds.Row(remaining[t])
 			ok := true
 			for _, j := range D {
 				if math.Abs(qrow[j]-prow[j]) > w {
@@ -302,12 +302,18 @@ func boxMembers(ctx context.Context, ds *dataset.Dataset, remaining []int, prow 
 					break
 				}
 			}
-			if ok {
-				out = append(out, q)
-			}
+			inBox[t] = ok
 		}
-		return out
-	}, func(acc, chunk []int) []int { return append(acc, chunk...) })
+	}); err != nil {
+		return nil, err
+	}
+	var members []int
+	for t, ok := range inBox {
+		if ok {
+			members = append(members, remaining[t])
+		}
+	}
+	return members, nil
 }
 
 func removeAll(from, drop []int) []int {

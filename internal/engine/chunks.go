@@ -9,18 +9,19 @@ import (
 )
 
 // This file holds the intra-restart primitives: the chunk scheduler every
-// algorithm's hot point loops run through, the ordered map-reduce on top of
-// it, and the per-worker scratch pool. Chunk boundaries are a pure
-// function of (total, chunkSize, workers) — never of scheduling — and the
-// engine sizes the chunks itself unless a caller needs specific boundaries.
-// Because boundaries may move with the worker count, the shared invariant
-// every caller inherits is: a chunked fn (and fold) must give the same result
-// wherever the boundaries fall, so output is byte-identical for every
-// Workers value.
+// algorithm's hot point loops run through and the per-worker scratch pool.
+// Chunk boundaries are a pure function of (total, chunkSize, workers) —
+// never of scheduling — and the engine sizes the chunks itself unless a
+// caller needs specific boundaries. Because boundaries may move with the
+// worker count, the shared invariant every caller inherits is: a chunked fn
+// must give the same result wherever the boundaries fall, so output is
+// byte-identical for every Workers value. A caller that reduces across
+// units of work writes one slot per unit inside its chunks and folds the
+// slots serially in index order after the call returns.
 //
-// Both entry points — ParallelChunksCtx and MapChunksIntoCtx — take a
-// context and return an error: a canceled ctx or an injected chunk-execution
-// fault comes back as a plain error, never as a panic.
+// ParallelChunksCtx is the only entry point. It takes a context and returns
+// an error: a canceled ctx or an injected chunk-execution fault comes back
+// as a plain error, never as a panic.
 
 // chunkPlan is the layout of one chunked call: chunks contiguous ranges that
 // tile [0, total) in ascending order. A positive size fixes every range at
@@ -71,7 +72,9 @@ func chunkGate(ctx context.Context) error {
 // depend on scheduling, so a caller whose fn writes exclusively to its own
 // [lo, hi) output region, and whose per-element work ignores where the
 // boundaries fall, produces byte-identical results for every workers value —
-// the invariant the intra-restart assignment step is built on.
+// the invariant the intra-restart assignment step is built on. A reduction
+// keeps the same invariant by writing one slot per unit of work inside fn
+// and folding the slots serially, in index order, after the call returns.
 //
 // fn also receives a worker slot index in [0, workers) that is stable for
 // the duration of the call, so callers can hand each worker its own scratch
@@ -105,18 +108,14 @@ func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 		}
 		return nil
 	}
-	return runParallel(ctx, p, workers, func(worker, c int) {
-		lo, hi := p.bounds(c)
-		fn(worker, lo, hi)
-	})
+	return runParallel(ctx, p, workers, fn)
 }
 
-// runParallel is the multi-goroutine tail, split out so the serial paths
-// stay allocation-free: the chunk cursor, wait group, and error slots below
+// runParallel is the multi-goroutine tail, split out so the serial path
+// stays allocation-free: the chunk cursor, wait group, and error slots below
 // are captured by the worker goroutines and therefore live on the heap, a
 // cost only the path that actually spawns goroutines should pay (the
-// zero-alloc kernel pins in core run through the serial path). fn receives
-// the chunk index; the caller maps it to a range with p.bounds.
+// zero-alloc kernel pins in core run through the serial path).
 //
 // A worker that trips the gate records its error under errMu (lowest chunk
 // index wins, so the reported error is scheduling-independent whenever a
@@ -125,7 +124,7 @@ func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 // recovered on the worker, and the first panic value is re-raised on the
 // calling goroutine after the pool drains, so restart-boundary containment
 // in Run sees it exactly as if the chunk had run inline.
-func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, c int)) error {
+func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, lo, hi int)) error {
 	if workers > p.chunks {
 		workers = p.chunks
 	}
@@ -170,7 +169,8 @@ func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, 
 					record(c, err)
 					return
 				}
-				if pv := runChunk(fn, worker, c); pv != nil {
+				lo, hi := p.bounds(c)
+				if pv := runChunk(fn, worker, lo, hi); pv != nil {
 					recordPanic(pv)
 					return
 				}
@@ -190,80 +190,14 @@ func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, 
 // runChunk invokes one chunk and converts a panic into a value instead of
 // letting it unwind a pool goroutine (which would kill the process before
 // the restart-boundary recover in Run could contain it).
-func runChunk(fn func(worker, c int), worker, c int) (panicked any) {
+func runChunk(fn func(worker, lo, hi int), worker, lo, hi int) (panicked any) {
 	defer func() {
 		if v := recover(); v != nil {
 			panicked = v
 		}
 	}()
-	fn(worker, c)
+	fn(worker, lo, hi)
 	return nil
-}
-
-// MapChunksIntoCtx runs fn over the same chunks as ParallelChunksCtx, collects
-// one R per chunk, and folds the per-chunk results serially in chunk-index
-// order, seeded with the first chunk's result (a single chunk returns fn's
-// value directly, no fold call, no copy). The fold is the ordered serial
-// reduction of the determinism contract. Chunk boundaries may move with the
-// worker count when the engine sizes them, so callers must pick an fn/fold
-// pair whose composition does not depend on where the boundaries fall
-// (disjoint list concatenation, or chunkSize 1 so each chunk is one unit and
-// the fold is the serial loop). total <= 0 returns the zero R.
-//
-// buf is an optional caller-owned per-chunk results buffer: the
-// multi-worker path needs one R slot per chunk, and reuses buf's backing
-// array when cap(buf) covers the chunk count instead of allocating a fresh
-// slice every call. A steady-state caller whose chunk count is fixed (e.g.
-// one map-reduce per iteration over a constant K) can therefore keep the
-// reduction allocation-free beyond the goroutine spawns themselves. Every
-// slot in [0, chunks) is overwritten before the fold reads it, so stale buf
-// contents never leak into the result. A nil (or too small) buf means
-// "allocate".
-//
-// The per-chunk gate is ParallelChunksCtx's: a non-nil error (cancellation
-// cause or injected fault) is returned with the zero R — an interrupted
-// reduction never folds.
-func MapChunksIntoCtx[R any](ctx context.Context, total, chunkSize, workers int, buf []R, fn func(worker, lo, hi int) R, fold func(acc, chunk R) R) (R, error) {
-	var zero R
-	if total <= 0 {
-		return zero, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p := planChunks(total, chunkSize, workers)
-	if workers <= 1 || p.chunks == 1 {
-		var acc R
-		for c := 0; c < p.chunks; c++ {
-			if err := chunkGate(ctx); err != nil {
-				return zero, err
-			}
-			lo, hi := p.bounds(c)
-			if r := fn(0, lo, hi); c == 0 {
-				acc = r
-			} else {
-				acc = fold(acc, r)
-			}
-		}
-		return acc, nil
-	}
-	var results []R
-	if cap(buf) >= p.chunks {
-		results = buf[:p.chunks]
-	} else {
-		results = make([]R, p.chunks)
-	}
-	if err := runParallel(ctx, p, workers, func(worker, c int) {
-		lo, hi := p.bounds(c)
-		results[c] = fn(worker, lo, hi)
-	}); err != nil {
-		return zero, err
-	}
-	acc := results[0]
-	for _, r := range results[1:] {
-		acc = fold(acc, r)
-	}
-	return acc, nil
 }
 
 // Scratch hands each worker slot of a chunked call its own lazily built

@@ -33,8 +33,8 @@ const (
 	// function is invoked.
 	SiteRestartLaunch = "engine/restart-launch"
 	// SiteChunkExec fires in the engine chunk scheduler before each chunk
-	// of a ParallelChunksCtx / MapChunksIntoCtx call is dispatched; the
-	// error comes back to the caller as a plain error.
+	// of a ParallelChunksCtx call is dispatched; the error comes back to
+	// the caller as a plain error.
 	SiteChunkExec = "engine/chunk-exec"
 	// SiteShardGather fires in dataset.GatherRows / dataset.GatherColumn,
 	// the bulk accessors every columnar kernel reads the matrix through. The

@@ -59,8 +59,8 @@ type Options struct {
 
 	// Workers bounds the total worker budget: restarts run concurrently on
 	// up to this many goroutines, and workers left over (when Workers >
-	// Restarts) parallelize the chunked point loops (assignment, dimension
-	// refinement, outlier marking) inside each restart. <= 0 means
+	// Restarts) parallelize the chunked loops (locality dimension finding,
+	// assignment, outlier marking) inside each restart. <= 0 means
 	// runtime.GOMAXPROCS(0). The worker count never changes the result.
 	Workers int
 
@@ -229,10 +229,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 	if err := engine.Cause(ctx); err != nil {
 		return nil, err
 	}
-	refined, err := refineDimensions(ctx, ds, bestMedoids, bestAssign, opts, intra)
-	if err != nil {
-		return nil, err
-	}
+	refined := refineDimensions(ds, bestMedoids, bestAssign, opts)
 	finalCost, err := assignPoints(ctx, ds, bestMedoids, refined, bestAssign, intra)
 	if err != nil {
 		return nil, err
@@ -445,9 +442,9 @@ func distributeDimensions(X [][]float64, d int, opts Options) [][]int {
 // Manhattan segmental distance and returns the PROCLUS cost: the average
 // within-cluster segmental dispersion weighted by cluster size. The argmin
 // scan runs chunked over point ranges (disjoint writes to assign); the cost
-// is a map-reduce with one unit of work per cluster, folded in cluster-index
-// order so the floating-point sum is byte-identical to the serial loop for
-// every workers value.
+// runs one cluster per chunk, each summing into its own slot, and the slots
+// are added in cluster-index order after the call, so the floating-point sum
+// is byte-identical to the serial loop for every workers value.
 func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims [][]int, assign []int, workers int) (float64, error) {
 	n := ds.N()
 	k := len(medoids)
@@ -475,8 +472,8 @@ func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims 
 	// sums its members in ascending point order; an empty or dimensionless
 	// cluster contributes exactly 0.0, which leaves the non-negative running
 	// sum bit-identical to skipping it.
-	cost, err := engine.MapChunksIntoCtx(ctx, k, 1, workers, nil, func(_, lo, hi int) float64 {
-		sum := 0.0
+	sums := make([]float64, k)
+	if err := engine.ParallelChunksCtx(ctx, k, 1, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var members []int
 			for p := 0; p < n; p++ {
@@ -489,25 +486,24 @@ func assignPoints(ctx context.Context, ds *dataset.Dataset, medoids []int, dims 
 			}
 			centroid := ds.MeanVector(members)
 			for _, p := range members {
-				sum += ds.SegmentalDistance(p, centroid, dims[i]) // Σ n_i·w_i
+				sums[i] += ds.SegmentalDistance(p, centroid, dims[i]) // n_i·w_i
 			}
 		}
-		return sum
-	}, func(acc, chunk float64) float64 { return acc + chunk })
-	if err != nil {
+	}); err != nil {
 		return 0, err
+	}
+	cost := 0.0
+	for _, s := range sums {
+		cost += s
 	}
 	return cost / float64(n), nil
 }
 
 // refineDimensions redoes dimension selection using the actual clusters in
-// place of the localities (the refinement phase of the paper). With workers
-// to spare, the X accumulation runs with one unit of work per cluster: each
-// cluster scans the assignment in ascending point order — the exact
-// accumulation order of the serial single pass, since a point only ever
-// contributes to its own cluster's row — and writes only X[c]/counts[c].
-// Serially the single O(n·d) pass stays cheaper than k per-cluster scans.
-func refineDimensions(ctx context.Context, ds *dataset.Dataset, medoids []int, assign []int, opts Options, workers int) ([][]int, error) {
+// place of the localities (the refinement phase of the paper): one serial
+// pass over the assignment in ascending point order accumulates each
+// cluster's average distance to its medoid per dimension.
+func refineDimensions(ds *dataset.Dataset, medoids []int, assign []int, opts Options) [][]int {
 	k := len(medoids)
 	d := ds.D()
 	X := make([][]float64, k)
@@ -515,65 +511,16 @@ func refineDimensions(ctx context.Context, ds *dataset.Dataset, medoids []int, a
 	for i := range X {
 		X[i] = make([]float64, d)
 	}
-	// The per-cluster path pays k extra O(n) assignment scans on top of the
-	// O(n·d) accumulation it splits across workers; it beats the serial
-	// single pass only while (k·n + n·d)/workers < n·d, i.e. k < (workers−1)·d.
-	if workers <= 1 || k >= (workers-1)*d {
-		for p, c := range assign {
-			if c < 0 {
-				continue
-			}
-			prow := ds.Row(p)
-			mrow := ds.Row(medoids[c])
-			for j := 0; j < d; j++ {
-				X[c][j] += math.Abs(prow[j] - mrow[j])
-			}
-			counts[c]++
+	for p, c := range assign {
+		if c < 0 {
+			continue
 		}
-	} else {
-		// Each worker gathers its cluster's member rows once
-		// (Dataset.GatherRows — one copy per run of consecutive rows) and
-		// accumulates over the dense block. Members are
-		// collected in ascending point order, which is exactly the
-		// accumulation order of the serial single pass — a point only ever
-		// contributes to its own cluster's row — so X is bit-identical.
-		type gatherScratch struct {
-			members []int
-			rows    []float64
+		prow := ds.Row(p)
+		mrow := ds.Row(medoids[c])
+		for j := 0; j < d; j++ {
+			X[c][j] += math.Abs(prow[j] - mrow[j])
 		}
-		scratch := engine.NewScratch(workers, func() *gatherScratch {
-			return &gatherScratch{members: make([]int, 0, len(assign))}
-		})
-		if err := engine.ParallelChunksCtx(ctx, k, 1, workers, func(worker, lo, hi int) {
-			s := scratch.Get(worker)
-			for c := lo; c < hi; c++ {
-				members := s.members[:0]
-				for p, pc := range assign {
-					if pc == c {
-						members = append(members, p)
-					}
-				}
-				s.members = members
-				if len(members) == 0 {
-					continue
-				}
-				if need := len(members) * d; cap(s.rows) < need {
-					s.rows = make([]float64, need)
-				}
-				rows := ds.GatherRows(members, s.rows[:len(members)*d])
-				mrow := ds.Row(medoids[c])
-				Xc := X[c]
-				for t := range members {
-					base := t * d
-					for j := 0; j < d; j++ {
-						Xc[j] += math.Abs(rows[base+j] - mrow[j])
-					}
-				}
-				counts[c] = len(members)
-			}
-		}); err != nil {
-			return nil, err
-		}
+		counts[c]++
 	}
 	for i := 0; i < k; i++ {
 		if counts[i] == 0 {
@@ -583,7 +530,7 @@ func refineDimensions(ctx context.Context, ds *dataset.Dataset, medoids []int, a
 			X[i][j] /= float64(counts[i])
 		}
 	}
-	return distributeDimensions(X, d, opts), nil
+	return distributeDimensions(X, d, opts)
 }
 
 // markOutliers discards points outside every medoid's sphere of influence:

@@ -35,8 +35,8 @@
 //     point loops: the scheduler hands each of the min(Workers, Restarts)
 //     concurrent restarts ceil(Workers / min(Workers, Restarts))
 //     goroutines for SSPC's O(n·K·|V|) assignment and dimension
-//     re-selection, PROCLUS's assignment / dimension-refinement / outlier
-//     passes, DOC's box-membership scans, CLARANS's final assignment —
+//     re-selection, PROCLUS's assignment / locality / outlier passes,
+//     DOC's box-membership scans, CLARANS's final assignment —
 //     chunked into ranges the engine sizes from the worker count (every
 //     chunk layout gives identical output).
 //   - Options.EarlyStop > 0 (SSPC, PROCLUS, DOC) launches restarts lazily
@@ -175,8 +175,7 @@ type BinaryDatasetFile = binfmt.File
 type BinaryDatasetInfo = binfmt.Info
 
 // ConvertCSVOptions configures ConvertCSVToBinary: the output shard
-// granularity, whether the first segment opens with a header record, and an
-// optional progress callback.
+// granularity and whether the first segment opens with a header record.
 type ConvertCSVOptions = binfmt.ConvertOptions
 
 // Typed binary-dataset errors, re-exported for errors.Is matching without
