@@ -49,7 +49,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -62,15 +61,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dataset/binfmt"
-	"repro/internal/doc"
 	"repro/internal/eval"
 	"repro/internal/harp"
 	"repro/internal/model"
-	"repro/internal/proclus"
 	"repro/internal/seedkmeans"
 )
 
 func main() {
+	def := model.DefaultFit()
 	var (
 		in          = flag.String("in", "", "input CSV path (this or -data required)")
 		data        = flag.String("data", "", "input binary dataset path (.sspcb), opened mmap-backed; excludes -in/-truth/-normalize")
@@ -78,9 +76,9 @@ func main() {
 		truth       = flag.Bool("truth", false, "last CSV column is the true class label; report ARI")
 		algo        = flag.String("algo", "sspc", "algorithm: sspc | proclus | harp | clarans | doc | clique | copkmeans | seedkmeans | bicluster")
 		k           = flag.Int("k", 0, "number of clusters (required)")
-		scheme      = flag.String("scheme", "m", "SSPC threshold scheme: m | p")
-		m           = flag.Float64("m", 0.5, "SSPC parameter m (scheme m)")
-		p           = flag.Float64("p", 0.1, "SSPC parameter p (scheme p)")
+		scheme      = flag.String("scheme", def.Scheme, "SSPC threshold scheme: m | p")
+		m           = flag.Float64("m", def.M, "SSPC parameter m (scheme m)")
+		p           = flag.Float64("p", def.P, "SSPC parameter p (scheme p)")
 		l           = flag.Int("l", 0, "PROCLUS average cluster dimensionality (required for proclus)")
 		w           = flag.Float64("w", 0, "DOC box half-width (required for doc)")
 		xi          = flag.Int("xi", 0, "CLIQUE grid intervals per dimension; 0 = default")
@@ -94,7 +92,7 @@ func main() {
 		constraints = flag.String("constraints", "", "constraints file (must/cannot pairs): copkmeans, sspc, seedkmeans")
 		seeds       = flag.String("seeds", "", "seed-set file (class + objects per line): seedkmeans, sspc, copkmeans")
 		constrained = flag.Bool("constrained", false, "seedkmeans: clamp labeled objects to their class (Constrained-KMeans)")
-		normalize   = flag.String("normalize", "none", "preprocessing: none | zscore | minmax | robust")
+		normalize   = flag.String("normalize", def.Normalize, "preprocessing: none | zscore | minmax | robust")
 		validate    = flag.Bool("validate", false, "validate knowledge and drop suspect entries before clustering (SSPC only)")
 		quiet       = flag.Bool("quiet", false, "suppress per-object assignments")
 		save        = flag.String("save", "", "after fitting, write the model (per-cluster dims/rep/ŝ² triples) to this file; sspc, proclus and doc only")
@@ -155,20 +153,8 @@ func main() {
 		} else {
 			ds, err = dataset.ReadCSV(bufio.NewReader(f), *header)
 		}
-		if err != nil {
-			fail(err)
-		}
-
-		switch *normalize {
-		case "none":
-		case "zscore":
-			ds, err = dataset.ZScoreNormalize(ds)
-		case "minmax":
-			ds, err = dataset.MinMaxNormalize(ds)
-		case "robust":
-			ds, err = dataset.RobustNormalize(ds)
-		default:
-			fail(fmt.Errorf("unknown normalization %q", *normalize))
+		if err == nil {
+			ds, err = dataset.Normalize(ds, *normalize)
 		}
 		if err != nil {
 			fail(err)
@@ -226,44 +212,21 @@ func main() {
 		defer cancel()
 	}
 
+	// sspc, proclus and doc run through model.Fit, which also makes the
+	// options string -save records.
+	fit := model.Fit{Algo: *algo, K: *k, Normalize: *normalize, Scheme: *scheme, M: *m, P: *p, L: *l, W: *w,
+		Seed: *seed, Restarts: *restarts, EarlyStop: *earlyStop, Validate: *validate}
 	var err error
+	if *algo == "sspc" && !sup.Empty() {
+		if fit.Knowledge, err = sup.AsKnowledge(); err != nil {
+			fail(err)
+		}
+	}
 	var res *cluster.Result
 	var report *core.KnowledgeReport
 	switch *algo {
-	case "sspc":
-		opts := core.DefaultOptions(*k)
-		if *scheme == "p" {
-			opts.Scheme = core.SchemeP
-			opts.P = *p
-		} else {
-			opts.M = *m
-		}
-		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
-		opts.EarlyStop = *earlyStop
-		if !sup.Empty() {
-			kn, err := sup.AsKnowledge()
-			if err != nil {
-				fail(err)
-			}
-			opts.Knowledge = kn
-		}
-		if *validate {
-			res, report, err = core.RunValidatedContext(ctx, ds, opts, 0)
-		} else {
-			res, err = core.RunContext(ctx, ds, opts)
-		}
-	case "proclus":
-		if *l < 2 {
-			fail(fmt.Errorf("proclus requires -l >= 2"))
-		}
-		opts := proclus.DefaultOptions(*k, *l)
-		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
-		opts.EarlyStop = *earlyStop
-		res, err = proclus.RunContext(ctx, ds, opts)
+	case "sspc", "proclus", "doc":
+		res, report, err = fit.Run(ctx, ds, *workers, nil)
 	case "harp":
 		opts := harp.DefaultOptions(*k)
 		opts.Restarts = *restarts
@@ -283,16 +246,6 @@ func main() {
 		opts.Restarts = *restarts
 		opts.Workers = *workers
 		res, err = clarans.RunContext(ctx, ds, opts)
-	case "doc":
-		if *w <= 0 {
-			fail(fmt.Errorf("doc requires -w > 0"))
-		}
-		opts := doc.DefaultOptions(*k, *w)
-		opts.Seed = *seed
-		opts.Restarts = *restarts
-		opts.Workers = *workers
-		opts.EarlyStop = *earlyStop
-		res, err = doc.RunContext(ctx, ds, opts)
 	case "clique":
 		opts := clique.DefaultOptions()
 		if *xi > 0 {
@@ -376,10 +329,6 @@ func main() {
 		if res.Fitted == nil {
 			fail(fmt.Errorf("-save: algorithm %q does not emit a servable model (sspc, proclus and doc do)", *algo))
 		}
-		fp, err := modelOptions(*algo, *k, *scheme, *m, *p, *l, *w, *restarts, *earlyStop, *normalize, sup, *validate)
-		if err != nil {
-			fail(err)
-		}
 		// Binary inputs carry their fingerprint in the verified header
 		// (shard-layout-invariant payload checksum) — no full rescan; CSV
 		// inputs hash the in-memory matrix as before.
@@ -387,7 +336,7 @@ func main() {
 		if hash == "" {
 			hash = model.DatasetHash(ds)
 		}
-		mdl, err := model.FromResult(*algo, fp, *seed, hash, ds.D(), res)
+		mdl, err := model.FromResult(*algo, fit.Options(), *seed, hash, ds.D(), res)
 		if err != nil {
 			fail(err)
 		}
@@ -396,41 +345,6 @@ func main() {
 		}
 		fmt.Fprintf(out, "# saved model %s key=%s\n", *save, mdl.Key())
 	}
-}
-
-// modelOptions is the Options component of a saved model's registry key: the
-// flags that determine the fit's result. For SSPC it also records what the
-// fit consumed beyond the flags: a SHA-256 digest of the merged labels
-// (sup.AsKnowledge) when there are any, and validate=true under -validate.
-// Without either, the string is the flag list alone, so keys of unsupervised
-// fits saved before the digest existed still match.
-func modelOptions(algo string, k int, scheme string, m, p float64, l int, w float64, restarts, earlyStop int, normalize string, sup *core.Supervision, validate bool) (string, error) {
-	fp := fmt.Sprintf("algo=%s k=%d scheme=%s m=%v p=%v l=%d w=%v restarts=%d earlystop=%d normalize=%s",
-		algo, k, scheme, m, p, l, w, restarts, earlyStop, normalize)
-	if algo != "sspc" {
-		return fp, nil
-	}
-	kn, err := sup.AsKnowledge()
-	if err != nil {
-		return "", err
-	}
-	if !kn.Empty() {
-		fp += " labels=" + labelDigest(kn)
-	}
-	if validate {
-		fp += " validate=true"
-	}
-	return fp, nil
-}
-
-// labelDigest hashes kn class by class in ascending order, each class with
-// its objects and dimensions ascending.
-func labelDigest(kn *dataset.Knowledge) string {
-	h := sha256.New()
-	for _, c := range kn.Classes() {
-		fmt.Fprintf(h, "class %d objects %v dims %v\n", c, kn.ObjectsOfClass(c), kn.DimsOfClass(c))
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // serveModel is the -load path: decode a saved model, check it against the

@@ -3,10 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func writeTemp(t *testing.T, content string) string {
@@ -144,61 +141,5 @@ func TestReadSeedSetsRejectsBadLines(t *testing.T) {
 	}
 	if _, err := readSeedSets("/nonexistent/seeds.txt"); err == nil {
 		t.Error("missing file should error")
-	}
-}
-
-// sspcOptions is modelOptions for an SSPC fit at the CLI defaults (k=3).
-func sspcOptions(t *testing.T, sup *core.Supervision, validate bool) string {
-	t.Helper()
-	fp, err := modelOptions("sspc", 3, "m", 0.5, 0.1, 0, 0, 0, 0, "none", sup, validate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fp
-}
-
-// TestModelOptionsSeparatesSupervision: a saved model's options string — and
-// with it the registry key — tells apart SSPC fits that consumed different
-// labels or ran -validate, while the same labels reached through -seeds or
-// -knowledge give one string and an unsupervised fit keeps its old string.
-func TestModelOptionsSeparatesSupervision(t *testing.T) {
-	const unsupervised = "algo=sspc k=3 scheme=m m=0.5 p=0.1 l=0 w=0 restarts=0 earlystop=0 normalize=none"
-	none := sspcOptions(t, &core.Supervision{}, false)
-	if none != unsupervised {
-		t.Errorf("unsupervised options = %q, want %q", none, unsupervised)
-	}
-
-	knowledge := func(content string) *core.Supervision {
-		kn, err := readKnowledge(writeTemp(t, content))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &core.Supervision{Knowledge: kn}
-	}
-	a := sspcOptions(t, knowledge("object 1 0\nobject 2 0\nobject 7 1\n"), false)
-	b := sspcOptions(t, knowledge("object 1 0\nobject 2 1\nobject 7 1\n"), false)
-	dims := sspcOptions(t, knowledge("object 1 0\nobject 2 0\nobject 7 1\ndim 4 1\n"), false)
-	for _, fp := range []string{a, b, dims} {
-		if !strings.HasPrefix(fp, unsupervised+" labels=") {
-			t.Errorf("supervised options %q do not extend %q with a label digest", fp, unsupervised)
-		}
-	}
-	if a == b || a == dims || b == dims {
-		t.Errorf("different labels share an options string: %q, %q, %q", a, b, dims)
-	}
-
-	sets, err := readSeedSets(writeTemp(t, "0 1 2\n1 7\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded := sspcOptions(t, &core.Supervision{SeedSets: sets}, false); seeded != a {
-		t.Errorf("-seeds options = %q, want the -knowledge string %q for the same labels", seeded, a)
-	}
-
-	if got := sspcOptions(t, &core.Supervision{}, true); got != unsupervised+" validate=true" {
-		t.Errorf("-validate options = %q, want %q", got, unsupervised+" validate=true")
-	}
-	if got := sspcOptions(t, knowledge("object 1 0\nobject 2 0\nobject 7 1\n"), true); got != a+" validate=true" {
-		t.Errorf("-validate options with labels = %q, want %q", got, a+" validate=true")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/model"
 )
 
 // This file covers the daemon's robustness surface: per-job deadlines and
@@ -22,7 +23,7 @@ import (
 // slowFitRequest returns a fit whose restart budget is far beyond what any
 // test waits for, so a cancel or deadline always lands mid-fit.
 func slowFitRequest(rows [][]float64) fitRequest {
-	return fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9, Restarts: 100000}
+	return fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9, Restarts: 100000}, Rows: rows}
 }
 
 func TestFitRequestTimeoutDeadline(t *testing.T) {
@@ -52,7 +53,7 @@ func TestFitTimeoutExcludedFromIdentity(t *testing.T) {
 	_, ts := testServer(t)
 	_, rows, _ := fitAndModel(t)
 
-	req := fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9}
+	req := fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, Rows: rows}
 	var j job
 	decodeJSON(t, postJSON(t, ts.URL+"/fit", req), &j)
 	done := pollJob(t, ts.URL, j.ID)
@@ -131,7 +132,7 @@ func TestFitPanicBecomesFailedJob(t *testing.T) {
 	faults.Enable(faults.Plan{Site: faults.SiteRestartLaunch, Mode: faults.ModePanic})
 	t.Cleanup(faults.Disable)
 	var j job
-	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9}), &j)
+	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, Rows: rows}), &j)
 	done := pollJob(t, ts.URL, j.ID)
 	faults.Disable()
 	if done.State != "failed" || done.Class != "panic" {
@@ -140,7 +141,7 @@ func TestFitPanicBecomesFailedJob(t *testing.T) {
 
 	// The daemon survived: the same fit now completes.
 	var j2 job
-	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9}), &j2)
+	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, Rows: rows}), &j2)
 	if done := pollJob(t, ts.URL, j2.ID); done.State != "done" {
 		t.Fatalf("post-panic fit = %+v", done)
 	}
@@ -174,7 +175,7 @@ func TestFitDraining503(t *testing.T) {
 	_, rows, _ := fitAndModel(t)
 	s.draining.Store(true)
 
-	resp := postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows})
+	resp := postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2}, Rows: rows})
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
@@ -201,7 +202,7 @@ func TestFitQueueFull429(t *testing.T) {
 
 	// Warm the cache so a registry hit can be checked against a full queue.
 	var warm job
-	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9}), &warm)
+	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, Rows: rows}), &warm)
 	if done := pollJob(t, ts.URL, warm.ID); done.State != "done" {
 		t.Fatalf("warm fit = %+v", done)
 	}
@@ -210,7 +211,7 @@ func TestFitQueueFull429(t *testing.T) {
 	var slow job
 	decodeJSON(t, postJSON(t, ts.URL+"/fit", slowFitRequest(rows)), &slow)
 
-	resp := postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 77})
+	resp := postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 77}, Rows: rows})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("fit beyond -max-jobs: status %d, want 429", resp.StatusCode)
@@ -218,7 +219,7 @@ func TestFitQueueFull429(t *testing.T) {
 
 	// A cache hit costs no computation, so it passes even with the queue full.
 	var hit job
-	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9}), &hit)
+	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, Rows: rows}), &hit)
 	if !hit.Cached {
 		t.Fatalf("cache hit rejected while queue full: %+v", hit)
 	}
@@ -231,7 +232,7 @@ func TestFitQueueFull429(t *testing.T) {
 
 	// The canceled job released its slot.
 	var next job
-	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 78}), &next)
+	decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 78}, Rows: rows}), &next)
 	if done := pollJob(t, ts.URL, next.ID); done.State != "done" {
 		t.Fatalf("fit after slot release = %+v", done)
 	}
@@ -250,7 +251,7 @@ func TestBodyCap413(t *testing.T) {
 	}
 	s.maxBody = 256
 
-	resp := postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows})
+	resp := postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2}, Rows: rows})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized fit: status %d, want 413", resp.StatusCode)
@@ -327,7 +328,7 @@ func TestDrainWaitsForQueuedJobs(t *testing.T) {
 	var jobs []string
 	for seed := int64(30); seed < 33; seed++ {
 		var j job
-		decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: seed}), &j)
+		decodeJSON(t, postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: seed}, Rows: rows}), &j)
 		jobs = append(jobs, j.ID)
 	}
 	if err := drain(fakeShutdown{}, s, 30*time.Second); err != nil {
@@ -342,7 +343,7 @@ func TestDrainWaitsForQueuedJobs(t *testing.T) {
 		}
 	}
 	// And the drained server refuses new fits.
-	resp := postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 99})
+	resp := postJSON(t, ts.URL+"/fit", fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 99}, Rows: rows})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("fit after drain: status %d, want 503", resp.StatusCode)

@@ -13,14 +13,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dataset/binfmt"
-	"repro/internal/doc"
 	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/proclus"
 )
 
 // entry is one registered model, holding only what the daemon serves: its
@@ -57,12 +54,12 @@ type job struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// fitRequest is the POST /fit body. Exactly one of Rows, CSV and DataFile
-// supplies the dataset. Workers tunes wall-clock only and is excluded from
-// the model identity; every other field participates in the registry key.
+// fitRequest is the POST /fit body: a model.Fit, which describes the fit and
+// makes its registry key, plus the data and the knobs that cannot change a
+// completed fit's output. Fields the body omits keep model.DefaultFit's
+// values. Exactly one of Rows, CSV and DataFile supplies the dataset.
 type fitRequest struct {
-	Algo string `json:"algo"` // "sspc" | "proclus" | "doc"
-	K    int    `json:"k"`
+	model.Fit
 
 	Rows [][]float64 `json:"rows,omitempty"`
 	CSV  string      `json:"csv,omitempty"`
@@ -73,28 +70,12 @@ type fitRequest struct {
 	// "none" (the mapping is immutable; normalize before converting).
 	DataFile string `json:"data_file,omitempty"`
 
-	Normalize string `json:"normalize,omitempty"` // "" | "none" | "zscore" | "minmax" | "robust"
-
-	// SSPC threshold scheme: "m" (default) or "p", with its parameter. Any
-	// other scheme is refused with a 400; M = 0 means core's default m.
-	Scheme string  `json:"scheme,omitempty"`
-	M      float64 `json:"m,omitempty"`
-	P      float64 `json:"p,omitempty"`
-	// L is PROCLUS's average cluster dimensionality; W is DOC's box
-	// half-width.
-	L int     `json:"l,omitempty"`
-	W float64 `json:"w,omitempty"`
-
-	Seed      int64 `json:"seed,omitempty"`
-	Restarts  int   `json:"restarts,omitempty"`
-	EarlyStop int   `json:"earlystop,omitempty"`
-	Workers   int   `json:"workers,omitempty"`
-
+	// Workers tunes wall-clock only.
+	Workers int `json:"workers,omitempty"`
 	// Timeout bounds this fit (a Go duration string such as "30s" or "5m").
 	// Empty falls back to the server's -fit-timeout default; any value is
-	// clamped to -fit-timeout-max. Like Workers it cannot change a completed
-	// fit's output — a run either finishes byte-identically or fails with a
-	// deadline error — so it is excluded from the model identity.
+	// clamped to -fit-timeout-max. A run either finishes byte-identically or
+	// fails with a deadline error.
 	Timeout string `json:"timeout,omitempty"`
 }
 
@@ -275,29 +256,6 @@ func classifyFitError(err error) string {
 	return "error"
 }
 
-// fingerprint is the canonical option string of a fit request — the Options
-// component of the registry key. Only result-determining fields participate:
-// Workers (and chunking) never change the output, so they are excluded and
-// re-fitting with a different worker count still hits the cache.
-func (r *fitRequest) fingerprint() string {
-	switch r.Algo {
-	case "sspc":
-		scheme := r.Scheme
-		if scheme == "" {
-			scheme = "m"
-		}
-		return fmt.Sprintf("algo=sspc k=%d scheme=%s m=%v p=%v restarts=%d earlystop=%d normalize=%s",
-			r.K, scheme, r.M, r.P, r.Restarts, r.EarlyStop, r.Normalize)
-	case "proclus":
-		return fmt.Sprintf("algo=proclus k=%d l=%d restarts=%d earlystop=%d normalize=%s",
-			r.K, r.L, r.Restarts, r.EarlyStop, r.Normalize)
-	case "doc":
-		return fmt.Sprintf("algo=doc k=%d w=%v restarts=%d earlystop=%d normalize=%s",
-			r.K, r.W, r.Restarts, r.EarlyStop, r.Normalize)
-	}
-	return "algo=" + r.Algo
-}
-
 // dataset materializes the request's data (inline rows, CSV text, or an
 // mmap-backed binary file) and applies the requested normalization. It also
 // returns the dataset's registry hash — a full-matrix scan for in-memory
@@ -329,61 +287,13 @@ func (r *fitRequest) dataset() (ds *dataset.Dataset, hash string, closer func() 
 	} else {
 		ds, err = dataset.ReadCSV(strings.NewReader(r.CSV), false)
 	}
-	if err != nil {
-		return nil, "", nil, err
-	}
-	switch r.Normalize {
-	case "", "none":
-	case "zscore":
-		ds, err = dataset.ZScoreNormalize(ds)
-	case "minmax":
-		ds, err = dataset.MinMaxNormalize(ds)
-	case "robust":
-		ds, err = dataset.RobustNormalize(ds)
-	default:
-		return nil, "", nil, fmt.Errorf("unknown normalization %q", r.Normalize)
+	if err == nil {
+		ds, err = dataset.Normalize(ds, r.Normalize)
 	}
 	if err != nil {
 		return nil, "", nil, err
 	}
 	return ds, model.DatasetHash(ds), nil, nil
-}
-
-// run executes the fit described by the request under ctx, so a cancel or a
-// deadline unwinds the fit at the next restart, iteration, or chunk boundary.
-// Only the three algorithms with a servable fitted shape are offered.
-func (r *fitRequest) run(ctx context.Context, ds *dataset.Dataset, trace *core.Trace) (*cluster.Result, error) {
-	switch r.Algo {
-	case "sspc":
-		opts := core.DefaultOptions(r.K)
-		if r.Scheme == "p" {
-			opts.Scheme = core.SchemeP
-			opts.P = r.P
-		} else if r.M != 0 {
-			opts.M = r.M
-		}
-		opts.Seed = r.Seed
-		opts.Restarts = r.Restarts
-		opts.Workers = r.Workers
-		opts.EarlyStop = r.EarlyStop
-		opts.Trace = trace
-		return core.RunContext(ctx, ds, opts)
-	case "proclus":
-		opts := proclus.DefaultOptions(r.K, r.L)
-		opts.Seed = r.Seed
-		opts.Restarts = r.Restarts
-		opts.Workers = r.Workers
-		opts.EarlyStop = r.EarlyStop
-		return proclus.RunContext(ctx, ds, opts)
-	case "doc":
-		opts := doc.DefaultOptions(r.K, r.W)
-		opts.Seed = r.Seed
-		opts.Restarts = r.Restarts
-		opts.Workers = r.Workers
-		opts.EarlyStop = r.EarlyStop
-		return doc.RunContext(ctx, ds, opts)
-	}
-	return nil, fmt.Errorf("unknown algorithm %q (serving supports sspc, proclus, doc)", r.Algo)
 }
 
 // handleFit submits an asynchronous fit: the response carries a job ID to
@@ -398,15 +308,15 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.limitBody(w, r)
-	var req fitRequest
+	req := fitRequest{Fit: model.DefaultFit()}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, bodyErrStatus(err), "fit request: %v", err)
 		return
 	}
-	if req.Scheme != "" && req.Scheme != "m" && req.Scheme != "p" {
-		httpError(w, http.StatusBadRequest, "fit request: unknown threshold scheme %q (m | p)", req.Scheme)
+	if err := req.Check(); err != nil {
+		httpError(w, http.StatusBadRequest, "fit request: %v", err)
 		return
 	}
 	var reqTimeout time.Duration
@@ -422,7 +332,8 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "fit request: %v", err)
 		return
 	}
-	key := model.Key(hash, req.Algo, req.fingerprint(), req.Seed)
+	options := req.Options()
+	key := model.Key(hash, req.Algo, options, req.Seed)
 
 	s.mu.Lock()
 	_, cached := s.models[key]
@@ -498,10 +409,10 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 				runCtx, cancelTimer = context.WithTimeout(ctx, deadline)
 				defer cancelTimer()
 			}
-			res, err := req.run(runCtx, ds, trace)
+			res, _, err := req.Run(runCtx, ds, req.Workers, trace)
 			var m *model.Model
 			if err == nil {
-				m, err = model.FromResult(req.Algo, req.fingerprint(), req.Seed, hash, ds.D(), res)
+				m, err = model.FromResult(req.Algo, options, req.Seed, hash, ds.D(), res)
 			}
 			var enc []byte
 			if err == nil {

@@ -203,7 +203,7 @@ func TestFitPollAssignAndCache(t *testing.T) {
 	_, ts := testServer(t)
 	_, rows, _ := fitAndModel(t)
 
-	req := fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9}
+	req := fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, Rows: rows}
 	resp := postJSON(t, ts.URL+"/fit", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("fit status %d", resp.StatusCode)
@@ -244,21 +244,75 @@ func TestFitPollAssignAndCache(t *testing.T) {
 	}
 }
 
-// TestFitOutOfRangeMFails: a non-zero m reaches core unchanged, so an
-// out-of-range value fails the job with core's error instead of silently
-// fitting the default m under its own registry key.
+// TestFitOutOfRangeMFails: an m the body spells reaches core unchanged, so
+// an out-of-range value, 0 included, fails the job with core's error
+// instead of silently fitting the default m under its own registry key.
 func TestFitOutOfRangeMFails(t *testing.T) {
 	_, ts := testServer(t)
 	_, rows, _ := fitAndModel(t)
-	resp := postJSON(t, ts.URL+"/fit", fitRequest{Algo: "sspc", K: 2, Rows: rows, Seed: 9, M: -1})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("fit status %d", resp.StatusCode)
+	for _, m := range []float64{-1, 0} {
+		resp := postJSON(t, ts.URL+"/fit", map[string]any{"algo": "sspc", "k": 2, "rows": rows, "seed": 9, "m": m})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("m=%v: fit status %d", m, resp.StatusCode)
+		}
+		var j job
+		decodeJSON(t, resp, &j)
+		done := pollJob(t, ts.URL, j.ID)
+		if done.State != "failed" || done.Model != "" || !strings.Contains(done.Error, fmt.Sprintf("m = %v ", m)) {
+			t.Fatalf("m=%v job = %+v, want a failed job carrying core's range error", m, done)
+		}
 	}
-	var j job
-	decodeJSON(t, resp, &j)
-	done := pollJob(t, ts.URL, j.ID)
-	if done.State != "failed" || done.Model != "" || !strings.Contains(done.Error, "m = -1") {
-		t.Fatalf("m=-1 job = %+v, want a failed job carrying core's range error", done)
+}
+
+// TestFitSpellingsShareOneModel: spellings of one fit — fields omitted or
+// given their default values — make one registry key, so the daemon computes
+// the fit once and answers every other spelling from its registry. The same
+// holds for scheme p, whose omitted p is DefaultFit's.
+func TestFitSpellingsShareOneModel(t *testing.T) {
+	_, ts := testServer(t)
+	_, rows, _ := fitAndModel(t)
+	post := func(extra map[string]any) job {
+		t.Helper()
+		body := map[string]any{"algo": "sspc", "k": 2, "rows": rows, "seed": 9}
+		for k, v := range extra {
+			body[k] = v
+		}
+		resp := postJSON(t, ts.URL+"/fit", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%v: fit status %d", extra, resp.StatusCode)
+		}
+		var j job
+		decodeJSON(t, resp, &j)
+		return j
+	}
+	for _, spellings := range [][]map[string]any{
+		{
+			{},
+			{"m": 0.5},
+			{"normalize": "none"},
+			{"restarts": 1},
+			{"scheme": "m", "m": 0.5, "normalize": "none", "restarts": 1},
+		},
+		{{"scheme": "p"}, {"scheme": "p", "p": 0.1}},
+	} {
+		first := pollJob(t, ts.URL, post(spellings[0]).ID)
+		if first.State != "done" {
+			t.Fatalf("%v: job = %+v", spellings[0], first)
+		}
+		for _, extra := range spellings[1:] {
+			if j := post(extra); !j.Cached || j.Model != first.Model {
+				t.Errorf("%v: job = %+v, want a cache hit on %s", extra, j, first.Model)
+			}
+		}
+	}
+	var list []modelSummary
+	resp, err := http.Get(ts.URL + "/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeJSON(t, resp, &list)
+	if len(list) != 2 {
+		t.Errorf("registry holds %d models, want one per fit (2)", len(list))
 	}
 }
 
@@ -280,7 +334,7 @@ func TestFitDataFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	req := fitRequest{Algo: "sspc", K: 2, DataFile: path, Seed: 9}
+	req := fitRequest{Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, DataFile: path}
 	resp := postJSON(t, ts.URL+"/fit", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("fit status %d", resp.StatusCode)
@@ -316,10 +370,10 @@ func TestFitDataFile(t *testing.T) {
 	}
 
 	for name, bad := range map[string]fitRequest{
-		"data_file plus csv":       {Algo: "sspc", K: 2, DataFile: path, CSV: "1,2\n", Seed: 9},
-		"data_file plus rows":      {Algo: "sspc", K: 2, DataFile: path, Rows: rows, Seed: 9},
-		"data_file plus normalize": {Algo: "sspc", K: 2, DataFile: path, Normalize: "zscore", Seed: 9},
-		"data_file missing":        {Algo: "sspc", K: 2, DataFile: filepath.Join(dir, "nope.sspcb"), Seed: 9},
+		"data_file plus csv":       {Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, DataFile: path, CSV: "1,2\n"},
+		"data_file plus rows":      {Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, DataFile: path, Rows: rows},
+		"data_file plus normalize": {Fit: model.Fit{Algo: "sspc", K: 2, Normalize: "zscore", Seed: 9}, DataFile: path},
+		"data_file missing":        {Fit: model.Fit{Algo: "sspc", K: 2, Seed: 9}, DataFile: filepath.Join(dir, "nope.sspcb")},
 	} {
 		resp := postJSON(t, ts.URL+"/fit", bad)
 		resp.Body.Close()
@@ -347,6 +401,14 @@ func TestErrorPaths(t *testing.T) {
 		}, http.StatusBadRequest},
 		{"unknown fit field", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/fit", "application/json", strings.NewReader(`{"algo":"sspc","k":2,"bogus":1}`))
+		}, http.StatusBadRequest},
+		{"CLI-only fit field", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/fit", "application/json",
+				strings.NewReader(`{"algo":"sspc","k":2,"validate":true,"rows":[[1,2],[3,4],[5,6],[7,8]]}`))
+		}, http.StatusBadRequest},
+		{"unknown algorithm", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/fit", "application/json",
+				strings.NewReader(`{"algo":"harp","k":2,"rows":[[1,2],[3,4],[5,6],[7,8]]}`))
 		}, http.StatusBadRequest},
 		{"unknown threshold scheme", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/fit", "application/json",

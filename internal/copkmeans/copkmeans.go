@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
@@ -47,12 +48,7 @@ func FromKnowledge(kn *dataset.Knowledge) *Constraints {
 	for obj := range kn.ObjectLabels {
 		objs = append(objs, obj)
 	}
-	// Sort for determinism.
-	for i := 1; i < len(objs); i++ {
-		for j := i; j > 0 && objs[j] < objs[j-1]; j-- {
-			objs[j], objs[j-1] = objs[j-1], objs[j]
-		}
-	}
+	sort.Ints(objs) // for determinism
 	for i := 0; i < len(objs); i++ {
 		for j := i + 1; j < len(objs); j++ {
 			if kn.ObjectLabels[objs[i]] == kn.ObjectLabels[objs[j]] {
@@ -156,11 +152,7 @@ func prepare(n int, cons *Constraints) (*prep, error) {
 	for r := range byRoot {
 		p.roots = append(p.roots, r)
 	}
-	for i := 1; i < len(p.roots); i++ {
-		for j := i; j > 0 && p.roots[j] < p.roots[j-1]; j-- {
-			p.roots[j], p.roots[j-1] = p.roots[j-1], p.roots[j]
-		}
-	}
+	sort.Ints(p.roots)
 	p.members = make([][]int, len(p.roots))
 	compIdx := make(map[int]int, len(p.roots))
 	for t, r := range p.roots {

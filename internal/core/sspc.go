@@ -81,9 +81,9 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 		} else {
 			st.group = drawPublicGroup(public, rng)
 			if st.group == nil {
-				// Not enough public groups; reuse a random private one or
-				// fall back to a random object as a degenerate group.
-				st.group = fallbackGroup(ds, private, thr, rng)
+				// Not enough public groups: a degenerate group around a
+				// random object, on a private group's dimensions.
+				st.group = fallbackGroup(ds, private, rng)
 			}
 		}
 		st.group.inUse = true
@@ -333,13 +333,17 @@ func drawPublicGroup(public []*seedGroup, rng *stats.RNG) *seedGroup {
 
 // fallbackGroup covers the corner where a cluster cannot get a public group
 // (tiny datasets): a singleton group around a random object with the
-// dimensions of a random private group, or the object's densest dimensions.
-func fallbackGroup(ds *dataset.Dataset, private map[int]*seedGroup, thr *thresholds, rng *stats.RNG) *seedGroup {
+// dimensions of the lowest-class private group, or one random dimension. The
+// group is chosen by class, not by map order, so the fit stays a pure
+// function of its inputs.
+func fallbackGroup(ds *dataset.Dataset, private map[int]*seedGroup, rng *stats.RNG) *seedGroup {
 	obj := rng.Intn(ds.N())
 	var dims []int
-	for _, g := range private {
-		dims = g.dims
-		break
+	lowest := -1
+	for class, g := range private {
+		if lowest < 0 || class < lowest {
+			lowest, dims = class, g.dims
+		}
 	}
 	if len(dims) == 0 {
 		dims = []int{rng.Intn(ds.D())}

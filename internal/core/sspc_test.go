@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -373,5 +374,22 @@ func TestFitAllocBound(t *testing.T) {
 		t.Errorf("one fit allocated %d bytes, want < 2·n·d·8 = %d", got, limit)
 	} else {
 		t.Logf("one fit allocated %.2f MB (limit %.2f MB)", float64(got)/(1<<20), float64(limit)/(1<<20))
+	}
+}
+
+// TestFallbackGroupIgnoresMapOrder: a cluster that gets no public group takes
+// the dimensions of the lowest-class private group on every call, whatever
+// order the map yields its groups in.
+func TestFallbackGroupIgnoresMapOrder(t *testing.T) {
+	gt := generate(t, synth.Config{N: 20, D: 8, K: 2, AvgDims: 3, Seed: 1})
+	private := map[int]*seedGroup{
+		3: {seeds: []int{0}, dims: []int{4, 6}, class: 3},
+		1: {seeds: []int{1}, dims: []int{0, 2}, class: 1},
+	}
+	for i := 0; i < 500; i++ {
+		g := fallbackGroup(gt.Data, private, newTestRNGCore(int64(i)))
+		if !reflect.DeepEqual(g.dims, []int{0, 2}) || g.class != -1 || len(g.seeds) != 1 {
+			t.Fatalf("call %d: group %+v, want a singleton on class 1's dims [0 2]", i, g)
+		}
 	}
 }

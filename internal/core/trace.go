@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 // Trace lets callers observe the main loop: one IterationStats per
 // iteration, plus the seed-group summary from initialization. It exists for
@@ -82,12 +85,9 @@ func (t *Trace) emitInit(restart int, private map[int]*seedGroup, public []*seed
 	for _, g := range public {
 		infos = append(infos, SeedGroupInfo{Class: -1, Seeds: len(g.seeds), Dims: len(g.dims)})
 	}
-	// Sort: private groups by class, then public.
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && less(infos[j], infos[j-1]); j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
+	// Private groups by class, then public ones in creation order: public
+	// groups compare equal, so the sort must be stable.
+	sort.SliceStable(infos, func(i, j int) bool { return less(infos[i], infos[j]) })
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.OnInit(restart, infos)

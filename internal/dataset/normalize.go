@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/stats"
@@ -12,6 +13,23 @@ import (
 // (gene expression, nutrition tables) generally do not; the distance-based
 // algorithms and the width parameters of DOC/CLIQUE assume comparable
 // scales across dimensions.
+
+// Normalize applies the named preprocessing: "none" or "" returns ds
+// itself, "zscore", "minmax" and "robust" return a normalized copy, and any
+// other name is an error.
+func Normalize(ds *Dataset, method string) (*Dataset, error) {
+	switch method {
+	case "", "none":
+		return ds, nil
+	case "zscore":
+		return ZScoreNormalize(ds)
+	case "minmax":
+		return MinMaxNormalize(ds)
+	case "robust":
+		return RobustNormalize(ds)
+	}
+	return nil, fmt.Errorf("unknown normalization %q", method)
+}
 
 // ZScoreNormalize returns a copy of the dataset with every column
 // standardized to zero mean and unit sample variance. Constant columns

@@ -53,6 +53,34 @@ func TestMinMaxNormalize(t *testing.T) {
 	}
 }
 
+func TestNormalizeByName(t *testing.T) {
+	ds := mustFromRows(t, [][]float64{{10, -1}, {20, 0}, {30, 3}, {35, 9}})
+	for _, method := range []string{"", "none"} {
+		if out, err := Normalize(ds, method); err != nil || out != ds {
+			t.Errorf("Normalize(%q) = %p, %v; want ds itself", method, out, err)
+		}
+	}
+	for method, fn := range map[string]func(*Dataset) (*Dataset, error){
+		"zscore": ZScoreNormalize, "minmax": MinMaxNormalize, "robust": RobustNormalize,
+	} {
+		got, err := Normalize(ds, method)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		want, _ := fn(ds)
+		for x := 0; x < ds.N(); x++ {
+			for j := 0; j < ds.D(); j++ {
+				if got.At(x, j) != want.At(x, j) {
+					t.Errorf("%s: (%d,%d) = %v, want %v", method, x, j, got.At(x, j), want.At(x, j))
+				}
+			}
+		}
+	}
+	if _, err := Normalize(ds, "log"); err == nil {
+		t.Error("unknown normalization should error")
+	}
+}
+
 func TestRobustNormalizeResistsOutliers(t *testing.T) {
 	// One extreme outlier: z-scoring squashes the inliers, robust scaling
 	// does not.

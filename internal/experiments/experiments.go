@@ -142,21 +142,3 @@ func parallelCells(ctx context.Context, workers int, cells ...func() error) erro
 		})
 	return err
 }
-
-// median returns the median of xs (for the knowledge experiments, which
-// report the median of repeated runs with independent input draws).
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
-}

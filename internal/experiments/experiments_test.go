@@ -233,15 +233,6 @@ func TestSubspaceBaselinesTiny(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if got := median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("median odd = %v", got)
-	}
-	if got := median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Errorf("median even = %v", got)
-	}
-	if got := median(nil); got != 0 {
-		t.Errorf("median empty = %v", got)
-	}
 	if got := scaleInt(1000, 0.1, 300); got != 300 {
 		t.Errorf("scaleInt floor = %v", got)
 	}

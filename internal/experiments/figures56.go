@@ -47,7 +47,7 @@ func medianKnowledgeARI(ctx context.Context, gt *synth.GroundTruth, k int, kcfg 
 	if err != nil {
 		return 0, err
 	}
-	return median(vals), nil
+	return stats.Median(vals), nil
 }
 
 // fig5Dataset generates the §5.3 gene-expression-like dataset: n = 150,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -96,7 +97,7 @@ func NoisyInputsContext(ctx context.Context, cfg Config) (*Table, error) {
 			flaggedTotal += o.flagged
 		}
 		t.Add(fmt.Sprintf("%d%%", pct),
-			median(trustVals), median(validVals), flaggedTotal/float64(cfg.Repeats))
+			stats.Median(trustVals), stats.Median(validVals), flaggedTotal/float64(cfg.Repeats))
 	}
 	return t, nil
 }
@@ -112,12 +113,7 @@ func corruptObjectLabels(gt *synth.GroundTruth, kn *dataset.Knowledge, frac floa
 	for obj := range kn.ObjectLabels {
 		objs = append(objs, obj)
 	}
-	// Deterministic order before sampling.
-	for i := 1; i < len(objs); i++ {
-		for j := i; j > 0 && objs[j] < objs[j-1]; j-- {
-			objs[j], objs[j-1] = objs[j-1], objs[j]
-		}
-	}
+	sort.Ints(objs) // deterministic order before sampling
 	nCorrupt := int(frac * float64(len(objs)))
 	for _, idx := range rng.Sample(len(objs), nCorrupt) {
 		obj := objs[idx]

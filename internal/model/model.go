@@ -68,9 +68,9 @@ type Cluster struct {
 type Model struct {
 	// Algo names the fitting algorithm: "sspc", "proclus" or "doc".
 	Algo string `json:"algo"`
-	// Options is the canonical option fingerprint of the fit, as built by
-	// the writer (cmd/sspc encodes its effective flags). Opaque to the
-	// decoder; it only participates in identity (Key).
+	// Options is the canonical options string of the fit, as Fit.Options
+	// builds it for cmd/sspc and cmd/sspcd. Opaque to the decoder; it only
+	// participates in identity (Key).
 	Options string `json:"options"`
 	// Seed is the RNG seed the fit ran with.
 	Seed int64 `json:"seed"`

@@ -11,6 +11,7 @@ package synth
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -168,7 +169,7 @@ func Generate(cfg Config) (*GroundTruth, error) {
 			}
 		}
 		picked := rng.Sample(cfg.D, li)
-		sortInts(picked)
+		sort.Ints(picked)
 		dims[c] = picked
 		centers[c] = make(map[int]float64, li)
 		sds[c] = make(map[int]float64, li)
@@ -259,12 +260,4 @@ func clusterSizes(rng *stats.RNG, n, k int, minFrac float64) ([]int, error) {
 		sizes[t%k]++
 	}
 	return sizes, nil
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
