@@ -25,9 +25,11 @@
 //	    warning into a hard error
 //
 // The default suite covers the columnar evaluation kernel and the bulk row
-// gather (BenchmarkEvaluateColumnar, BenchmarkGatherRows), the disk storage tier
-// (BenchmarkGatherRowsMmap, BenchmarkClusterMmap — the same gather and
-// full-clustering shapes over an mmap-backed .sspcb file), the cluster-chunked
+// gather (BenchmarkEvaluateColumnar, BenchmarkGatherRows), the seed-group
+// grid SSPC's initialization builds (BenchmarkGridBuild, charted but not a
+// required key), the disk storage tier (BenchmarkGatherRowsMmap,
+// BenchmarkClusterMmap — the same gather and full-clustering shapes over an
+// mmap-backed .sspcb file), the cluster-chunked
 // parallel evaluation path (BenchmarkEvaluateParallel), the chunked
 // COP-KMeans constrained-assignment pass
 // (BenchmarkConstrainedAssignChunked), the macro assignment benchmark
@@ -57,7 +59,7 @@ import (
 )
 
 // defaultBench is the named benchmark suite a bare `bench` run executes.
-const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign)$"
+const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGridBuild|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign)$"
 
 // requiredKeys are the benchmark names (GOMAXPROCS suffix stripped) a valid
 // baseline must contain: the two EvaluateColumnar legs that compare the

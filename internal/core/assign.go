@@ -20,10 +20,11 @@ import (
 //
 // Both loops are also allocation-free in steady state
 // (TestAssignZeroAllocSteadyState, TestEvaluateZeroAllocSteadyState): every
-// buffer — the packed assignment triples, the per-cluster dims outputs, the
-// kernel scratch — lives on the assigner or its per-worker scratch slots,
-// and the chunk closures are built once at construction instead of per
-// call. The call state the closures need (dataset, clusters, outputs) is
+// buffer — the packed assignment triples, the kernel scratch, each
+// cluster's evaluation record and dims — lives on the assigner, its
+// per-worker scratch slots or the cluster state and grows to a high-water
+// mark, and the chunk closures are built once at construction instead of
+// per call. The call state the closures need (dataset, clusters, outputs) is
 // published to assigner fields before each ParallelChunksCtx call; on the
 // parallel path ParallelChunksCtx's WaitGroup provides the happens-before
 // edge, and a field is only written between calls, never during one.
@@ -32,7 +33,6 @@ import (
 type assigner struct {
 	workers int
 	scratch *engine.Scratch[*evalScratch]
-	dimsOut [][]int // per-cluster selected-dims storage, cap d each
 
 	// Packed per-cluster assignment triples: for cluster i and its t-th
 	// selected dimension j = packDims[i][t], packRep[i][t] is the
@@ -66,13 +66,11 @@ func newAssigner(n, d, k, workers int) *assigner {
 	a := &assigner{
 		workers:  workers,
 		scratch:  engine.NewScratch(slots, func() *evalScratch { return newEvalScratch(d) }),
-		dimsOut:  make([][]int, k),
 		packDims: make([][]int, k),
 		packRep:  make([][]float64, k),
 		packSHat: make([][]float64, k),
 	}
 	for i := 0; i < k; i++ {
-		a.dimsOut[i] = make([]int, 0, d)
 		a.packDims[i] = make([]int, 0, d)
 		a.packRep[i] = make([]float64, 0, d)
 		a.packSHat[i] = make([]float64, 0, d)
@@ -86,12 +84,9 @@ func newAssigner(n, d, k, workers int) *assigner {
 		s := a.scratch.Get(worker)
 		for i := lo; i < hi; i++ {
 			st := a.clusters[i]
-			ev := evaluateCluster(a.ds, st.members, a.thr, s, a.dimsOut[i])
-			a.dimsOut[i] = ev.dims
-			st.dims = ev.dims
-			st.phi = ev.phi
-			// s.evals still holds this cluster's per-dimension outcomes.
-			st.next.seed(st.members, s.evals)
+			st.last.evaluate(a.ds, st.members, a.thr, s)
+			st.dims = append(st.dims[:0], st.last.dims...)
+			st.phi = st.last.phi
 		}
 	}
 	return a
@@ -168,12 +163,12 @@ func (a *assigner) assign(ctx context.Context, ds *dataset.Dataset, clusters []*
 // evaluate reruns SelectDim on every cluster's current members and returns
 // Σ_i φ_i. The clusters run through engine.ParallelChunksCtx one per chunk,
 // each evaluated on its own worker-slot kernel scratch, and each chunk
-// writes only its own cluster's state (st.dims, st.phi, st.next,
-// dimsOut[i]), so the parallel writes stay disjoint. After the call the
-// st.phi slots are summed serially in ascending cluster index — the same
-// additions in the same order for every worker count. The dims slices
-// installed on the states alias the assigner's per-cluster buffers, which
-// the caller's cluster states own until the next evaluate call.
+// writes only its own cluster's state (st.last, st.dims, st.phi), so the
+// parallel writes stay disjoint. A cluster whose members are the list its
+// record already holds skips the kernel; either way its dims and φ_i are
+// installed from the record. After the call the st.phi slots are summed
+// serially in ascending cluster index — the same additions in the same
+// order for every worker count.
 func (a *assigner) evaluate(ctx context.Context, ds *dataset.Dataset, clusters []*state, thr *thresholds) (float64, error) {
 	a.ds, a.clusters, a.thr = ds, clusters, thr
 	err := engine.ParallelChunksCtx(ctx, len(clusters), 1, a.scratch.Slots(), a.evalFn)

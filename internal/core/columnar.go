@@ -204,7 +204,7 @@ func NewParallelEvalBench(ds *dataset.Dataset, opts Options, membersByCluster []
 	k := len(membersByCluster)
 	clusters := make([]*state, k)
 	for i, members := range membersByCluster {
-		clusters[i] = &state{members: members, prevSize: maxInt(2, len(members)), next: newRepresentative(ds.D())}
+		clusters[i] = &state{members: members, prevSize: maxInt(2, len(members))}
 	}
 	return &ParallelEvalBench{
 		ds:       ds,
@@ -215,8 +215,14 @@ func NewParallelEvalBench(ds *dataset.Dataset, opts Options, membersByCluster []
 }
 
 // Evaluate runs one full Step-4 pass (SelectDim + φ_i on every cluster,
-// chunked across the harness's workers) and returns Σ_i φ_i.
+// chunked across the harness's workers) and returns Σ_i φ_i. The member
+// lists never change between calls, so it first drops every cluster's
+// evaluation record; otherwise every call after the first would reuse it
+// and measure no kernel work.
 func (b *ParallelEvalBench) Evaluate() float64 {
+	for _, st := range b.clusters {
+		st.last.valid = false
+	}
 	total, err := b.par.evaluate(context.Background(), b.ds, b.clusters, b.thr)
 	if err != nil {
 		// Background never cancels; only an injected fault can land here,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -130,7 +131,6 @@ func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state
 			members:  members,
 			prevSize: len(members),
 			rep:      newRepresentative(d),
-			next:     newRepresentative(d),
 		}
 		clusters[i].rep.setMedian(members)
 	}
@@ -172,10 +172,13 @@ func TestAssignZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestEvaluateZeroAllocSteadyState pins the Step-4 evaluation kernel —
-// Welford pass, the medians it takes, per-dimension φ_ij, dimension
-// selection, seeding each cluster's next representative — at zero
-// steady-state allocations on both storage layouts.
+// TestEvaluateZeroAllocSteadyState pins the Step-4 evaluation at zero
+// steady-state allocations on both storage layouts, on both of its paths.
+// When every call hands each cluster a list other than its last one, every
+// call misses its evaluation record and runs the kernel: Welford pass, the
+// medians it takes, per-dimension φ_ij, dimension selection, and the
+// record's copy of the list, dims and medians. When the list repeats, every
+// call reuses the record.
 func TestEvaluateZeroAllocSteadyState(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 240, D: 30, K: 3, AvgDims: 8, Seed: 10})
 	if err != nil {
@@ -183,10 +186,32 @@ func TestEvaluateZeroAllocSteadyState(t *testing.T) {
 	}
 	for label, ds := range storageVariants(t, gt.Data, 4) {
 		par, clusters, _, thr := allocFixture(t, ds, 3)
+		// Each cluster alternates between its members and their prefix
+		// without the last one.
+		lists := make([][2][]int, len(clusters))
+		for i, st := range clusters {
+			if len(st.members) == 0 {
+				t.Fatalf("%s: cluster %d is empty after warm-up", label, i)
+			}
+			lists[i] = [2][]int{slices.Clone(st.members), slices.Clone(st.members[:len(st.members)-1])}
+		}
+		call := 0
+		alternate := func() {
+			for i, st := range clusters {
+				st.members = lists[i][call%2]
+			}
+			call++
+			par.evaluate(context.Background(), ds, clusters, thr)
+		}
+		alternate()
+		alternate() // both lists once, so every record buffer is at its high-water mark
+		if allocs := testing.AllocsPerRun(10, alternate); allocs != 0 {
+			t.Errorf("%s: evaluation, every record missed: allocs/op = %v, want 0", label, allocs)
+		}
 		if allocs := testing.AllocsPerRun(10, func() {
 			par.evaluate(context.Background(), ds, clusters, thr)
 		}); allocs != 0 {
-			t.Errorf("%s: evaluation kernel allocs/op = %v, want 0", label, allocs)
+			t.Errorf("%s: evaluation, every record reused: allocs/op = %v, want 0", label, allocs)
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/synth"
 )
 
@@ -157,7 +161,8 @@ func TestDispersionColumnEmptyIsInf(t *testing.T) {
 	}
 	thr := thresholdsFor(gt.Data, SchemeM, 0.5)
 	s := newEvalScratch(gt.Data.D())
-	ev := evaluateCluster(gt.Data, nil, thr, s, nil)
+	var ev evalRecord
+	ev.evaluate(gt.Data, nil, thr, s)
 	if len(ev.dims) != 0 || ev.phi != 0 {
 		t.Errorf("empty cluster: dims=%v φ=%v, want none selected and φ=0", ev.dims, ev.phi)
 	}
@@ -191,6 +196,99 @@ func TestEvaluateParallelScratchRace(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		if got := par.Evaluate(); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("round %d: Σφ = %v, want %v", round, got, want)
+		}
+	}
+}
+
+// TestEvalRecordHitMatchesFresh: when a cluster's member list repeats its
+// last evaluated one, Step 4 reuses the evaluation record, and the outcome
+// equals a fresh evaluation of the same lists bit for bit: every cluster's
+// selected dims and φ_i, Σφ, and every coordinate the representative Step 6
+// seeds from the record holds (known flag and value) and then returns. The
+// repeat follows a plain iteration, a restore (dims, φ_i and the
+// representative moved to a best-so-far state), and a bad-cluster
+// replacement (a medoid representative on a seed group's dims), at workers
+// 1 and 4, on flat and mmap storage, including an empty and a singleton
+// cluster.
+func TestEvalRecordHitMatchesFresh(t *testing.T) {
+	gt, err := synth.Generate(synth.Config{N: 240, D: 30, K: 3, AvgDims: 8, Seed: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	members := evalClusters(gt.Data.N(), k)
+	other := evalClusters(gt.Data.N()-7, k) // a different best-so-far partition
+	legs := map[string]func(ds *dataset.Dataset, i int, st *state){
+		"repeat": func(*dataset.Dataset, int, *state) {},
+		"restore": func(_ *dataset.Dataset, i int, st *state) {
+			st.dims = append(st.dims[:0], i, i+2)
+			st.phi = -1
+			st.rep.setMedian(other[i])
+		},
+		"replacement": func(ds *dataset.Dataset, i int, st *state) {
+			st.rep.setVector(ds.Row(i))
+			st.dims = append(st.dims[:0], 2*i+1)
+		},
+	}
+	newClusters := func(d int) []*state {
+		clusters := make([]*state, k)
+		for i := range clusters {
+			clusters[i] = &state{members: members[i], dims: []int{i}, rep: newRepresentative(d)}
+		}
+		return clusters
+	}
+	for label, ds := range storageVariants(t, gt.Data, 4) {
+		d := ds.D()
+		thr := thresholdsFor(ds, SchemeM, 0.5)
+		for _, workers := range []int{1, 4} {
+			fresh := newClusters(d)
+			want, err := newAssigner(ds.N(), d, k, workers).evaluate(context.Background(), ds, fresh, thr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for leg, perturb := range legs {
+				name := fmt.Sprintf("%s/workers=%d/%s", label, workers, leg)
+				par := newAssigner(ds.N(), d, k, workers)
+				clusters := newClusters(d)
+				if _, err := par.evaluate(context.Background(), ds, clusters, thr); err != nil {
+					t.Fatal(err)
+				}
+				for i, st := range clusters {
+					perturb(ds, i, st)
+					if !st.last.valid || !slices.Equal(st.last.members, members[i]) {
+						t.Fatalf("%s cluster %d: the record does not hold the repeated list", name, i)
+					}
+				}
+				got, err := par.evaluate(context.Background(), ds, clusters, thr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: Σφ = %x, want the fresh %x", name, math.Float64bits(got), math.Float64bits(want))
+				}
+				for i, st := range clusters {
+					f := fresh[i]
+					if !slices.Equal(st.dims, f.dims) || math.Float64bits(st.phi) != math.Float64bits(f.phi) {
+						t.Errorf("%s cluster %d: dims %v φ_i %x, want %v %x", name, i, st.dims, math.Float64bits(st.phi), f.dims, math.Float64bits(f.phi))
+					}
+					r, fr := newRepresentative(d), newRepresentative(d)
+					r.seed(&st.last)
+					fr.seed(&f.last)
+					for j := 0; j < d; j++ {
+						if r.known[j] != fr.known[j] || (r.known[j] && math.Float64bits(r.vals[j]) != math.Float64bits(fr.vals[j])) {
+							t.Errorf("%s cluster %d dim %d: seeded (%v, %v), want (%v, %v)", name, i, j, r.known[j], r.vals[j], fr.known[j], fr.vals[j])
+						}
+					}
+					if len(members[i]) == 0 {
+						continue
+					}
+					for j, v := range ds.MedianVector(members[i]) {
+						if got := r.at(ds, j); math.Float64bits(got) != math.Float64bits(v) {
+							t.Errorf("%s cluster %d dim %d: median %x, want %x", name, i, j, math.Float64bits(got), math.Float64bits(v))
+						}
+					}
+				}
+			}
 		}
 	}
 }

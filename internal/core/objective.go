@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -116,27 +117,52 @@ func phiCluster(ds *dataset.Dataset, members []int, dims []int, thr *thresholds,
 	return total
 }
 
-// clusterEval is the outcome of SelectDim + φ_i for one cluster.
-type clusterEval struct {
-	dims []int
-	phi  float64
+// evalRecord is a cluster's record of its last Step-4 evaluation: the
+// member list, the dimensions SelectDim selected, φ_i, and every median the
+// kernel took, as sparse (dimension, median) pairs. Within a restart the
+// outcome is a pure function of the member list: ŝ²_ij = s²_j · scale(n_i)
+// depends on the list only through its length, and the kernel reads nothing
+// but the member rows and those thresholds. So when Step 3 hands a cluster
+// back the list it evaluated last, the record is reused as it stands. A
+// restore or a bad-cluster replacement changes the cluster's representative
+// and dims, never that function, so neither touches the record. Its buffers
+// grow to their high-water mark and are reused.
+type evalRecord struct {
+	valid   bool // the fields below describe members
+	members []int
+	dims    []int
+	phi     float64
+	medians []dimMedian // ascending dimension
 }
 
-// evaluateCluster runs SelectDim on the members and returns the selected
-// dimensions with the resulting φ_i. The selected dimensions are appended
-// into dims[:0], so a caller that hands in a buffer of capacity d gets an
-// allocation-free evaluation.
-func evaluateCluster(ds *dataset.Dataset, members []int, thr *thresholds, s *evalScratch, dims []int) clusterEval {
+// dimMedian is the median µ̃_ij one evaluation took on dimension dim.
+type dimMedian struct {
+	dim    int
+	median float64
+}
+
+// evaluate makes r the record of members: it runs SelectDim + φ_i through
+// the columnar kernel on scratch s, unless r already records exactly this
+// list. φ_i adds the selected φ_ij in ascending dimension order.
+func (r *evalRecord) evaluate(ds *dataset.Dataset, members []int, thr *thresholds, s *evalScratch) {
+	if r.valid && slices.Equal(r.members, members) {
+		return
+	}
 	evals := evaluateDims(ds, members, thr, s)
-	dims = dims[:0]
+	r.members = append(r.members[:0], members...)
+	r.dims, r.medians = r.dims[:0], r.medians[:0]
 	phi := 0.0
 	for j, e := range evals {
+		if e.hasMedian {
+			r.medians = append(r.medians, dimMedian{dim: j, median: e.median})
+		}
 		if e.selected {
-			dims = append(dims, j)
+			r.dims = append(r.dims, j)
 			phi += e.phi
 		}
 	}
-	return clusterEval{dims: dims, phi: phi}
+	r.phi = phi
+	r.valid = true
 }
 
 // overallPhi normalizes the summed cluster scores by n·d (Equation 1).

@@ -87,11 +87,12 @@ func TestEvaluateClusterConsistent(t *testing.T) {
 	thr := thresholdsFor(gt.Data, SchemeM, 0.5)
 	members := gt.MembersOfClass(1)
 	buf := make([]float64, len(members))
-	ev := evaluateCluster(gt.Data, members, thr, newEvalScratch(gt.Data.D()), nil)
-	// φ_i from evaluateCluster equals phiCluster over the same dims.
+	var ev evalRecord
+	ev.evaluate(gt.Data, members, thr, newEvalScratch(gt.Data.D()))
+	// φ_i of the evaluation record equals phiCluster over the same dims.
 	direct := phiCluster(gt.Data, members, ev.dims, thr, buf)
 	if math.Abs(ev.phi-direct) > 1e-9*(1+math.Abs(direct)) {
-		t.Errorf("evaluateCluster φ=%v, phiCluster=%v", ev.phi, direct)
+		t.Errorf("evaluation record φ=%v, phiCluster=%v", ev.phi, direct)
 	}
 	// And matches the sum of per-dim φ_ij.
 	sum := 0.0
@@ -124,7 +125,8 @@ func TestSelectDimMaximizesPhiProperty(t *testing.T) {
 		thr := thresholdsFor(ds, SchemeM, 0.6)
 		members := rng.Sample(n, 3+rng.Intn(n-3))
 		buf := make([]float64, len(members))
-		ev := evaluateCluster(ds, members, thr, newEvalScratch(d), nil)
+		var ev evalRecord
+		ev.evaluate(ds, members, thr, newEvalScratch(d))
 
 		selected := make(map[int]bool, len(ev.dims))
 		for _, j := range ev.dims {

@@ -62,13 +62,11 @@ func (r *representative) setMedian(members []int) {
 	clear(r.known)
 }
 
-// seed makes the representative the median of members and records every
-// median an evaluation of those same members already took.
-func (r *representative) seed(members []int, evals []dimEval) {
-	r.setMedian(members)
-	for j, e := range evals {
-		if e.hasMedian {
-			r.vals[j], r.known[j] = e.median, true
-		}
+// seed makes the representative the median of the record's member list and
+// installs every median the record's evaluation took over that list.
+func (r *representative) seed(rec *evalRecord) {
+	r.setMedian(rec.members)
+	for _, m := range rec.medians {
+		r.vals[m.dim], r.known[m.dim] = m.median, true
 	}
 }

@@ -44,14 +44,9 @@ func TestRepresentativeMatchesMedianVector(t *testing.T) {
 		}
 		for name, members := range memberSets {
 			want := ds.MedianVector(members)
-			evals := evaluateDims(ds, members, thr, s)
-			seeded := 0
-			for _, e := range evals {
-				if e.hasMedian {
-					seeded++
-				}
-			}
-			if seeded > 0 && seeded < d {
+			var rec evalRecord
+			rec.evaluate(ds, members, thr, s)
+			if seeded := len(rec.medians); seeded > 0 && seeded < d {
 				mixed = true
 			}
 			other := members[:len(members)-1] // a prefix: same start, other list
@@ -60,9 +55,9 @@ func TestRepresentativeMatchesMedianVector(t *testing.T) {
 			}
 			legs := map[string]func(r *representative){
 				"empty":  func(r *representative) { r.setMedian(members) },
-				"seeded": func(r *representative) { r.seed(members, evals) },
+				"seeded": func(r *representative) { r.seed(&rec) },
 				"kept": func(r *representative) {
-					r.seed(members, evals)
+					r.seed(&rec)
 					r.at(ds, 0)
 					r.setMedian(members)
 				},

@@ -20,9 +20,11 @@ type state struct {
 	group    *seedGroup // the seed group currently backing this cluster
 
 	// rep is the representative Step 3 scores against and detectBadCluster
-	// compares. next holds the medians Step 4 took over this iteration's
-	// members; it becomes rep when the iteration improves φ.
-	rep, next representative
+	// compares. last records Step 4's evaluation of the cluster's most
+	// recently evaluated member list; when an iteration improves φ, rep
+	// becomes that list's median, seeded with the medians Step 4 took.
+	rep  representative
+	last evalRecord
 }
 
 // RunContext executes SSPC (Listing 2 of the paper) on the dataset and
@@ -75,7 +77,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 	n, d := ds.N(), ds.D()
 	clusters := make([]*state, opts.K)
 	for i := range clusters {
-		st := &state{prevSize: maxInt(2, n/opts.K), rep: newRepresentative(d), next: newRepresentative(d)}
+		st := &state{prevSize: maxInt(2, n/opts.K), rep: newRepresentative(d)}
 		if g, ok := private[i]; ok {
 			st.group = g
 		} else {
@@ -129,8 +131,10 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 		}
 
 		// Step 4: redetermine the selected dimensions with the actual
-		// medians (one worker per cluster) and compute the overall objective
-		// score by ordered reduction over cluster indices.
+		// medians (one worker per cluster; a cluster whose member list
+		// repeats its last evaluated one reuses that evaluation) and compute
+		// the overall objective score by ordered reduction over cluster
+		// indices.
 		phiSum, err := par.evaluate(ctx, ds, clusters, thr)
 		if err != nil {
 			return nil, err
@@ -191,7 +195,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 			case opts.Representative == MeanRepresentative:
 				st.rep.setVector(ds.MeanVector(st.members))
 			case improved:
-				st.rep, st.next = st.next, st.rep
+				st.rep.seed(&st.last)
 			default:
 				st.rep.setMedian(st.members)
 			}

@@ -342,39 +342,58 @@ func TestKnowledgeForSubsetOfClassesOnly(t *testing.T) {
 	}
 }
 
-// TestFitAllocBound pins what one whole fit allocates on the paper's
-// extremely low-dimensional shape (n=150, d=3000, five labeled objects and
-// dimensions per class): less than 2·n·d·8 bytes. A Step-4 evaluation
-// that gathered each cluster's ni×d member block again, or a Step 6 that
-// took every cluster's full median vector, would cross it.
+// TestFitAllocBound pins what one whole fit allocates, at workers 1, on two
+// shapes.
+//
+//   - lowdim: the paper's extremely low-dimensional shape (n=150, d=3000,
+//     five labeled objects and dimensions per class) allocates less than
+//     2·n·d·8 bytes. A Step-4 evaluation that gathered each cluster's ni×d
+//     member block again, or a Step 6 that took every cluster's full median
+//     vector, would cross it.
+//   - paper: the §5.1 shape (n=4000, d=100, no knowledge) makes fewer than
+//     2·n allocations. Seed-group grids that appended each object into a
+//     per-cell slice made about 100k.
 func TestFitAllocBound(t *testing.T) {
-	gt, err := synth.Generate(synth.Config{N: 150, D: 3000, K: 5, AvgDims: 30, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	fit := func(t *testing.T, gt *synth.GroundTruth, opts Options) (bytes, mallocs uint64) {
+		t.Helper()
+		opts.Seed = 1
+		opts.Workers = 1
+		gt.Data.ColVariance(0) // the column statistics are the dataset's, not the fit's
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := RunContext(context.Background(), gt.Data, opts)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
 	}
-	opts := DefaultOptions(5)
-	opts.Seed = 1
-	opts.Workers = 1
-	opts.Knowledge, err = synth.SampleKnowledge(gt, synth.KnowledgeConfig{
-		Kind: synth.ObjectsAndDims, Coverage: 1, Size: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt.Data.ColVariance(0) // the column statistics are the dataset's, not the fit's
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	_, err = RunContext(context.Background(), gt.Data, opts)
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, d := gt.Data.N(), gt.Data.D()
-	limit := uint64(2 * n * d * 8)
-	if got := m1.TotalAlloc - m0.TotalAlloc; got >= limit {
-		t.Errorf("one fit allocated %d bytes, want < 2·n·d·8 = %d", got, limit)
-	} else {
-		t.Logf("one fit allocated %.2f MB (limit %.2f MB)", float64(got)/(1<<20), float64(limit)/(1<<20))
-	}
+	t.Run("lowdim", func(t *testing.T) {
+		gt := generate(t, synth.Config{N: 150, D: 3000, K: 5, AvgDims: 30, Seed: 1})
+		opts := DefaultOptions(5)
+		var err error
+		opts.Knowledge, err = synth.SampleKnowledge(gt, synth.KnowledgeConfig{
+			Kind: synth.ObjectsAndDims, Coverage: 1, Size: 5, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := fit(t, gt, opts)
+		n, d := gt.Data.N(), gt.Data.D()
+		if limit := uint64(2 * n * d * 8); got >= limit {
+			t.Errorf("one fit allocated %d bytes, want < 2·n·d·8 = %d", got, limit)
+		} else {
+			t.Logf("one fit allocated %.2f MB (limit %.2f MB)", float64(got)/(1<<20), float64(limit)/(1<<20))
+		}
+	})
+	t.Run("paper", func(t *testing.T) {
+		gt := generate(t, synth.Config{N: 4000, D: 100, K: 5, AvgDims: 10, Seed: 1})
+		_, got := fit(t, gt, DefaultOptions(5))
+		if limit := uint64(2 * gt.Data.N()); got >= limit {
+			t.Errorf("one fit made %d allocations, want < 2·n = %d", got, limit)
+		} else {
+			t.Logf("one fit made %d allocations (limit %d)", got, limit)
+		}
+	})
 }
 
 // TestFallbackGroupIgnoresMapOrder: a cluster that gets no public group takes

@@ -5,24 +5,37 @@
 // each dimension's range into a fixed number of equi-width cells; when all c
 // dimensions are relevant to one cluster, one cell near the cluster center
 // holds an unexpectedly large number of objects.
+//
+// A grid stores only its occupied cells, in compressed sparse row (CSR)
+// form: the occupied keys in ascending order, an offsets array, and one
+// member slice that holds every cell's objects back to back. Build fills it
+// by counting, not by appending to per-cell slices, so one build makes a
+// fixed handful of allocations whatever the number of objects or cells.
 package grid
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 )
 
 // Grid is a multi-dimensional equi-width histogram over a subset of
-// dimensions.
+// dimensions. Its occupied cells are stored in CSR form: keys[u] is the u-th
+// occupied cell's encoded key, in ascending order, and that cell's objects
+// are members[start[u]:start[u+1]], in the order Build folded them in.
 type Grid struct {
 	dims  []int
 	bins  int
 	lo    []float64
 	width []float64
-	cells map[int64][]int // encoded cell -> member object ids
+
+	keys    []int64
+	start   []int
+	members []int
 }
 
 // Build constructs a grid over the given dimensions with bins cells per
@@ -37,15 +50,22 @@ func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, err
 	if bins < 2 {
 		return nil, errors.New("grid: need at least 2 bins per dimension")
 	}
-	if math.Pow(float64(bins), float64(len(dims))) >= math.MaxInt64/2 {
+	space := math.Pow(float64(bins), float64(len(dims)))
+	if space >= math.MaxInt64/2 {
 		return nil, fmt.Errorf("grid: %d^%d cells cannot be encoded", bins, len(dims))
+	}
+	m := len(include)
+	if include == nil {
+		m = ds.N()
+	}
+	if m == 0 {
+		return nil, errors.New("grid: no objects included")
 	}
 	g := &Grid{
 		dims:  append([]int(nil), dims...),
 		bins:  bins,
 		lo:    make([]float64, len(dims)),
 		width: make([]float64, len(dims)),
-		cells: make(map[int64][]int),
 	}
 	for t, j := range dims {
 		lo, hi := ds.ColMin(j), ds.ColMax(j)
@@ -55,23 +75,93 @@ func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, err
 		g.lo[t] = lo
 		g.width[t] = (hi - lo) / float64(bins)
 	}
-	fold := func(i int) {
-		key := g.CellOfPoint(ds.Row(i))
-		g.cells[key] = append(g.cells[key], i)
+	// cellOf[t] is the cell of the t-th included object.
+	cellOf := make([]int64, m)
+	for t := range cellOf {
+		cellOf[t] = g.CellOfPoint(ds.Row(object(include, t)))
 	}
-	if include == nil {
-		for i := 0; i < ds.N(); i++ {
-			fold(i)
-		}
+	if cells := int64(space); denseFits(cells, m) {
+		g.countDense(cellOf, include, int(cells))
 	} else {
-		for _, i := range include {
-			fold(i)
-		}
-	}
-	if len(g.cells) == 0 {
-		return nil, errors.New("grid: no objects included")
+		g.sortSparse(cellOf, include)
 	}
 	return g, nil
+}
+
+// object returns the t-th included object: include[t], or t itself when
+// every object is included.
+func object(include []int, t int) int {
+	if include == nil {
+		return t
+	}
+	return include[t]
+}
+
+// denseFits reports whether a cell space of the given size is counted
+// through a dense per-cell array for m objects. The array costs O(cells)
+// to clear and scan, the sort it replaces O(m log m); at the defaults (6
+// bins, c=3) the space is 216 cells and always fits.
+func denseFits(cells int64, m int) bool {
+	return cells <= int64(max(1<<12, 8*m))
+}
+
+// countDense builds the CSR layout by a counting sort over a dense array of
+// every cell: count each cell's objects, turn the counts into offsets in
+// ascending key order, then place every object at its cell's next free
+// slot. Objects are placed in include order, so each cell keeps it.
+func (g *Grid) countDense(cellOf []int64, include []int, cells int) {
+	next := make([]int, cells) // a cell's count, then its next free slot
+	for _, key := range cellOf {
+		next[key]++
+	}
+	occupied := min(cells, len(cellOf))
+	g.keys = make([]int64, 0, occupied)
+	g.start = make([]int, 0, occupied+1)
+	off := 0
+	for key, n := range next {
+		if n == 0 {
+			continue
+		}
+		g.keys = append(g.keys, int64(key))
+		g.start = append(g.start, off)
+		next[key] = off
+		off += n
+	}
+	g.start = append(g.start, off)
+	g.members = make([]int, len(cellOf))
+	for t, key := range cellOf {
+		g.members[next[key]] = object(include, t)
+		next[key]++
+	}
+}
+
+// sortSparse builds the CSR layout from the (key, position) pairs sorted by
+// key and then position, for cell spaces too large for a dense array. The
+// position breaks ties, so each cell keeps include order.
+func (g *Grid) sortSparse(cellOf []int64, include []int) {
+	type entry struct {
+		key int64
+		pos int
+	}
+	order := make([]entry, len(cellOf))
+	for t, key := range cellOf {
+		order[t] = entry{key, t}
+	}
+	slices.SortFunc(order, func(a, b entry) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	g.members = make([]int, len(order))
+	for u, e := range order {
+		if u == 0 || e.key != order[u-1].key {
+			g.keys = append(g.keys, e.key)
+			g.start = append(g.start, u)
+		}
+		g.members[u] = object(include, e.pos)
+	}
+	g.start = append(g.start, len(order))
 }
 
 // coord returns the clamped cell coordinate of value v along axis t.
@@ -94,8 +184,9 @@ func (g *Grid) encode(coords []int) int64 {
 	return key
 }
 
-func (g *Grid) decode(key int64) []int {
-	coords := make([]int, len(g.dims))
+// decode writes the coordinates of the encoded cell into coords, which has
+// one slot per building dimension, and returns it.
+func (g *Grid) decode(key int64, coords []int) []int {
 	for t := len(g.dims) - 1; t >= 0; t-- {
 		coords[t] = int(key % int64(g.bins))
 		key /= int64(g.bins)
@@ -114,70 +205,88 @@ func (g *Grid) CellOfPoint(point []float64) int64 {
 }
 
 // Count returns the number of objects in the encoded cell.
-func (g *Grid) Count(cell int64) int { return len(g.cells[cell]) }
+func (g *Grid) Count(cell int64) int {
+	u, ok := slices.BinarySearch(g.keys, cell)
+	if !ok {
+		return 0
+	}
+	return g.start[u+1] - g.start[u]
+}
 
-// Objects returns the objects in the encoded cell (shared slice; do not
-// modify).
-func (g *Grid) Objects(cell int64) []int { return g.cells[cell] }
+// Objects returns the objects in the encoded cell, in the order Build folded
+// them in (shared slice; do not modify).
+func (g *Grid) Objects(cell int64) []int {
+	u, ok := slices.BinarySearch(g.keys, cell)
+	if !ok {
+		return nil
+	}
+	return g.members[g.start[u]:g.start[u+1]:g.start[u+1]]
+}
 
-// Peak returns the densest cell and its count (ties broken by smallest
-// encoded key for determinism).
+// Peak returns the densest cell and its count. The occupied cells are
+// scanned in ascending key order and only a strictly larger count moves the
+// answer, so ties go to the smallest encoded key.
 func (g *Grid) Peak() (cell int64, count int) {
 	best := -1
-	var arg int64
-	for key, members := range g.cells {
-		if len(members) > best || (len(members) == best && key < arg) {
-			best = len(members)
-			arg = key
+	for u, key := range g.keys {
+		if n := g.start[u+1] - g.start[u]; n > best {
+			best, cell = n, key
 		}
 	}
-	return arg, best
+	return cell, best
 }
 
 // HillClimb performs the localized hill-climbing search of §4.2.1: starting
 // from the given cell, it repeatedly moves to the densest neighboring cell
 // (all 3^c−1 offsets of ±1 per axis) while that improves the density, and
 // returns the local peak. Plateaus do not loop: only strict improvements
-// move.
+// move. Neighbors are visited in lexicographic order of their offsets, axis
+// 0 slowest and −1 before 0 before +1, and the first of several equally
+// dense neighbors wins.
 func (g *Grid) HillClimb(start int64) int64 {
-	cur := start
-	curCoords := g.decode(cur)
+	c := len(g.dims)
+	buf := make([]int, 3*c)
+	cur, neighbor, delta := buf[:c], buf[c:2*c], buf[2*c:]
 	for {
-		bestCell := cur
-		bestCount := g.Count(cur)
-		improved := false
-		neighbor := make([]int, len(curCoords))
-		var visit func(axis int, changed bool)
-		visit = func(axis int, changed bool) {
-			if axis == len(curCoords) {
-				if !changed {
-					return
-				}
-				key := g.encode(neighbor)
-				if c := g.Count(key); c > bestCount {
-					bestCount = c
-					bestCell = key
-					improved = true
-				}
-				return
-			}
-			for delta := -1; delta <= 1; delta++ {
-				v := curCoords[axis] + delta
+		g.decode(start, cur)
+		best, bestCount := start, g.Count(start)
+		for t := range delta {
+			delta[t] = -1
+		}
+		for {
+			inRange, moved := true, false
+			for t, dt := range delta {
+				v := cur[t] + dt
 				if v < 0 || v >= g.bins {
-					continue
+					inRange = false
+					break
 				}
-				neighbor[axis] = v
-				visit(axis+1, changed || delta != 0)
+				neighbor[t] = v
+				moved = moved || dt != 0
 			}
+			if inRange && moved {
+				key := g.encode(neighbor)
+				if n := g.Count(key); n > bestCount {
+					best, bestCount = key, n
+				}
+			}
+			// Advance the offsets like an odometer, the last axis fastest.
+			t := c - 1
+			for t >= 0 && delta[t] == 1 {
+				delta[t] = -1
+				t--
+			}
+			if t < 0 {
+				break
+			}
+			delta[t]++
 		}
-		visit(0, false)
-		if !improved {
-			return cur
+		if best == start {
+			return start
 		}
-		cur = bestCell
-		curCoords = g.decode(cur)
+		start = best
 	}
 }
 
 // NumOccupiedCells returns how many cells contain at least one object.
-func (g *Grid) NumOccupiedCells() int { return len(g.cells) }
+func (g *Grid) NumOccupiedCells() int { return len(g.keys) }
