@@ -363,13 +363,11 @@ func serveModel(path string, ds *dataset.Dataset, labels []int, truth, quiet boo
 	if err != nil {
 		return err
 	}
-	rows := make([]float64, 0, ds.N()*ds.D())
-	for x := 0; x < ds.N(); x++ {
-		rows = append(rows, ds.Row(x)...)
-	}
 	assign := make([]int, ds.N())
-	if err := a.AssignBatch(rows, assign); err != nil {
-		return err
+	for x := range assign {
+		if assign[x], err = a.AssignPoint(ds.Row(x)); err != nil {
+			return err
+		}
 	}
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -108,9 +108,9 @@ type server struct {
 	// reqID numbers requests for the panic-recovery middleware's 500s.
 	reqID atomic.Int64
 
-	// assignScratch pools the flatten/assign buffers of the hot path, so
-	// steady-state /assign requests reuse memory instead of growing the heap
-	// per call.
+	// assignScratch pools the flatten/assign buffers of JSON /assign, so
+	// steady-state requests reuse memory instead of growing the heap per
+	// call.
 	assignScratch sync.Pool
 }
 
@@ -615,22 +615,10 @@ func (s *server) handleAssignCSV(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "csv has %d columns, model needs %d", ds.D(), e.assigner.D())
 		return
 	}
-	buf := s.assignScratch.Get().(*assignBuffers)
-	defer s.assignScratch.Put(buf)
-	buf.rows = buf.rows[:0]
-	for x := 0; x < ds.N(); x++ {
-		buf.rows = append(buf.rows, ds.Row(x)...)
-	}
-	if cap(buf.out) < ds.N() {
-		buf.out = make([]int, ds.N())
-	}
-	buf.out = buf.out[:ds.N()]
-	if err := e.assigner.AssignBatch(buf.rows, buf.out); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for x, c := range buf.out {
+	for x := 0; x < ds.N(); x++ {
+		// The column check above rules out AssignPoint's only error.
+		c, _ := e.assigner.AssignPoint(ds.Row(x))
 		fmt.Fprintf(w, "%d %d\n", x, c)
 	}
 }

@@ -13,22 +13,43 @@ import (
 // Outlier is the assignment value for objects placed on the outlier list.
 const Outlier = -1
 
-// FittedCluster is the servable scoring state of one fitted cluster: the
-// selected dimensions, the representative's projection on each selected
-// dimension, and the per-dimension selection threshold ŝ²_ij — exactly the
-// packed (dims, rep, ŝ²) triple SSPC's Step-3 assignment reads. The three
-// slices run in parallel: Rep[t] and SHat[t] belong to dimension Dims[t].
-// Fitting is rare and expensive; this triple is everything the perpetual
-// O(K·|V|) scoring path needs, so it is what internal/model persists and
-// what a serving Assigner is built from.
+// FittedCluster is the scoring state of one cluster: the selected
+// dimensions, the representative's projection on each selected dimension,
+// and the per-dimension selection threshold ŝ²_ij — the (dims, rep, ŝ²)
+// triple SSPC's Step-3 assignment reads, and the one PROCLUS and DOC emit.
+// The three slices run in parallel: Rep[t] and SHat[t] belong to dimension
+// Dims[t]. It is the triple's only representation: the fit's Step 3 packs
+// it every iteration, Result.Fitted snapshots it, internal/model persists it
+// under the JSON names below, and a serving Assigner scores with it.
 type FittedCluster struct {
 	// Dims lists the cluster's selected dimensions in ascending order.
-	Dims []int
+	Dims []int `json:"dims"`
 	// Rep holds the representative's projection on each selected dimension.
-	Rep []float64
+	Rep []float64 `json:"rep"`
 	// SHat holds the selection threshold ŝ²_ij per selected dimension;
-	// every value is finite and strictly positive.
-	SHat []float64
+	// in a servable triple every value is finite and strictly positive.
+	SHat []float64 `json:"shat"`
+}
+
+// CopyFrom makes fc a deep copy of src, reusing fc's buffers. Copied into a
+// zero FittedCluster, an empty slice stays nil.
+func (fc *FittedCluster) CopyFrom(src *FittedCluster) {
+	fc.Dims = append(fc.Dims[:0], src.Dims...)
+	fc.Rep = append(fc.Rep[:0], src.Rep...)
+	fc.SHat = append(fc.SHat[:0], src.SHat...)
+}
+
+// Servable returns fitted when every triple passes Validate(d), and nil
+// otherwise. A fit whose snapshot is degenerate — a zero-variance column
+// gives ŝ² = 0 — drops Result.Fitted this way instead of failing: the
+// clustering is still valid, it just cannot be served.
+func Servable(fitted []FittedCluster, d int) []FittedCluster {
+	for i := range fitted {
+		if fitted[i].Validate(d) != nil {
+			return nil
+		}
+	}
+	return fitted
 }
 
 // Result is the output of a projected clustering run.

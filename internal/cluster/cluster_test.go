@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestMembersAndOutliers(t *testing.T) {
 	r := &Result{K: 2, Assignments: []int{0, 1, 0, Outlier, 1}}
@@ -87,5 +90,61 @@ func TestBestResult(t *testing.T) {
 	}
 	if got := BestResult([]*Result{lower(5), lower(2), lower(7)}); got.Score != 2 {
 		t.Errorf("lower-is-better picked %v, want 2", got.Score)
+	}
+}
+
+// Servable returns the snapshot itself when every triple is valid and nil
+// when any one is not.
+func TestServable(t *testing.T) {
+	const d = 4
+	good := func() []FittedCluster {
+		return []FittedCluster{
+			{Dims: []int{0, 2}, Rep: []float64{1, -1}, SHat: []float64{0.5, 2}},
+			{}, // a cluster with no selected dimensions is servable
+			{Dims: []int{3}, Rep: []float64{0}, SHat: []float64{1}},
+		}
+	}
+	fitted := good()
+	if got := Servable(fitted, d); len(got) != len(fitted) || &got[0] != &fitted[0] {
+		t.Errorf("valid: Servable = %v, want the snapshot itself", got)
+	}
+	for _, tc := range []struct {
+		name   string
+		break_ func(f []FittedCluster)
+	}{
+		{"zero threshold", func(f []FittedCluster) { f[2].SHat[0] = 0 }},
+		{"NaN representative", func(f []FittedCluster) { f[0].Rep[1] = math.NaN() }},
+		{"unsorted dims", func(f []FittedCluster) { f[0].Dims[0], f[0].Dims[1] = 2, 0 }},
+	} {
+		fitted := good()
+		tc.break_(fitted)
+		if got := Servable(fitted, d); got != nil {
+			t.Errorf("%s: Servable = %v, want nil", tc.name, got)
+		}
+	}
+	if got := Servable(nil, d); got != nil {
+		t.Errorf("Servable(nil) = %v, want nil", got)
+	}
+}
+
+// CopyFrom deep-copies, reuses the destination's buffers, and leaves an
+// empty source slice nil in a zero destination.
+func TestFittedCopyFrom(t *testing.T) {
+	src := FittedCluster{Dims: []int{1, 3}, Rep: []float64{2, 4}, SHat: []float64{1, 1}}
+	var dst FittedCluster
+	dst.CopyFrom(&src)
+	src.Rep[0] = 99
+	if dst.Rep[0] != 2 || len(dst.Dims) != 2 || dst.Dims[1] != 3 || dst.SHat[1] != 1 {
+		t.Errorf("CopyFrom shares memory or drops values: %+v", dst)
+	}
+	buf := &dst.Dims[0]
+	dst.CopyFrom(&FittedCluster{Dims: []int{0}, Rep: []float64{0}, SHat: []float64{1}})
+	if &dst.Dims[0] != buf {
+		t.Error("CopyFrom reallocated a buffer with room")
+	}
+	var empty FittedCluster
+	empty.CopyFrom(&FittedCluster{Dims: []int{}, Rep: []float64{}, SHat: []float64{}})
+	if empty.Dims != nil || empty.Rep != nil || empty.SHat != nil {
+		t.Errorf("empty source copied to non-nil slices: %#v", empty)
 	}
 }

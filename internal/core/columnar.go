@@ -209,7 +209,7 @@ func NewParallelEvalBench(ds *dataset.Dataset, opts Options, membersByCluster []
 	return &ParallelEvalBench{
 		ds:       ds,
 		thr:      newThresholds(ds, opts),
-		par:      newAssigner(ds.N(), ds.D(), k, workers),
+		par:      newAssigner(ds.D(), k, workers),
 		clusters: clusters,
 	}, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dataset/binfmt"
+	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
@@ -68,7 +69,11 @@ func TestColumnarMatchesReference(t *testing.T) {
 						t.Errorf("dim %d: selected = %v, want %v", j, got[j].selected, want[j].selected)
 					}
 					wantPhi := want[j].phi
-					if _, variance := ds.SubsetMeanVariance(members, j); len(members) > 0 && variance >= thr.value(j, len(members)) {
+					var r stats.Running
+					for _, v := range ds.GatherColumn(members, j, buf) {
+						r.Add(v)
+					}
+					if len(members) > 0 && r.Variance() >= thr.value(j, len(members)) {
 						wantPhi = math.Inf(-1)
 					}
 					if math.Float64bits(got[j].phi) != math.Float64bits(wantPhi) {
@@ -135,7 +140,7 @@ func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state
 		clusters[i].rep.setMedian(members)
 	}
 	assign := make([]int, n)
-	par := newAssigner(n, d, k, 1)
+	par := newAssigner(d, k, 1)
 
 	// Two full warm-up iterations grow the kernel scratch, the per-cluster
 	// dims buffers and the representatives to their steady-state capacities.

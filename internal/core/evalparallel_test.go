@@ -242,13 +242,13 @@ func TestEvalRecordHitMatchesFresh(t *testing.T) {
 		thr := thresholdsFor(ds, SchemeM, 0.5)
 		for _, workers := range []int{1, 4} {
 			fresh := newClusters(d)
-			want, err := newAssigner(ds.N(), d, k, workers).evaluate(context.Background(), ds, fresh, thr)
+			want, err := newAssigner(d, k, workers).evaluate(context.Background(), ds, fresh, thr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for leg, perturb := range legs {
 				name := fmt.Sprintf("%s/workers=%d/%s", label, workers, leg)
-				par := newAssigner(ds.N(), d, k, workers)
+				par := newAssigner(d, k, workers)
 				clusters := newClusters(d)
 				if _, err := par.evaluate(context.Background(), ds, clusters, thr); err != nil {
 					t.Fatal(err)

@@ -101,22 +101,6 @@ func phiIJ(ds *dataset.Dataset, members []int, j int, thr *thresholds, buf []flo
 	return float64(ni-1) * (1 - disp/sHat)
 }
 
-// phiCluster returns φ_i = Σ_{vj∈dims} φ_ij for a fixed dimension set. buf
-// needs capacity for len(members) values and is consumed.
-func phiCluster(ds *dataset.Dataset, members []int, dims []int, thr *thresholds, buf []float64) float64 {
-	ni := len(members)
-	if ni == 0 || len(dims) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, j := range dims {
-		disp := dispersion(ds, members, j, buf)
-		sHat := thr.value(j, ni)
-		total += float64(ni-1) * (1 - disp/sHat)
-	}
-	return total
-}
-
 // evalRecord is a cluster's record of its last Step-4 evaluation: the
 // member list, the dimensions SelectDim selected, φ_i, and every median the
 // kernel took, as sparse (dimension, median) pairs. Within a restart the

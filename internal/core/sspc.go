@@ -103,7 +103,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 	haveFitted := false
 	bestScore := math.Inf(-1)
 
-	par := newAssigner(n, d, opts.K, intra)
+	par := newAssigner(d, opts.K, intra)
 
 	iterations := 0
 	stall := 0
@@ -146,7 +146,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 		if improved {
 			bestScore = score
 			copy(bestAssign, assign)
-			// The assigner's packed triples still hold the scoring state that
+			// The assigner's triples still hold the scoring state that
 			// produced this iteration's assign (evaluate never touches them),
 			// so snapshotting here keeps exactly the model that reproduces
 			// bestAssign. Note Step 4 may have re-selected different dims than
@@ -216,27 +216,13 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 	for i := range bestDims {
 		res.Dims[i] = append([]int(nil), bestDims[i]...)
 	}
-	if haveFitted && fittedValid(bestFitted, d) {
-		res.Fitted = bestFitted
+	if haveFitted {
+		res.Fitted = cluster.Servable(bestFitted, d)
 	}
 	if err := res.Validate(n, d); err != nil {
 		return nil, fmt.Errorf("sspc: internal result invalid: %w", err)
 	}
 	return res, nil
-}
-
-// fittedValid reports whether every snapshot cluster passes
-// cluster.FittedCluster.Validate. A degenerate run (e.g. seed-group dims on a
-// zero-variance column giving ŝ² = 0 before the first re-selection) simply
-// drops Fitted from its result instead of failing: the clustering is still
-// valid, it just is not servable.
-func fittedValid(fitted []cluster.FittedCluster, d int) bool {
-	for i := range fitted {
-		if fitted[i].Validate(d) != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // detectBadCluster implements §4.3: the primary signal is a very low φ_i
@@ -298,8 +284,9 @@ func replaceWithNewMedoid(ds *dataset.Dataset, st *state, private map[int]*seedG
 	}
 	g := drawPublicGroup(public, rng)
 	if g == nil {
-		// All public groups in use: release the ones not currently backing
-		// a cluster is not tracked here, so reset and redraw.
+		// All public groups are in use. Which of them still back a
+		// cluster is not tracked here, so release them all, keep this
+		// cluster's own group marked, and redraw.
 		for _, pg := range public {
 			pg.inUse = false
 		}

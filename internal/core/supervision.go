@@ -50,7 +50,9 @@ func (s *Supervision) Empty() bool {
 
 // Validate checks every form against the dataset shape: object indices in
 // [0, n), dimension indices in [0, d), classes in [0, k), no self-pairs, and
-// no object seeded into two classes.
+// no object seeded into two classes. Seed-set classes are checked in
+// ascending order and each set in its own order, so the error names the
+// same entry on every call.
 func (s *Supervision) Validate(n, d, k int) error {
 	if s == nil {
 		return nil
@@ -69,11 +71,11 @@ func (s *Supervision) Validate(n, d, k int) error {
 		}
 	}
 	seededClass := map[int]int{}
-	for c, objs := range s.SeedSets {
+	for _, c := range s.seedClasses() {
 		if c < 0 || c >= k {
 			return fmt.Errorf("supervision: seed-set class %d out of range [0,%d)", c, k)
 		}
-		for _, o := range objs {
+		for _, o := range s.SeedSets[c] {
 			if o < 0 || o >= n {
 				return fmt.Errorf("supervision: seed object %d out of range [0,%d)", o, n)
 			}
@@ -84,6 +86,16 @@ func (s *Supervision) Validate(n, d, k int) error {
 		}
 	}
 	return nil
+}
+
+// seedClasses returns the classes of s.SeedSets in ascending order.
+func (s *Supervision) seedClasses() []int {
+	classes := make([]int, 0, len(s.SeedSets))
+	for c := range s.SeedSets {
+		classes = append(classes, c)
+	}
+	sort.Ints(classes)
+	return classes
 }
 
 func validatePair(p [2]int, n int, kind string) error {
@@ -101,7 +113,9 @@ func validatePair(p [2]int, n int, kind string) error {
 // must-linked to a labeled one adopts its class). Conflicting labels — the
 // same object claimed by two classes, or a must-link component spanning two
 // classes — are errors; cannot-links carry no class information and are
-// ignored here.
+// ignored here. Seed sets are folded in ascending class order and components
+// checked in ascending order of their smallest member, so a conflict error
+// names the same entry on every call.
 func (s *Supervision) mergedLabels() (map[int]int, error) {
 	labels := map[int]int{}
 	if s == nil {
@@ -112,8 +126,8 @@ func (s *Supervision) mergedLabels() (map[int]int, error) {
 			labels[o] = c
 		}
 	}
-	for c, objs := range s.SeedSets {
-		for _, o := range objs {
+	for _, c := range s.seedClasses() {
+		for _, o := range s.SeedSets[c] {
 			if prev, ok := labels[o]; ok && prev != c {
 				return nil, fmt.Errorf("supervision: object %d labeled %d but seeded into class %d", o, prev, c)
 			}
@@ -144,8 +158,13 @@ func (s *Supervision) mergedLabels() (map[int]int, error) {
 	for x := range parent {
 		members[find(x)] = append(members[find(x)], x)
 	}
+	comps := make([][]int, 0, len(members))
 	for _, comp := range members {
 		sort.Ints(comp)
+		comps = append(comps, comp)
+	}
+	sort.Slice(comps, func(a, b int) bool { return comps[a][0] < comps[b][0] })
+	for _, comp := range comps {
 		class, labeled := 0, false
 		for _, o := range comp {
 			c, ok := labels[o]

@@ -89,6 +89,39 @@ func TestSupervisionLabelConflicts(t *testing.T) {
 	}
 }
 
+// Validation and conflict errors name the same entry on every call — the
+// smallest class, or the component with the smallest member — whatever
+// order Go's map iteration yields.
+func TestSupervisionErrorsNameSmallestEntry(t *testing.T) {
+	n, d, k := 10, 4, 3
+	outOfRange := &Supervision{SeedSets: map[int][]int{5: {0}, 4: {1}, 3: {2}}}
+	seededTwice := &Supervision{SeedSets: map[int][]int{2: {0}, 1: {0}, 0: {0}}}
+	spanning := &Supervision{Knowledge: dataset.NewKnowledge(), MustLink: [][2]int{{4, 5}, {2, 3}, {0, 1}}}
+	for o := 0; o < 6; o++ {
+		spanning.Knowledge.LabelObject(o, o%2)
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"seed class", func() error { return outOfRange.Validate(n, d, k) }, "seed-set class 3 out of range"},
+		{"seeded twice", func() error { return seededTwice.Validate(n, d, k) }, "object 0 seeded into classes 0 and 1"},
+		{"seed conflict", func() error { _, err := seededTwice.AsKnowledge(); return err }, "object 0 labeled 0 but seeded into class 1"},
+		{"component", func() error { _, err := spanning.AsKnowledge(); return err }, "component [0 1] spans classes 0 and 1"},
+	} {
+		first := tc.call()
+		if first == nil || !strings.Contains(first.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want one naming %q", tc.name, first, tc.want)
+		}
+		for call := 1; call < 200; call++ {
+			if err := tc.call(); err == nil || err.Error() != first.Error() {
+				t.Fatalf("%s: call %d: error %v, first call %v", tc.name, call, err, first)
+			}
+		}
+	}
+}
+
 // TestSupervisionAsConstraints: explicit pairs survive, labels and seeds
 // derive same-class must-links and cross-class cannot-links, duplicates
 // collapse, and the output order is the sorted pair order.

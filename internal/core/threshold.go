@@ -11,9 +11,10 @@ import (
 // thresholds computes the selection thresholds ŝ²_ij of §4.1. Under scheme
 // m the threshold is m·s²_j, independent of the cluster. Under scheme p it
 // is s²_j·χ²_inv(p, n_i−1)/(n_i−1), which depends on the cluster size n_i;
-// the chi-square factor is cached per size. The cache is mutex-guarded so
-// the chunked assignment step may evaluate clusters of different sizes
-// concurrently; everything else here is immutable after construction.
+// the chi-square factor is cached per size. The cache is mutex-guarded
+// because Step 4 evaluates the clusters of one restart concurrently, one
+// per worker slot, each at its own size (Step 3 packs its thresholds
+// serially); everything else here is immutable after construction.
 type thresholds struct {
 	scheme    ThresholdScheme
 	m, p      float64
@@ -79,8 +80,7 @@ func (t *thresholds) value(j, ni int) float64 { return t.globalVar[j] * t.scale(
 // dispersion returns s²_ij + (µ_ij − µ̃_ij)², the quantity Lemma 1 compares
 // against ŝ²_ij, for the projections of members on dimension j. buf is
 // caller-provided scratch (capacity >= len(members), consumed by the median)
-// so the per-dimension callers — phiCluster and phiIJ run this once per
-// dimension — pay no allocation per call.
+// so a per-dimension caller such as phiIJ pays no allocation per call.
 func dispersion(ds *dataset.Dataset, members []int, j int, buf []float64) float64 {
 	if len(members) == 0 {
 		return math.Inf(1)

@@ -43,7 +43,8 @@ type SeedGroupInfo struct {
 	Dims  int
 }
 
-// Trace receives observer callbacks from Run. Either hook may be nil.
+// Trace receives observer callbacks from Run. Any of its three hooks may be
+// nil.
 // Callbacks are serialized by an internal mutex, so one Trace can observe
 // concurrent restarts without its own locking; use IterationStats.Restart
 // to demultiplex them.

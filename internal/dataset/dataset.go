@@ -236,23 +236,6 @@ func (ds *Dataset) ColMin(j int) float64 { return ds.ensureStats().mn[j] }
 // ColMax returns the maximum of dimension j.
 func (ds *Dataset) ColMax(j int) float64 { return ds.ensureStats().mx[j] }
 
-// SubsetMedian returns the median projection of the given objects on
-// dimension j. It is the µ̃_ij of the paper's objective for cluster members
-// `objs`.
-func (ds *Dataset) SubsetMedian(objs []int, j int) float64 {
-	return stats.MedianInPlace(ds.GatherColumn(objs, j, make([]float64, len(objs))))
-}
-
-// SubsetMeanVariance returns the mean µ_ij and unbiased sample variance
-// s²_ij of the given objects' projections on dimension j.
-func (ds *Dataset) SubsetMeanVariance(objs []int, j int) (mean, variance float64) {
-	var r stats.Running
-	for _, i := range objs {
-		r.Add(ds.At(i, j))
-	}
-	return r.Mean(), r.Variance()
-}
-
 // MedianVector returns the virtual object whose projection on each dimension
 // is the median of objs — the "cluster median" SSPC promotes to cluster
 // representative after each iteration (§4 of the paper).

@@ -85,18 +85,6 @@ func TestColumnStatsInvalidatedBySet(t *testing.T) {
 	}
 }
 
-func TestSubsetStats(t *testing.T) {
-	ds := mustFromRows(t, [][]float64{{1}, {2}, {3}, {100}})
-	objs := []int{0, 1, 2}
-	if got := ds.SubsetMedian(objs, 0); got != 2 {
-		t.Errorf("SubsetMedian = %v", got)
-	}
-	mean, variance := ds.SubsetMeanVariance(objs, 0)
-	if mean != 2 || variance != 1 {
-		t.Errorf("SubsetMeanVariance = %v, %v", mean, variance)
-	}
-}
-
 func TestMedianAndMeanVector(t *testing.T) {
 	ds := mustFromRows(t, [][]float64{{1, 10}, {2, 20}, {9, 90}})
 	med := ds.MedianVector([]int{0, 1, 2})

@@ -99,21 +99,30 @@ func (kn *Knowledge) Classes() []int {
 			seen[c] = true
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
+	return sortedKeys(seen)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(keys)
+	return keys
 }
 
 // Validate checks that all object indices are in [0,n), all dimension
-// indices in [0,d), and all classes in [0,k).
+// indices in [0,d), and all classes in [0,k). Objects and classes are
+// checked in ascending order and a class's dimensions in their stored
+// order, so the error names the same entry on every call: the smallest
+// offending object, else the smallest offending class.
 func (kn *Knowledge) Validate(n, d, k int) error {
 	if kn == nil {
 		return nil
 	}
-	for obj, c := range kn.ObjectLabels {
+	for _, obj := range sortedKeys(kn.ObjectLabels) {
+		c := kn.ObjectLabels[obj]
 		if obj < 0 || obj >= n {
 			return fmt.Errorf("knowledge: object %d out of range [0,%d)", obj, n)
 		}
@@ -121,11 +130,11 @@ func (kn *Knowledge) Validate(n, d, k int) error {
 			return fmt.Errorf("knowledge: object %d has class %d out of range [0,%d)", obj, c, k)
 		}
 	}
-	for c, dims := range kn.DimLabels {
+	for _, c := range sortedKeys(kn.DimLabels) {
 		if c < 0 || c >= k {
 			return fmt.Errorf("knowledge: dimension label class %d out of range [0,%d)", c, k)
 		}
-		for _, dim := range dims {
+		for _, dim := range kn.DimLabels[c] {
 			if dim < 0 || dim >= d {
 				return fmt.Errorf("knowledge: dimension %d out of range [0,%d)", dim, d)
 			}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -119,5 +120,35 @@ func TestKnowledgeValidate(t *testing.T) {
 	var nilKn *Knowledge
 	if err := nilKn.Validate(1, 1, 1); err != nil {
 		t.Error("nil knowledge should validate")
+	}
+}
+
+// Validate names the same entry on every call — the smallest offending
+// object or class — whatever order Go's map iteration yields.
+func TestKnowledgeValidateNamesSmallestEntry(t *testing.T) {
+	objects := NewKnowledge()
+	for _, obj := range []int{13, 11, 12, 10} { // all out of [0,10)
+		objects.LabelObject(obj, 0)
+	}
+	classes := NewKnowledge()
+	classes.LabelDim(0, 3)
+	classes.LabelDim(0, 2) // both out of [0,2)
+	for _, tc := range []struct {
+		name string
+		kn   *Knowledge
+		want string
+	}{
+		{"objects", objects, "object 10 out of range"},
+		{"classes", classes, "class 2 out of range"},
+	} {
+		first := tc.kn.Validate(10, 4, 2)
+		if first == nil || !strings.Contains(first.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want one naming %q", tc.name, first, tc.want)
+		}
+		for call := 1; call < 200; call++ {
+			if err := tc.kn.Validate(10, 4, 2); err == nil || err.Error() != first.Error() {
+				t.Fatalf("%s: call %d: error %v, first call %v", tc.name, call, err, first)
+			}
+		}
 	}
 }

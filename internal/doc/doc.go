@@ -245,23 +245,20 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 		ScoreHigherIsBetter: true,
 		Iterations:          iterations,
 	}
-	if fitted, ok := fittedFrom(d, dims, seeds, opts.W); ok {
-		res.Fitted = fitted
-	}
+	res.Fitted = cluster.Servable(fittedFrom(dims, seeds, opts.W), d)
 	if err := res.Validate(n, d); err != nil {
 		return nil, fmt.Errorf("doc: internal result invalid: %w", err)
 	}
 	return res, nil
 }
 
-// fittedFrom builds the servable per-cluster (dims, rep, ŝ²) triples of a
+// fittedFrom builds the per-cluster (dims, rep, ŝ²) triples of a
 // finished run: each cluster's box dimensions, the winning trial's seed-point
 // projection on them, and w² as every threshold — so Step-3 scoring of the
 // fitted model treats "inside the box" (|x_j − p_j| ≤ w on every relevant
 // dimension) as a positive per-dimension contribution. A cluster DOC never
-// filled keeps an empty triple, matching its empty dim set. Returns ok=false
-// — dropping Fitted, not failing the run — if any triple is degenerate.
-func fittedFrom(d int, dims [][]int, seeds [][]float64, w float64) ([]cluster.FittedCluster, bool) {
+// filled keeps an empty triple, matching its empty dim set.
+func fittedFrom(dims [][]int, seeds [][]float64, w float64) []cluster.FittedCluster {
 	fitted := make([]cluster.FittedCluster, len(dims))
 	for c := range dims {
 		fc := &fitted[c]
@@ -272,11 +269,8 @@ func fittedFrom(d int, dims [][]int, seeds [][]float64, w float64) ([]cluster.Fi
 			fc.Rep = append(fc.Rep, seeds[c][j])
 			fc.SHat = append(fc.SHat, w*w)
 		}
-		if fc.Validate(d) != nil {
-			return nil, false
-		}
 	}
-	return fitted, true
+	return fitted
 }
 
 // mu is DOC's quality function µ(a, b) = a·(1/β)^b, computed in log space

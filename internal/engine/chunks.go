@@ -78,9 +78,10 @@ func chunkGate(ctx context.Context) error {
 //
 // fn also receives a worker slot index in [0, workers) that is stable for
 // the duration of the call, so callers can hand each worker its own scratch
-// buffers (see Scratch). Slot assignment is scheduling-dependent; fn must use
-// the slot for scratch only, never to influence output values. workers <= 1
-// or a single chunk runs everything inline on slot 0.
+// buffers, one per slot in a plain slice. Slot assignment is
+// scheduling-dependent; fn must use the slot for scratch only, never to
+// influence output values. workers <= 1 or a single chunk runs everything
+// inline on slot 0.
 //
 // A cooperative gate runs before every chunk dispatch. When ctx is canceled
 // mid-scan the scheduler stops issuing chunks and returns context.Cause(ctx)
@@ -199,37 +200,3 @@ func runChunk(fn func(worker, lo, hi int), worker, lo, hi int) (panicked any) {
 	fn(worker, lo, hi)
 	return nil
 }
-
-// Scratch hands each worker slot of a chunked call its own lazily built
-// scratch value, so chunked loops can reuse buffers without sharing them
-// across goroutines. A slot is owned by exactly one goroutine
-// for the duration of a chunked call (the worker index fn receives), which
-// is the only synchronization Scratch relies on: Get must only be called
-// with the worker index of the running chunk, and the values must never
-// influence outputs — scratch is for allocation reuse only.
-type Scratch[T any] struct {
-	build func() T
-	slots []T
-	made  []bool
-}
-
-// NewScratch returns a pool of `slots` lazily built scratch values (at least
-// one). build runs at most once per slot, on the first Get.
-func NewScratch[T any](slots int, build func() T) *Scratch[T] {
-	if slots < 1 {
-		slots = 1
-	}
-	return &Scratch[T]{build: build, slots: make([]T, slots), made: make([]bool, slots)}
-}
-
-// Get returns worker's scratch value, building it on first use.
-func (s *Scratch[T]) Get(worker int) T {
-	if !s.made[worker] {
-		s.slots[worker] = s.build()
-		s.made[worker] = true
-	}
-	return s.slots[worker]
-}
-
-// Slots returns the number of worker slots in the pool.
-func (s *Scratch[T]) Slots() int { return len(s.slots) }

@@ -200,17 +200,31 @@ func NMI(truth, pred []int) (float64, error) {
 		pu[truth[i]]++
 		pv[pred[i]]++
 	}
+	// Every sum runs in ascending key order, so the result's bits do not
+	// depend on Go's map iteration order.
+	pairs := make([][2]int, 0, len(joint))
+	for key := range joint {
+		pairs = append(pairs, key)
+	}
+	sort.Slice(pairs, func(a, b int) bool {
+		return pairs[a][0] < pairs[b][0] || pairs[a][0] == pairs[b][0] && pairs[a][1] < pairs[b][1]
+	})
 	mi := 0.0
-	for key, c := range joint {
-		pxy := c / n
+	for _, key := range pairs {
+		pxy := joint[key] / n
 		px := pu[key[0]] / n
 		py := pv[key[1]] / n
 		mi += pxy * math.Log(pxy/(px*py))
 	}
 	entropy := func(p map[int]float64) float64 {
+		labels := make([]int, 0, len(p))
+		for l := range p {
+			labels = append(labels, l)
+		}
+		sort.Ints(labels)
 		h := 0.0
-		for _, c := range p {
-			q := c / n
+		for _, l := range labels {
+			q := p[l] / n
 			h -= q * math.Log(q)
 		}
 		return h

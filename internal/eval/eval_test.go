@@ -187,6 +187,31 @@ func TestNMIPerfectAndIndependent(t *testing.T) {
 	}
 }
 
+// NMI is a pure function of its inputs: repeated calls give the same bits.
+// With many labels on each side, summing in map order moves the last bits
+// from call to call.
+func TestNMIBitsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	truth, pred := make([]int, 3000), make([]int, 3000)
+	for i := range truth {
+		truth[i] = rng.Intn(12) - 1 // 12 labels, −1 included
+		pred[i] = rng.Intn(9) - 1   // 9 labels, −1 included
+	}
+	first, err := NMI(truth, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call < 300; call++ {
+		got, err := NMI(truth, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: NMI bits %x, first call %x", call, math.Float64bits(got), math.Float64bits(first))
+		}
+	}
+}
+
 func TestMatchClustersGreedy(t *testing.T) {
 	truth := []int{0, 0, 0, 1, 1, 2}
 	pred := []int{1, 1, 1, 0, 0, 2}

@@ -13,6 +13,10 @@
 //	20     4     IEEE CRC-32 of the body, big-endian uint32
 //	24     …     JSON body (a Model)
 //
+// The body's "clusters" array holds cluster.FittedCluster values — the same
+// type the fit snapshots and the serving Assigner scores with — under the
+// names its struct tags give: "dims", "rep" and "shat".
+//
 // The header makes decoding strict before the first byte of JSON is parsed:
 // wrong magic, unknown version, truncated body, and corrupted body are four
 // distinct errors. The body is JSON rather than raw binary because Go's
@@ -49,18 +53,6 @@ const magic = "SSPCMODL"
 // headerSize is the fixed byte length of the container header.
 const headerSize = len(magic) + 4 + 8 + 4
 
-// Cluster is the servable scoring state of one cluster in a persisted model:
-// the same parallel (dims, rep, ŝ²) triple as cluster.FittedCluster, with
-// JSON field names pinned for the wire format.
-type Cluster struct {
-	// Dims lists the cluster's selected dimensions in ascending order.
-	Dims []int `json:"dims"`
-	// Rep holds the representative's projection on each selected dimension.
-	Rep []float64 `json:"rep"`
-	// SHat holds the threshold ŝ²_ij per selected dimension (finite, > 0).
-	SHat []float64 `json:"shat"`
-}
-
 // Model is the decoded body of a persisted fit: everything a server needs to
 // identify the model (algorithm, canonical option string, seed, dataset
 // hash), reproduce the training partition (assignments), and score new
@@ -91,7 +83,7 @@ type Model struct {
 	Assignments []int `json:"assignments"`
 	// Clusters holds the per-cluster scoring triples, index-aligned with the
 	// assignment values.
-	Clusters []Cluster `json:"clusters"`
+	Clusters []cluster.FittedCluster `json:"clusters"`
 }
 
 // FromResult captures a fitted result as a persistable model. The result
@@ -117,15 +109,10 @@ func FromResult(algo, options string, seed int64, datasetHash string, d int, res
 		ScoreHigherIsBetter: res.ScoreHigherIsBetter,
 		Iterations:          res.Iterations,
 		Assignments:         append([]int(nil), res.Assignments...),
-		Clusters:            make([]Cluster, len(res.Fitted)),
+		Clusters:            make([]cluster.FittedCluster, len(res.Fitted)),
 	}
 	for i := range res.Fitted {
-		fc := &res.Fitted[i]
-		m.Clusters[i] = Cluster{
-			Dims: append([]int(nil), fc.Dims...),
-			Rep:  append([]float64(nil), fc.Rep...),
-			SHat: append([]float64(nil), fc.SHat...),
-		}
+		m.Clusters[i].CopyFrom(&res.Fitted[i])
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -161,27 +148,11 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("model: score is NaN")
 	}
 	for i := range m.Clusters {
-		fc := m.fittedCluster(i)
-		if err := fc.Validate(m.D); err != nil {
+		if err := m.Clusters[i].Validate(m.D); err != nil {
 			return fmt.Errorf("model: cluster %d: %w", i, err)
 		}
 	}
 	return nil
-}
-
-func (m *Model) fittedCluster(i int) cluster.FittedCluster {
-	c := &m.Clusters[i]
-	return cluster.FittedCluster{Dims: c.Dims, Rep: c.Rep, SHat: c.SHat}
-}
-
-// Fitted returns the model's per-cluster triples in the in-process
-// representation (shared slices, not copies).
-func (m *Model) Fitted() []cluster.FittedCluster {
-	out := make([]cluster.FittedCluster, len(m.Clusters))
-	for i := range m.Clusters {
-		out[i] = m.fittedCluster(i)
-	}
-	return out
 }
 
 // Assigner builds the allocation-free serving assigner for this model. The
@@ -190,7 +161,7 @@ func (m *Model) Assigner() (*core.Assigner, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return core.NewAssigner(m.D, m.Fitted())
+	return core.NewAssigner(m.D, m.Clusters)
 }
 
 // Key is the registry identity of a model: the hex SHA-256 over (dataset

@@ -2,7 +2,9 @@ package model
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -36,7 +38,7 @@ func randomModel(rng *rand.Rand) *Model {
 		ScoreHigherIsBetter: rng.Intn(2) == 0,
 		Iterations:          rng.Intn(100),
 		Assignments:         make([]int, n),
-		Clusters:            make([]Cluster, k),
+		Clusters:            make([]cluster.FittedCluster, k),
 	}
 	for i := range m.Assignments {
 		m.Assignments[i] = rng.Intn(k+1) - 1 // [-1, k)
@@ -45,7 +47,7 @@ func randomModel(rng *rand.Rand) *Model {
 		nd := rng.Intn(d + 1)
 		dims := rng.Perm(d)[:nd]
 		sort.Ints(dims)
-		cl := Cluster{Dims: dims, Rep: make([]float64, nd), SHat: make([]float64, nd)}
+		cl := cluster.FittedCluster{Dims: dims, Rep: make([]float64, nd), SHat: make([]float64, nd)}
 		for t := range cl.Rep {
 			// NormFloat64 can land on subnormals but never NaN/Inf; thresholds
 			// must be strictly positive.
@@ -196,25 +198,25 @@ func TestValidateRejections(t *testing.T) {
 		}},
 		{"NaN score", func(m *Model) { m.Score = math.NaN() }},
 		{"NaN threshold", func(m *Model) {
-			m.Clusters[0] = Cluster{Dims: []int{0}, Rep: []float64{0}, SHat: []float64{math.NaN()}}
+			m.Clusters[0] = cluster.FittedCluster{Dims: []int{0}, Rep: []float64{0}, SHat: []float64{math.NaN()}}
 		}},
 		{"zero threshold", func(m *Model) {
-			m.Clusters[0] = Cluster{Dims: []int{0}, Rep: []float64{0}, SHat: []float64{0}}
+			m.Clusters[0] = cluster.FittedCluster{Dims: []int{0}, Rep: []float64{0}, SHat: []float64{0}}
 		}},
 		{"NaN rep", func(m *Model) {
-			m.Clusters[0] = Cluster{Dims: []int{0}, Rep: []float64{math.NaN()}, SHat: []float64{1}}
+			m.Clusters[0] = cluster.FittedCluster{Dims: []int{0}, Rep: []float64{math.NaN()}, SHat: []float64{1}}
 		}},
 		{"dim out of range", func(m *Model) {
-			m.Clusters[0] = Cluster{Dims: []int{m.D}, Rep: []float64{0}, SHat: []float64{1}}
+			m.Clusters[0] = cluster.FittedCluster{Dims: []int{m.D}, Rep: []float64{0}, SHat: []float64{1}}
 		}},
 		{"unsorted dims", func(m *Model) {
 			if m.D < 2 {
 				m.D = 2
 			}
-			m.Clusters[0] = Cluster{Dims: []int{1, 0}, Rep: []float64{0, 0}, SHat: []float64{1, 1}}
+			m.Clusters[0] = cluster.FittedCluster{Dims: []int{1, 0}, Rep: []float64{0, 0}, SHat: []float64{1, 1}}
 		}},
 		{"ragged triple", func(m *Model) {
-			m.Clusters[0] = Cluster{Dims: []int{0}, Rep: []float64{0, 1}, SHat: []float64{1}}
+			m.Clusters[0] = cluster.FittedCluster{Dims: []int{0}, Rep: []float64{0, 1}, SHat: []float64{1}}
 		}},
 	}
 	for _, tc := range cases {
@@ -288,13 +290,11 @@ func TestDatasetHash(t *testing.T) {
 	}
 }
 
-// The serve-path identity for every algorithm that emits a fitted snapshot:
-// fit → FromResult → Encode → Decode → Assigner, then batch-score the
-// training rows. For SSPC the answers must be byte-identical to the fit's
-// own assignments; for PROCLUS and DOC (whose native assignment rule is not
-// Step-3 scoring) they must be byte-identical to an in-process Assigner
-// built from the same fitted snapshot.
-func TestModelAssignEquivalence(t *testing.T) {
+// servableFits fits one fixed synthetic dataset with each algorithm that
+// emits a fitted snapshot (SSPC, PROCLUS, DOC, all at seed 5) and returns
+// the dataset, the algorithm names and the results, index-aligned.
+func servableFits(t *testing.T) (*dataset.Dataset, []string, []*cluster.Result) {
+	t.Helper()
 	gt, err := synth.Generate(synth.Config{
 		N: 300, D: 20, K: 3, AvgDims: 8,
 		LocalSDMinFrac: 0.01, LocalSDMaxFrac: 0.03, Seed: 21,
@@ -303,77 +303,128 @@ func TestModelAssignEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := gt.Data
-	fits := []struct {
-		algo string
-		run  func() (*cluster.Result, error)
-	}{
-		{"sspc", func() (*cluster.Result, error) {
-			opts := core.DefaultOptions(3)
-			opts.Seed = 5
-			return core.RunContext(context.Background(), ds, opts)
-		}},
-		{"proclus", func() (*cluster.Result, error) {
-			opts := proclus.DefaultOptions(3, 8)
-			opts.Seed = 5
-			return proclus.RunContext(context.Background(), ds, opts)
-		}},
-		{"doc", func() (*cluster.Result, error) {
-			opts := doc.DefaultOptions(3, 15)
-			opts.Seed = 5
-			return doc.RunContext(context.Background(), ds, opts)
-		}},
+	ctx := context.Background()
+	sspcOpts := core.DefaultOptions(3)
+	sspcOpts.Seed = 5
+	proclusOpts := proclus.DefaultOptions(3, 8)
+	proclusOpts.Seed = 5
+	docOpts := doc.DefaultOptions(3, 15)
+	docOpts.Seed = 5
+	algos := []string{"sspc", "proclus", "doc"}
+	results := make([]*cluster.Result, len(algos))
+	for i, run := range []func() (*cluster.Result, error){
+		func() (*cluster.Result, error) { return core.RunContext(ctx, ds, sspcOpts) },
+		func() (*cluster.Result, error) { return proclus.RunContext(ctx, ds, proclusOpts) },
+		func() (*cluster.Result, error) { return doc.RunContext(ctx, ds, docOpts) },
+	} {
+		if results[i], err = run(); err != nil {
+			t.Fatalf("%s: %v", algos[i], err)
+		}
+		if results[i].Fitted == nil {
+			t.Fatalf("%s: no fitted snapshot", algos[i])
+		}
 	}
+	return ds, algos, results
+}
+
+// The serve-path identity for every algorithm that emits a fitted snapshot:
+// fit → FromResult → Encode → Decode → Assigner, then batch-score the
+// training rows. For SSPC the answers must be byte-identical to the fit's
+// own assignments; for PROCLUS and DOC (whose native assignment rule is not
+// Step-3 scoring) they must be byte-identical to an in-process Assigner
+// built from the same fitted snapshot.
+func TestModelAssignEquivalence(t *testing.T) {
+	ds, algos, results := servableFits(t)
 	rows := make([]float64, 0, ds.N()*ds.D())
 	for x := 0; x < ds.N(); x++ {
 		rows = append(rows, ds.Row(x)...)
 	}
 	hash := DatasetHash(ds)
-	for _, fit := range fits {
-		res, err := fit.run()
+	for i, algo := range algos {
+		res := results[i]
+		m, err := FromResult(algo, "test-options", 5, hash, ds.D(), res)
 		if err != nil {
-			t.Fatalf("%s: %v", fit.algo, err)
-		}
-		if res.Fitted == nil {
-			t.Fatalf("%s: no fitted snapshot", fit.algo)
-		}
-		m, err := FromResult(fit.algo, "test-options", 5, hash, ds.D(), res)
-		if err != nil {
-			t.Fatalf("%s: %v", fit.algo, err)
+			t.Fatalf("%s: %v", algo, err)
 		}
 		data, err := m.Encode()
 		if err != nil {
-			t.Fatalf("%s: %v", fit.algo, err)
+			t.Fatalf("%s: %v", algo, err)
 		}
 		back, err := Decode(data)
 		if err != nil {
-			t.Fatalf("%s: %v", fit.algo, err)
+			t.Fatalf("%s: %v", algo, err)
 		}
 		a, err := back.Assigner()
 		if err != nil {
-			t.Fatalf("%s: %v", fit.algo, err)
+			t.Fatalf("%s: %v", algo, err)
 		}
 		got := make([]int, ds.N())
 		if err := a.AssignBatch(rows, got); err != nil {
-			t.Fatalf("%s: %v", fit.algo, err)
+			t.Fatalf("%s: %v", algo, err)
 		}
 		var want []int
-		if fit.algo == "sspc" {
+		if algo == "sspc" {
 			want = res.Assignments
 		} else {
 			inProc, err := core.NewAssigner(ds.D(), res.Fitted)
 			if err != nil {
-				t.Fatalf("%s: %v", fit.algo, err)
+				t.Fatalf("%s: %v", algo, err)
 			}
 			want = make([]int, ds.N())
 			if err := inProc.AssignBatch(rows, want); err != nil {
-				t.Fatalf("%s: %v", fit.algo, err)
+				t.Fatalf("%s: %v", algo, err)
 			}
 		}
 		for x := range got {
 			if got[x] != want[x] {
-				t.Fatalf("%s: object %d decoded-model assign %d, want %d", fit.algo, x, got[x], want[x])
+				t.Fatalf("%s: object %d decoded-model assign %d, want %d", algo, x, got[x], want[x])
 			}
 		}
+	}
+}
+
+// TestEncodeDigest pins the wire bytes: one SHA-256 over Encode() of 200
+// randomModel draws at a fixed seed, then of the SSPC, PROCLUS and DOC
+// models of servableFits, then of a hand-built result whose empty triples
+// encode as null. The digest was captured while this package still had a
+// cluster type of its own, before the body's clusters became
+// cluster.FittedCluster values; any change to a field name, field order,
+// nil-versus-empty slice or float formatting moves it, and so does any
+// change to the three fits.
+func TestEncodeDigest(t *testing.T) {
+	const want = "7483b1b104cd429924eedf8910388c0d8fcb2d010d50b9feba29495c6b47b15d"
+	h := sha256.New()
+	rng := rand.New(rand.NewSource(2026))
+	for i := 0; i < 200; i++ {
+		data, err := randomModel(rng).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
+	write := func(algo, hash string, d int, res *cluster.Result) {
+		t.Helper()
+		m, err := FromResult(algo, "test-options", 5, hash, d, res)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		data, err := m.Encode()
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		h.Write(data)
+	}
+	ds, algos, results := servableFits(t)
+	for i, algo := range algos {
+		write(algo, DatasetHash(ds), ds.D(), results[i])
+	}
+	write("doc", "0123abcd", 2, &cluster.Result{K: 3, Assignments: []int{0, 2, -1, 2}, Score: 1.25, Fitted: []cluster.FittedCluster{
+		{},
+		{Dims: []int{}, Rep: []float64{}, SHat: []float64{}},
+		{Dims: []int{1}, Rep: []float64{-0.5}, SHat: []float64{3}},
+	}})
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Encode digest %s, want %s", got, want)
 	}
 }
 

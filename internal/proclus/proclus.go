@@ -248,23 +248,21 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 		ScoreHigherIsBetter: false,
 		Iterations:          iterations,
 	}
-	if fitted, ok := fittedFrom(ds, bestMedoids, refined); ok {
-		res.Fitted = fitted
-	}
+	res.Fitted = cluster.Servable(fittedFrom(ds, bestMedoids, refined), ds.D())
 	if err := res.Validate(n, ds.D()); err != nil {
 		return nil, fmt.Errorf("proclus: internal result invalid: %w", err)
 	}
 	return res, nil
 }
 
-// fittedFrom builds the servable per-cluster (dims, rep, ŝ²) triples of a
+// fittedFrom builds the per-cluster (dims, rep, ŝ²) triples of a
 // finished run: each cluster's refined dimensions, its medoid's projection on
 // them, and the dataset's global per-column variance as the selection
 // threshold (PROCLUS has no per-cluster ŝ², so the global spread plays the
 // role Step-3 scoring expects: "within one cluster-scale unit of the
-// representative"). Returns ok=false — dropping Fitted, not failing the run —
-// when any triple is degenerate (e.g. a zero-variance column).
-func fittedFrom(ds *dataset.Dataset, medoids []int, dims [][]int) ([]cluster.FittedCluster, bool) {
+// representative"). A zero-variance column gives a degenerate triple, and
+// cluster.Servable then drops Fitted instead of failing the run.
+func fittedFrom(ds *dataset.Dataset, medoids []int, dims [][]int) []cluster.FittedCluster {
 	fitted := make([]cluster.FittedCluster, len(medoids))
 	for i, m := range medoids {
 		row := ds.Row(m)
@@ -276,11 +274,8 @@ func fittedFrom(ds *dataset.Dataset, medoids []int, dims [][]int) ([]cluster.Fit
 			fc.Rep = append(fc.Rep, row[j])
 			fc.SHat = append(fc.SHat, ds.ColVariance(j))
 		}
-		if fc.Validate(ds.D()) != nil {
-			return nil, false
-		}
 	}
-	return fitted, true
+	return fitted
 }
 
 // greedyPiercing draws a sample of A·K objects and greedily selects B·K of

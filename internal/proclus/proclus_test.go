@@ -2,6 +2,7 @@ package proclus
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/eval"
@@ -206,5 +207,38 @@ func TestFittedSnapshotServable(t *testing.T) {
 				t.Errorf("cluster %d dim %d: ŝ² = %v, want global variance %v", c, j, got, gt.Data.ColVariance(j))
 			}
 		}
+	}
+}
+
+// A constant column has zero average distance to every medoid, so every
+// cluster selects it, and its global variance — the ŝ² PROCLUS serves with —
+// is 0. The fit still returns a valid clustering, but drops Fitted rather
+// than emit a model whose Step-3 score divides by zero.
+func TestConstantColumnDropsFitted(t *testing.T) {
+	gt, err := synth.Generate(synth.Config{N: 300, D: 30, K: 3, AvgDims: 8, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := gt.Data
+	const constant = 7
+	for x := 0; x < ds.N(); x++ {
+		ds.Set(x, constant, 1.5)
+	}
+	opts := DefaultOptions(3, 8)
+	opts.Seed = 4
+	res, err := RunContext(context.Background(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Validate(ds.N(), ds.D()); err != nil {
+		t.Fatal(err)
+	}
+	for c, dims := range res.Dims {
+		if !slices.Contains(dims, constant) {
+			t.Fatalf("cluster %d dims %v omit the constant column %d", c, dims, constant)
+		}
+	}
+	if res.Fitted != nil {
+		t.Errorf("Fitted = %v, want nil for a zero-variance selected column", res.Fitted)
 	}
 }

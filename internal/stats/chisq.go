@@ -35,25 +35,6 @@ func ChiSquareQuantile(p float64, nu float64) (float64, error) {
 	return 2 * g, nil
 }
 
-// ChiSquarePDF returns the density of χ²(ν) at x.
-func ChiSquarePDF(x, nu float64) float64 {
-	if x < 0 || nu <= 0 {
-		return 0
-	}
-	if x == 0 {
-		if nu < 2 {
-			return math.Inf(1)
-		}
-		if nu == 2 {
-			return 0.5
-		}
-		return 0
-	}
-	half := nu / 2
-	lg, _ := math.Lgamma(half)
-	return math.Exp((half-1)*math.Log(x) - x/2 - half*math.Ln2 - lg)
-}
-
 // VarianceThreshold returns the value t such that a sample variance of nu+1
 // Gaussian observations with population variance globalVar satisfies
 // P(s² < t) = p. It is the paper's ŝ²_ij for threshold scheme "p":

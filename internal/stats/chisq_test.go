@@ -124,20 +124,6 @@ func TestChiSquareCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestChiSquarePDFIntegratesToCDF(t *testing.T) {
-	// Trapezoid integration of the PDF should approximate the CDF.
-	nu := 5.0
-	h := 0.001
-	acc := 0.0
-	for x := 0.0; x < 10; x += h {
-		acc += h * (ChiSquarePDF(x, nu) + ChiSquarePDF(x+h, nu)) / 2
-	}
-	want, _ := ChiSquareCDF(10, nu)
-	if math.Abs(acc-want) > 1e-4 {
-		t.Errorf("integrated PDF %v vs CDF %v", acc, want)
-	}
-}
-
 func TestVarianceThresholdMatchesSimulation(t *testing.T) {
 	// Empirically: generate Gaussian samples with variance globalVar and
 	// check the fraction with s² below the threshold is ≈ p.

@@ -6,10 +6,7 @@
 // Everything is implemented on top of the standard library only.
 package stats
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // RNG is a deterministic random source shared by the generators and the
 // randomized algorithms. It wraps math/rand.Rand so that every experiment in
@@ -21,13 +18,6 @@ type RNG struct {
 // NewRNG returns a deterministic RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
-}
-
-// Split derives a new independent RNG from the current one. It is used to
-// give sub-components (e.g. each repeated run of an experiment) their own
-// stream without correlating draws.
-func (g *RNG) Split() *RNG {
-	return NewRNG(g.r.Int63())
 }
 
 // Float64 returns a uniform value in [0,1).
@@ -46,9 +36,6 @@ func (g *RNG) Norm(mean, stddev float64) float64 {
 // Intn returns a uniform integer in [0,n). It panics if n <= 0, mirroring
 // math/rand.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Int63 returns a non-negative 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
@@ -157,13 +144,5 @@ func (g *RNG) WeightedSample(weights []float64, k int) []int {
 		w[pick] = 0
 		out = append(out, pick)
 	}
-	return out
-}
-
-// SortedCopy returns a sorted copy of xs. It is a convenience used by tests.
-func SortedCopy(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
 	return out
 }

@@ -123,19 +123,6 @@ func TestWeightedSampleKGreaterThanN(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	g := NewRNG(9)
-	c1 := g.Split()
-	// The child should be deterministic given the parent state.
-	g2 := NewRNG(9)
-	c2 := g2.Split()
-	for i := 0; i < 10; i++ {
-		if c1.Float64() != c2.Float64() {
-			t.Fatal("Split not deterministic")
-		}
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	g := NewRNG(10)
 	for i := 0; i < 1000; i++ {

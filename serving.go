@@ -13,10 +13,11 @@ import (
 // identity: a decoded model assigns exactly what the fit that produced it
 // assigned (see ARCHITECTURE.md, "The serving layer").
 
-// FittedCluster is the frozen per-cluster assignment rule captured at fit
+// FittedCluster is one cluster's Step-3 assignment rule captured at fit
 // time: selected dimensions, the representative's projection onto them,
 // and the ŝ² thresholds. Algorithms that can be served (SSPC, PROCLUS,
-// DOC) attach one per cluster as Result.Fitted.
+// DOC) attach one per cluster as Result.Fitted; a Model holds the same
+// values as Model.Clusters, and an Assigner scores with them.
 type FittedCluster = cluster.FittedCluster
 
 // Assigner answers Step-3 assignment queries from a fitted snapshot,
@@ -27,9 +28,6 @@ type Assigner = core.Assigner
 // provenance (algorithm, options, seed, dataset hash), the training
 // assignments, and the per-cluster assignment rules.
 type Model = model.Model
-
-// ModelCluster is one cluster's assignment rule inside a Model.
-type ModelCluster = model.Cluster
 
 // NewAssigner builds an Assigner for a d-dimensional space from fitted
 // per-cluster snapshots (typically Result.Fitted).
