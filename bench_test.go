@@ -1,7 +1,9 @@
 package sspc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/grid"
+	"repro/internal/model"
 )
 
 // The figure benchmarks regenerate every table/figure of the paper at a
@@ -657,6 +660,51 @@ func BenchmarkServeAssign(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkAssignDecode times decoding one POST /assign body of 8 rows ×
+// 100 values, the batch the serve workloads send. The "json" leg decodes it
+// with encoding/json into the request struct, the path sspcd keeps for
+// bodies outside the clients' shape; the "fast" leg runs model.DecodeAssign
+// into warmed buffers, which scans this shape in place.
+func BenchmarkAssignDecode(b *testing.B) {
+	gt := benchGroundTruth(b, 100, 100, 5, 10)
+	type request struct {
+		Model string      `json:"model"`
+		Rows  [][]float64 `json:"rows"`
+	}
+	req := request{Model: model.Key(DatasetHash(gt.Data), "sspc", "bench", 42), Rows: make([][]float64, 8)}
+	for i := range req.Rows {
+		req.Rows[i] = gt.Data.Row(i)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var got request
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&got); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fast", func(b *testing.B) {
+		_, rows, lens, err := model.DecodeAssign(body, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, rows, lens, err = model.DecodeAssign(body, rows, lens); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkValidateKnowledge(b *testing.B) {

@@ -33,9 +33,11 @@
 // parallel evaluation path (BenchmarkEvaluateParallel), the chunked
 // COP-KMeans constrained-assignment pass
 // (BenchmarkConstrainedAssignChunked), the macro assignment benchmark
-// (BenchmarkAssignChunked), and the
+// (BenchmarkAssignChunked), the
 // model-serving hot path (BenchmarkServeAssign — the Assigner behind
-// cmd/sspcd's /assign). CI runs the suite at -benchtime=1x every PR — a
+// cmd/sspcd's /assign), and the /assign body decode, encoding/json against
+// model.DecodeAssign (BenchmarkAssignDecode, charted but not a required
+// key). CI runs the suite at -benchtime=1x every PR — a
 // compile-and-run smoke gate, not a measurement — verifies the committed
 // baseline's shape, and runs the cross-baseline diff in report-only mode
 // (single-core CI timings are noise; real numbers come from multi-core
@@ -59,7 +61,7 @@ import (
 )
 
 // defaultBench is the named benchmark suite a bare `bench` run executes.
-const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGridBuild|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign)$"
+const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGridBuild|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign|BenchmarkAssignDecode)$"
 
 // requiredKeys are the benchmark names (GOMAXPROCS suffix stripped) a valid
 // baseline must contain: the two EvaluateColumnar legs that compare the

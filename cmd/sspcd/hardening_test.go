@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -261,6 +262,18 @@ func TestBodyCap413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized assign: status %d, want 413", resp.StatusCode)
+	}
+
+	// The whole body counts against the cap, also bytes after the end of
+	// its first JSON value.
+	resp, err = http.Post(ts.URL+"/assign", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"model":%q,"rows":[]}`, key)+strings.Repeat(" ", 300)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("assign body past the cap after its value: status %d, want 413", resp.StatusCode)
 	}
 
 	resp2, err := http.Post(ts.URL+"/models", "application/octet-stream",

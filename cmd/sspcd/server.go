@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -108,14 +109,16 @@ type server struct {
 	// reqID numbers requests for the panic-recovery middleware's 500s.
 	reqID atomic.Int64
 
-	// assignScratch pools the flatten/assign buffers of JSON /assign, so
-	// steady-state requests reuse memory instead of growing the heap per
+	// assignScratch pools the body, row and answer buffers of JSON /assign,
+	// so steady-state requests reuse memory instead of growing the heap per
 	// call.
 	assignScratch sync.Pool
 }
 
 type assignBuffers struct {
+	body bytes.Buffer
 	rows []float64
+	lens []int
 	out  []int
 }
 
@@ -125,7 +128,9 @@ func newServer() *server {
 		jobs:    make(map[string]*job),
 		cancels: make(map[string]context.CancelCauseFunc),
 	}
-	s.assignScratch.New = func() any { return &assignBuffers{} }
+	// out starts empty rather than nil, so a batch of zero rows answers
+	// [] and not null whichever buffer it gets.
+	s.assignScratch.New = func() any { return &assignBuffers{out: []int{}} }
 	return s
 }
 
@@ -548,45 +553,44 @@ func (s *server) lookup(key string) (*entry, bool) {
 	return e, ok
 }
 
-// assignRequest is the POST /assign body.
-type assignRequest struct {
-	Model string      `json:"model"`
-	Rows  [][]float64 `json:"rows"`
-}
-
-// handleAssign is the serving hot path: flatten the batch into a pooled
-// buffer, score it on the prebuilt allocation-free assigner, return the
-// winning cluster per row (−1 = outlier).
+// handleAssign is the serving hot path: read the body into a pooled buffer,
+// decode its rows into a pooled flat buffer, score them on the prebuilt
+// allocation-free assigner, and return the winning cluster per row
+// (−1 = outlier). The whole body is read before it is parsed, so a body
+// past -max-body answers 413 even when its first JSON value ends before the
+// cap.
 func (s *server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	s.limitBody(w, r)
-	var req assignRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	buf := s.assignScratch.Get().(*assignBuffers)
+	defer s.assignScratch.Put(buf)
+	buf.body.Reset()
+	if _, err := buf.body.ReadFrom(r.Body); err != nil {
 		httpError(w, bodyErrStatus(err), "assign request: %v", err)
 		return
 	}
-	e, ok := s.lookup(req.Model)
+	key, rows, lens, err := model.DecodeAssign(buf.body.Bytes(), buf.rows, buf.lens)
+	buf.rows, buf.lens = rows, lens
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "assign request: %v", err)
+		return
+	}
+	e, ok := s.lookup(key)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown model %q", req.Model)
+		httpError(w, http.StatusNotFound, "unknown model %q", key)
 		return
 	}
 	d := e.assigner.D()
-	buf := s.assignScratch.Get().(*assignBuffers)
-	defer s.assignScratch.Put(buf)
-	buf.rows = buf.rows[:0]
-	for i, row := range req.Rows {
-		if len(row) != d {
-			httpError(w, http.StatusBadRequest, "row %d has %d values, model needs %d", i, len(row), d)
+	for i, n := range lens {
+		if n != d {
+			httpError(w, http.StatusBadRequest, "row %d has %d values, model needs %d", i, n, d)
 			return
 		}
-		buf.rows = append(buf.rows, row...)
 	}
-	if cap(buf.out) < len(req.Rows) {
-		buf.out = make([]int, len(req.Rows))
+	if cap(buf.out) < len(lens) {
+		buf.out = make([]int, len(lens))
 	}
-	buf.out = buf.out[:len(req.Rows)]
-	if err := e.assigner.AssignBatch(buf.rows, buf.out); err != nil {
+	buf.out = buf.out[:len(lens)]
+	if err := e.assigner.AssignBatch(rows, buf.out); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -62,6 +62,12 @@ func fitAndModel(t *testing.T) (*model.Model, [][]float64, string) {
 	return m, rows, csv.String()
 }
 
+// assignRequest is a POST /assign body, as clients send it.
+type assignRequest struct {
+	Model string      `json:"model"`
+	Rows  [][]float64 `json:"rows"`
+}
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	data, err := json.Marshal(body)
@@ -464,6 +470,92 @@ func TestAssignShapeErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("narrow csv: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// serveAssign sends body to POST /assign and returns the status and answer.
+func serveAssign(s *server, body string) (int, string) {
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/assign", strings.NewReader(body)))
+	return w.Code, w.Body.String()
+}
+
+// registeredServer is a server holding fitAndModel's model.
+func registeredServer(t *testing.T) (*server, string, [][]float64) {
+	t.Helper()
+	s := newServer()
+	m, rows, _ := fitAndModel(t)
+	enc, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := s.register(m, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, key, rows
+}
+
+// TestAssignParsePathsAgree: spelled as clients send it, a request takes
+// the fast body parser; spelled with an escaped, case-folded or repeated
+// key, or with bytes after the object, it takes encoding/json. Every
+// spelling gets the same status and the same answer.
+func TestAssignParsePathsAgree(t *testing.T) {
+	s, key, rows := registeredServer(t)
+	for _, req := range []struct {
+		name  string
+		model string
+		rows  [][]float64
+		code  int
+	}{
+		{"five rows", key, rows[:5], http.StatusOK},
+		{"no rows", key, [][]float64{}, http.StatusOK},
+		{"unknown model", "nope", rows[:1], http.StatusNotFound},
+		{"short second row", key, [][]float64{rows[0], rows[1][:3]}, http.StatusBadRequest},
+	} {
+		js, err := json.Marshal(req.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := fmt.Sprintf(`{"model":%q,"rows":%s}`, req.model, js)
+		code, want := serveAssign(s, plain)
+		if code != req.code {
+			t.Fatalf("%s: status %d, want %d: %s", req.name, code, req.code, want)
+		}
+		for _, body := range []string{
+			fmt.Sprintf(" {\n \"rows\" : %s ,\t\"model\" : %q } ", js, req.model),
+			fmt.Sprintf(`{"mod\u0065l":%q,"rows":%s}`, req.model, js),
+			fmt.Sprintf(`{"MODEL":%q,"Rows":%s}`, req.model, js),
+			fmt.Sprintf(`{"model":"other","rows":[[1]],"model":%q,"rows":%s}`, req.model, js),
+			plain + ` {"trailing":1}`,
+		} {
+			if c, got := serveAssign(s, body); c != code || got != want {
+				t.Errorf("%s: %s answers %d %q, the plain body %d %q", req.name, body, c, got, code, want)
+			}
+		}
+	}
+}
+
+// TestEmptyAssignAnswersEmptyList: a batch of zero rows answers [] whether
+// the pooled buffers are new or have served a batch before.
+func TestEmptyAssignAnswersEmptyList(t *testing.T) {
+	s, key, rows := registeredServer(t)
+	const want = "{\"assignments\":[]}\n"
+	empty := fmt.Sprintf(`{"model":%q,"rows":[]}`, key)
+	if code, got := serveAssign(s, empty); code != http.StatusOK || got != want {
+		t.Errorf("first empty batch: %d %q, want 200 %q", code, got, want)
+	}
+	js, err := json.Marshal(rows[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, got := serveAssign(s, fmt.Sprintf(`{"model":%q,"rows":%s}`, key, js)); code != http.StatusOK {
+		t.Fatalf("two rows: %d %q", code, got)
+	}
+	for _, body := range []string{empty, fmt.Sprintf(`{"model":%q,"rows":null}`, key)} {
+		if code, got := serveAssign(s, body); code != http.StatusOK || got != want {
+			t.Errorf("%s after a batch: %d %q, want 200 %q", body, code, got, want)
+		}
 	}
 }
 

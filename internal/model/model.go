@@ -26,6 +26,9 @@
 // anyway as defense in depth. Unknown body fields are rejected
 // (DisallowUnknownFields), so version 1 readers cannot silently drop data a
 // newer writer considered meaningful.
+//
+// DecodeAssign parses the body of cmd/sspcd's POST /assign, the request
+// that scores rows against a served model.
 package model
 
 import (
@@ -255,7 +258,7 @@ func Decode(data []byte) (*Model, error) {
 	if err := dec.Decode(m); err != nil {
 		return nil, fmt.Errorf("model: decode body: %w", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		return nil, fmt.Errorf("model: trailing data after body")
 	}
 	if err := m.Validate(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -117,6 +118,57 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// FuzzDecodeModel: Decode never panics, and a model it accepts passes
+// Validate and comes back from Encode → Decode deep-equal under the same
+// Key. Every input is also tried as a body behind a valid header, so
+// mutations reach the JSON decoder instead of stopping at the CRC.
+func FuzzDecodeModel(f *testing.F) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 4; i++ {
+		enc, err := randomModel(rng).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[headerSize:])
+	}
+	good, err := randomModel(rng).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good[:10]) // truncated header
+	badCRC := append([]byte(nil), good...)
+	binary.BigEndian.PutUint32(badCRC[20:24], 0)
+	f.Add(badCRC)
+	f.Add(frame(append(good[headerSize:len(good):len(good)], '}')))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeRoundTrip(t, data)
+		decodeRoundTrip(t, frame(data))
+	})
+}
+
+func decodeRoundTrip(t *testing.T, data []byte) {
+	t.Helper()
+	m, err := Decode(data)
+	if err != nil {
+		return
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("Decode accepted a model that fails Validate: %v", err)
+	}
+	enc, err := m.Encode()
+	if err != nil {
+		t.Fatalf("decoded model does not encode: %v", err)
+	}
+	back, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("re-encoded model does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(back, m) || back.Key() != m.Key() {
+		t.Fatalf("round trip changed the model:\n%+v\n%+v", m, back)
+	}
+}
+
 func TestSaveLoad(t *testing.T) {
 	m := randomModel(rand.New(rand.NewSource(7)))
 	path := filepath.Join(t.TempDir(), "m.sspcm")
@@ -160,6 +212,12 @@ func TestDecodeRejections(t *testing.T) {
 			binary.BigEndian.PutUint32(b[20:24], 0)
 			return b
 		}},
+		// A tail after the body's value, behind a header that counts it.
+		{"trailing }", func(b []byte) []byte { return frame(append(b[headerSize:], '}')) }},
+		{"trailing ]", func(b []byte) []byte { return frame(append(b[headerSize:], ']')) }},
+		{"trailing ]]}", func(b []byte) []byte { return frame(append(b[headerSize:], " ]]}"...)) }},
+		{"trailing x", func(b []byte) []byte { return frame(append(b[headerSize:], 'x')) }},
+		{"trailing {}", func(b []byte) []byte { return frame(append(b[headerSize:], "{}"...)) }},
 	}
 	for _, tc := range cases {
 		data := tc.corrupt(append([]byte(nil), good...))
@@ -167,20 +225,28 @@ func TestDecodeRejections(t *testing.T) {
 			t.Errorf("%s: decode should fail", tc.name)
 		}
 	}
+	if _, err := Decode(frame(append(good[headerSize:len(good):len(good)], " \n\t\r"...))); err != nil {
+		t.Errorf("trailing whitespace: %v", err)
+	}
 	// Unknown body fields are a forward-compat error, not silently dropped:
 	// re-point the header at a hand-built body with an extra field.
 	body := []byte(`{"algo":"sspc","options":"","seed":1,"k":1,"d":1,"n":0,"dataset_hash":"x",` +
 		`"score":0,"score_higher_is_better":true,"iterations":1,"assignments":[],` +
 		`"clusters":[{"dims":[],"rep":[],"shat":[]}],"extra_field":1}`)
+	if _, err := Decode(frame(body)); err == nil {
+		t.Error("unknown body field should fail decode")
+	}
+}
+
+// frame puts a body behind a valid header: its length and CRC.
+func frame(body []byte) []byte {
 	data := make([]byte, headerSize+len(body))
-	copy(data, good[:8])
+	copy(data, magic)
 	binary.BigEndian.PutUint32(data[8:12], Version)
 	binary.BigEndian.PutUint64(data[12:20], uint64(len(body)))
 	binary.BigEndian.PutUint32(data[20:24], crc32.ChecksumIEEE(body))
 	copy(data[headerSize:], body)
-	if _, err := Decode(data); err == nil {
-		t.Error("unknown body field should fail decode")
-	}
+	return data
 }
 
 func TestValidateRejections(t *testing.T) {
