@@ -39,6 +39,25 @@ func (r *representative) at(ds *dataset.Dataset, j int) float64 {
 	return r.vals[j]
 }
 
+// on takes the representative's coordinates on dims and returns them in a
+// d-vector indexed by dimension. Only the entries of dims, and of dimensions
+// read before, hold coordinates; a reader of the vector reads no other.
+func (r *representative) on(ds *dataset.Dataset, dims []int) []float64 {
+	for _, j := range dims {
+		r.at(ds, j)
+	}
+	return r.vals
+}
+
+// vector returns the representative as a d-vector, taking every coordinate
+// not known yet.
+func (r *representative) vector(ds *dataset.Dataset) []float64 {
+	for j := range r.vals {
+		r.at(ds, j)
+	}
+	return r.vals
+}
+
 // setVector makes v the representative, every coordinate known. r is then
 // the median of no list, so a later setMedian starts afresh.
 func (r *representative) setVector(v []float64) {

@@ -161,24 +161,26 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 
 	var cands []int
 	var weights []float64
-	var start []float64
+	var start *representative // nil: each grid's absolute peak
 
 	switch {
 	case len(io) >= 2:
 		// §4.2.1/§4.2.2: the labeled objects form a temporary cluster C'.
+		// The start is their median. A grid reads it only on the
+		// dimensions it draws, so each coordinate is taken on first read.
 		cands, weights = privateCandidates(evaluateDims(init.ds, io, init.thr, init.es), iv)
-		start = init.ds.MedianVector(io)
+		start = init.medianStart(io)
 
 	case len(io) == 1:
 		// A single labeled object cannot form a temporary cluster (φ needs
 		// a sample variance); use it as the hill-climbing start and fall
 		// back to labeled dimensions or 1-D densities for candidates.
-		start = append([]float64(nil), init.ds.Row(io[0])...)
+		start = init.rowStart(io[0])
 		if len(iv) > 0 {
 			cands = append(cands, iv...)
 			weights = uniformWeights(len(iv))
 		} else {
-			cands, weights = init.densityCandidates(start)
+			cands, weights = init.densityCandidates(start.vector(init.ds))
 		}
 
 	default:
@@ -186,7 +188,6 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 		// uniform probabilities and the seeds come from the absolute peak.
 		cands = append(cands, iv...)
 		weights = uniformWeights(len(iv))
-		start = nil
 	}
 
 	if len(cands) == 0 {
@@ -194,9 +195,9 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 		// dimension): treat like an unsupervised group anchored at the
 		// labeled objects' median, using 1-D densities.
 		if start == nil {
-			start = init.ds.MedianVector(io)
+			start = init.medianStart(io)
 		}
-		cands, weights = init.densityCandidates(start)
+		cands, weights = init.densityCandidates(start.vector(init.ds))
 	}
 
 	seeds, err := init.buildSeedsPreferring(cands, weights, iv, start)
@@ -209,6 +210,21 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 		sort.Ints(dims)
 	}
 	return &seedGroup{seeds: seeds, dims: dims, class: c}, nil
+}
+
+// medianStart returns a hill-climbing start at the median of objs, whose
+// coordinates are taken on first read.
+func (init *initializer) medianStart(objs []int) *representative {
+	r := newRepresentative(init.ds.D())
+	r.setMedian(objs)
+	return &r
+}
+
+// rowStart returns a hill-climbing start at object i.
+func (init *initializer) rowStart(i int) *representative {
+	r := newRepresentative(init.ds.D())
+	r.setVector(init.ds.Row(i))
+	return &r
 }
 
 // privateCandidates returns the grid-building candidates of a class whose
@@ -254,8 +270,8 @@ func (init *initializer) createPublic() (*seedGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := append([]float64(nil), init.ds.Row(startObj)...)
-	cands, weights := init.densityCandidates(start)
+	start := init.rowStart(startObj)
+	cands, weights := init.densityCandidates(start.vector(init.ds))
 	seeds, err := init.buildSeeds(cands, weights, start)
 	if err != nil {
 		return nil, err
@@ -357,7 +373,7 @@ func (init *initializer) gather(members []int, dims []int) []int {
 // priority — the synergy of the two input kinds the paper describes (§4.5):
 // labeled dimensions pin down the subspace, labeled objects pin down the
 // location.
-func (init *initializer) buildSeedsPreferring(cands []int, weights []float64, iv []int, start []float64) ([]int, error) {
+func (init *initializer) buildSeedsPreferring(cands []int, weights []float64, iv []int, start *representative) ([]int, error) {
 	if len(iv) == 0 {
 		return init.buildSeeds(cands, weights, start)
 	}
@@ -455,12 +471,7 @@ func (init *initializer) densityCandidates(start []float64) ([]int, []float64) {
 	baseline := 1.0 / float64(bins)
 	if init.hists == nil {
 		init.hists = make([]*stats.Histogram, d)
-		col := make([]float64, init.ds.N())
-		for j := range init.hists {
-			// The error (no bins or no values) is the nil histogram that
-			// drops the column below.
-			init.hists[j], _ = stats.NewHistogram(init.ds.ColInto(j, col), bins)
-		}
+		columnHistograms(init.ds, bins, 0, d, init.hists)
 	}
 	cands := make([]int, 0, d)
 	weights := make([]float64, 0, d)
@@ -478,11 +489,41 @@ func (init *initializer) densityCandidates(start []float64) ([]int, []float64) {
 	return cands, weights
 }
 
+// columnHistograms builds the 1-D density histogram over all n objects of
+// every column j in [lo, hi) into hists[j-lo], in one row-major pass. Each
+// spans its column's cached [ColMin, ColMax]: the dataset's statistics scan
+// the rows in index order from ±Inf with the same strict < and > as
+// stats.Min and stats.Max, and the cell counts are integers, so each
+// histogram equals one built over the gathered column with Min and Max
+// bounds. A column without a finite value gets nil.
+func columnHistograms(ds *dataset.Dataset, bins, lo, hi int, hists []*stats.Histogram) {
+	hists = hists[:hi-lo]
+	// The range's histograms and their cells live in two arrays.
+	hs := make([]stats.Histogram, len(hists))
+	counts := make([]int, len(hists)*bins)
+	for t := range hists {
+		var err error
+		hs[t], err = stats.NewHistogramOver(ds.ColMin(lo+t), ds.ColMax(lo+t), counts[t*bins:(t+1)*bins:(t+1)*bins])
+		hists[t] = &hs[t]
+		if err != nil {
+			// No bins or no values: the nil histogram drops the column.
+			hists[t] = nil
+		}
+	}
+	for i := 0; i < ds.N(); i++ {
+		for t, v := range ds.Row(i)[lo:hi] {
+			if h := hists[t]; h != nil {
+				h.Add(v)
+			}
+		}
+	}
+}
+
 // buildSeeds builds g grids over weighted candidate dimensions and returns
 // the objects of the densest (hill-climbed) peak cell across all grids.
-// start is the hill-climbing anchor (full d-vector); nil means the absolute
-// peak of each grid is used.
-func (init *initializer) buildSeeds(cands []int, weights []float64, start []float64) ([]int, error) {
+// start is the hill-climbing anchor, read only on each grid's dimensions;
+// nil means the absolute peak of each grid is used.
+func (init *initializer) buildSeeds(cands []int, weights []float64, start *representative) ([]int, error) {
 	include := init.includeList()
 	var bestSeeds []int
 	bestDensity := -1
@@ -511,7 +552,7 @@ func (init *initializer) buildSeeds(cands []int, weights []float64, start []floa
 		}
 		var peak int64
 		if start != nil {
-			peak = g.HillClimb(g.CellOfPoint(start))
+			peak = g.HillClimb(g.CellOfPoint(start.on(init.ds, dims)))
 		} else {
 			peak, _ = g.Peak()
 		}

@@ -159,9 +159,11 @@ func ValidateKnowledge(ds *dataset.Dataset, kn *dataset.Knowledge, opts Options,
 			}
 			// No labeled objects: a relevant dimension must at least show
 			// a density peak somewhere.
-			h, err := stats.NewHistogram(ds.Col(j), opts.GridBins)
-			if err != nil {
-				return nil, fmt.Errorf("sspc: validate dim %d: %w", j, err)
+			var hist [1]*stats.Histogram
+			columnHistograms(ds, opts.GridBins, j, j+1, hist[:])
+			h := hist[0]
+			if h == nil {
+				return nil, fmt.Errorf("sspc: validate dim %d: no finite values", j)
 			}
 			peak := float64(h.Counts[h.PeakBin()])
 			expected := float64(ds.N()) / float64(opts.GridBins)

@@ -15,26 +15,30 @@ type Histogram struct {
 	total  int
 }
 
-// NewHistogram builds a histogram with bins cells over values. Values equal
-// to Hi fall in the last cell. It returns an error for bins < 1 or a
-// degenerate range.
-func NewHistogram(values []float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, errors.New("stats: histogram needs at least one bin")
+// NewHistogramOver returns an empty histogram over [lo, hi] whose cells are
+// counts, one cell per element, all zero; the histogram keeps counts as its
+// storage, so a caller can back many histograms with one array. Fill it one
+// value at a time with Add. Values are binned against the range, so the
+// usual range is the values' minimum and maximum, with values equal to Hi in
+// the last cell. lo == hi puts all mass in one cell. lo = +Inf — the minimum
+// of no values — is an error, as are empty counts.
+func NewHistogramOver(lo, hi float64, counts []int) (Histogram, error) {
+	if len(counts) < 1 {
+		return Histogram{}, errors.New("stats: histogram needs at least one bin")
 	}
-	lo, hi := Min(values), Max(values)
 	if math.IsInf(lo, 1) {
-		return nil, errors.New("stats: histogram of empty slice")
+		return Histogram{}, errors.New("stats: histogram of empty slice")
 	}
 	if lo == hi {
 		hi = lo + 1 // all mass in one cell; keep the width positive
 	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	for _, v := range values {
-		h.Counts[h.Bin(v)]++
-		h.total++
-	}
-	return h, nil
+	return Histogram{Lo: lo, Hi: hi, Counts: counts}, nil
+}
+
+// Add counts v in its cell.
+func (h *Histogram) Add(v float64) {
+	h.Counts[h.Bin(v)]++
+	h.total++
 }
 
 // Bin returns the cell index for value v, clamped to [0, bins).

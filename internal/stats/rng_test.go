@@ -147,11 +147,21 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 5, 5}, 5)
+// filled returns a histogram with bins cells over [lo, hi] holding values.
+func filled(t *testing.T, lo, hi float64, bins int, values ...float64) Histogram {
+	t.Helper()
+	h, err := NewHistogramOver(lo, hi, make([]int, bins))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, v := range values {
+		h.Add(v)
+	}
+	return h
+}
+
+func TestHistogramBasics(t *testing.T) {
+	h := filled(t, 0, 5, 5, 0, 1, 2, 3, 4, 5, 5, 5)
 	if h.PeakBin() != 4 {
 		t.Errorf("peak bin = %d, want 4 (three fives)", h.PeakBin())
 	}
@@ -164,23 +174,21 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramDegenerate(t *testing.T) {
-	if _, err := NewHistogram(nil, 4); err == nil {
+	// The minimum and maximum of no values.
+	if _, err := NewHistogramOver(Min(nil), Max(nil), make([]int, 4)); err == nil {
 		t.Error("empty input should error")
 	}
-	if _, err := NewHistogram([]float64{1, 2}, 0); err == nil {
+	if _, err := NewHistogramOver(1, 2, nil); err == nil {
 		t.Error("zero bins should error")
 	}
-	h, err := NewHistogram([]float64{3, 3, 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := filled(t, 3, 3, 4, 3, 3, 3)
 	if h.Count(3) != 3 {
 		t.Errorf("constant data: Count(3) = %d", h.Count(3))
 	}
 }
 
 func TestHistogramDensity(t *testing.T) {
-	h, _ := NewHistogram([]float64{0, 0, 0, 10}, 2)
+	h := filled(t, 0, 10, 2, 0, 0, 0, 10)
 	if got := h.Density(0); got != 0.75 {
 		t.Errorf("Density(0) = %v", got)
 	}
