@@ -103,13 +103,14 @@ func TestFaultsFitMatrix(t *testing.T) {
 
 	// Error mode at the chunk gate must come back as a plain injected error,
 	// never a contained panic, in every algorithm's chunk loops — including
-	// PROCLUS's dimension and outlier passes, DOC's box scans, SSPC's Step-4
-	// evaluation and Cheng–Church's residue scans. A delay-mode probe counts
-	// the fit's chunk gates; arming the first three and the last eight of
-	// them reaches PROCLUS's first dimension pass and its outlier tail,
-	// DOC's first and last box scans, SSPC's first and last Step-3 scans and
-	// its last Step-4 evaluation, and lands inside the residue scans for the
-	// bicluster search.
+	// PROCLUS's dimension and outlier passes, DOC's box scans, SSPC's
+	// initialization and Step-4 evaluation and Cheng–Church's residue scans.
+	// A delay-mode probe counts the fit's chunk gates; arming the first three
+	// and the last eight of them reaches PROCLUS's first dimension pass and
+	// its outlier tail, DOC's first and last box scans, SSPC's initialization
+	// (its first gates are the density histograms' column ranges) and its
+	// last Step-3 scans and Step-4 evaluation, and lands inside the residue
+	// scans for the bicluster search.
 	for _, f := range chunkFaultFits {
 		for label, ds := range storage {
 			armFaults(t, faults.Plan{Site: faults.SiteChunkExec, Mode: faults.ModeDelay})
@@ -149,9 +150,47 @@ func TestFaultsFitMatrix(t *testing.T) {
 	}
 }
 
+// TestFaultsChunkGateStopsInitialization: SSPC's initialization runs its
+// chunked loops through the engine's gate, so an error-mode fault armed at
+// the first chunk gate of a Workers 2 fit fails it with the injected error
+// before Trace.OnInit fires, with no partial result and no leaked goroutine.
+func TestFaultsChunkGateStopsInitialization(t *testing.T) {
+	gt := detFixture(t)
+	storage := map[string]*Dataset{"flat": gt.Data, "mmap": mmapFixture(t, gt)}
+	for label, ds := range storage {
+		t.Run(label, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			inits := 0
+			opts := DefaultOptions(3)
+			opts.Seed = 5
+			opts.Workers = 2
+			opts.Trace = &Trace{OnInit: func(int, []SeedGroupInfo) { inits++ }}
+			armFaults(t, faults.Plan{Site: faults.SiteChunkExec, Mode: faults.ModeError, After: 1})
+			res, err := Cluster(context.Background(), ds, opts)
+			faults.Disable()
+			if !errors.Is(err, faults.ErrInjected) {
+				t.Errorf("err = %v, want a faults.ErrInjected chain", err)
+			}
+			var pe *engine.PanicError
+			if errors.As(err, &pe) {
+				t.Errorf("error-mode chunk fault surfaced as a contained panic: %v", err)
+			}
+			if res != nil {
+				t.Error("failed fit returned a partial result")
+			}
+			if inits != 0 {
+				t.Errorf("Trace.OnInit fired %d times: the first chunk gate came after initialization", inits)
+			}
+			settleGoroutines(t, baseline, label)
+		})
+	}
+}
+
 // chunkFaultFits are single-restart fits whose intra-restart chunk loops get
 // the whole worker budget, so every chunk pass runs through the scheduler's
-// gate on its multi-goroutine path.
+// gate on its multi-goroutine path. SSPC's first gates are its
+// initialization's (the density histograms' column ranges), its last ones
+// Step 3's and Step 4's.
 var chunkFaultFits = []struct {
 	name string
 	fit  func(ds *Dataset) (*Result, error)

@@ -40,13 +40,13 @@ import (
 type evalScratch struct {
 	accs  []stats.Running // per-dimension Welford accumulators
 	col   []float64       // one gathered column, for the medians that are taken
-	evals []dimEval       // per-dimension outcomes, cap d
+	evals []dimEval       // per-dimension outcomes, len d
 }
 
 func newEvalScratch(d int) *evalScratch {
 	return &evalScratch{
 		accs:  make([]stats.Running, d),
-		evals: make([]dimEval, 0, d),
+		evals: make([]dimEval, d),
 	}
 }
 
@@ -59,24 +59,24 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// accumulate folds the members' rows into the per-dimension Welford
-// accumulators s.accs and returns them. The pass is row-major, straight from
-// the dataset's rows: Welford's recurrence is a serial chain of dependent
-// divisions per dimension, so a column-at-a-time scan would be bound by
-// division latency, while the row-major pass interleaves d independent
-// chains and lets the divider pipeline them. Per dimension the Add sequence
-// is still exactly member order — the same operations in the same order as
-// the At scan, just scheduled across dimensions.
-func (s *evalScratch) accumulate(ds *dataset.Dataset, members []int) []stats.Running {
-	d := ds.D()
-	if cap(s.accs) < d {
-		s.accs = make([]stats.Running, d)
+// accumulate folds the members' values on the dimensions [lo, hi) into
+// Welford accumulators and returns them, accs[t] for dimension lo+t. The pass
+// is row-major, straight from the dataset's rows: Welford's recurrence is a
+// serial chain of dependent divisions per dimension, so a column-at-a-time
+// scan would be bound by division latency, while the row-major pass
+// interleaves the range's independent chains and lets the divider pipeline
+// them. Per dimension the Add sequence is still exactly member order — the
+// same operations in the same order as the At scan, just scheduled across
+// dimensions, and the same wherever the range's edges fall.
+func (s *evalScratch) accumulate(ds *dataset.Dataset, members []int, lo, hi int) []stats.Running {
+	if cap(s.accs) < hi-lo {
+		s.accs = make([]stats.Running, hi-lo)
 	}
-	accs := s.accs[:d]
+	accs := s.accs[:hi-lo]
 	clear(accs)
 	for _, i := range members {
-		for j, v := range ds.Row(i) {
-			accs[j].Add(v)
+		for t, v := range ds.Row(i)[lo:hi] {
+			accs[t].Add(v)
 		}
 	}
 	return accs

@@ -127,7 +127,7 @@ func allocFixture(t *testing.T, ds *dataset.Dataset, k int) (*assigner, []*state
 		for x := i; x < n; x += k {
 			members = append(members, x)
 		}
-		dims := selectDims(ds, members, thr, es)
+		dims := selectedDims(evaluateDims(ds, members, thr, es))
 		if len(dims) == 0 {
 			dims = []int{i % d}
 		}

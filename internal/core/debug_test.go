@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/synth"
@@ -25,7 +26,7 @@ func TestDebugSeedGroups(t *testing.T) {
 	}
 	thr := newThresholds(gt.Data, opts)
 	rng := newTestRNGCore(opts.Seed)
-	private, public, err := initialize(gt.Data, opts, thr, rng)
+	private, public, err := initialize(context.Background(), gt.Data, opts, thr, rng, slotScratch(gt.Data.D(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,42 +43,51 @@ type dimEval struct {
 // evaluation on s.
 func evaluateDims(ds *dataset.Dataset, members []int, thr *thresholds, s *evalScratch) []dimEval {
 	d := ds.D()
-	out := s.evals[:0]
+	if cap(s.evals) < d {
+		s.evals = make([]dimEval, d)
+	}
+	s.evals = s.evals[:d]
+	s.evaluateRange(ds, members, thr, 0, d, s.evals)
+	return s.evals
+}
+
+// evaluateRange is evaluateDims on the dimensions [lo, hi) alone: it writes
+// their outcomes into out[lo:hi] and no other entry of out. A dimension's
+// outcome reads nothing but its own column and threshold, so the column
+// ranges of one evaluation may run on separate scratches, in any order, and
+// give exactly the whole-range outcomes.
+func (s *evalScratch) evaluateRange(ds *dataset.Dataset, members []int, thr *thresholds, lo, hi int, out []dimEval) {
 	ni := len(members)
 	if ni == 0 {
-		for j := 0; j < d; j++ {
-			out = append(out, dimEval{phi: math.Inf(-1)})
+		for j := lo; j < hi; j++ {
+			out[j] = dimEval{phi: math.Inf(-1)}
 		}
-		s.evals = out
-		return out
+		return
 	}
-	accs := s.accumulate(ds, members)
+	accs := s.accumulate(ds, members, lo, hi)
 	s.col = growFloats(s.col, ni)
 	scale := thr.scale(ni)
-	for j := range accs {
-		r := &accs[j]
+	for t := range accs {
+		j, r := lo+t, &accs[t]
 		variance := r.Variance()
 		sHat := thr.globalVar[j] * scale
 		if !(variance < sHat) {
-			out = append(out, dimEval{phi: math.Inf(-1)})
+			out[j] = dimEval{phi: math.Inf(-1)}
 			continue
 		}
 		med := stats.MedianInPlace(ds.GatherColumn(members, j, s.col))
 		diff := r.Mean() - med
 		disp := variance + diff*diff
 		phi := float64(ni-1) * (1 - disp/sHat)
-		out = append(out, dimEval{phi: phi, median: med, hasMedian: true, selected: disp < sHat})
+		out[j] = dimEval{phi: phi, median: med, hasMedian: true, selected: disp < sHat}
 	}
-	s.evals = out
-	return out
 }
 
-// selectDims runs Procedure SelectDim (Listing 1 of the paper): it returns
-// the dimensions with s²_ij + (µ_ij − µ̃_ij)² < ŝ²_ij, ascending. The
-// returned slice is freshly allocated (callers retain it); the intermediate
-// buffers come from s.
-func selectDims(ds *dataset.Dataset, members []int, thr *thresholds, s *evalScratch) []int {
-	evals := evaluateDims(ds, members, thr, s)
+// selectedDims finishes Procedure SelectDim (Listing 1 of the paper) from
+// one evaluation's outcomes: it returns the dimensions with
+// s²_ij + (µ_ij − µ̃_ij)² < ŝ²_ij, ascending, in a freshly allocated slice
+// the caller may retain.
+func selectedDims(evals []dimEval) []int {
 	var dims []int
 	for j, e := range evals {
 		if e.selected {

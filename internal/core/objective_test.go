@@ -39,9 +39,9 @@ func TestSelectDimsMatchesLemma1(t *testing.T) {
 	})
 	thr := thresholdsFor(ds, SchemeM, 0.5)
 	members := []int{0, 1, 2}
-	dims := selectDims(ds, members, thr, newEvalScratch(ds.D()))
+	dims := selectedDims(evaluateDims(ds, members, thr, newEvalScratch(ds.D())))
 	if len(dims) != 1 || dims[0] != 0 {
-		t.Fatalf("selectDims = %v, want [0]", dims)
+		t.Fatalf("SelectDim = %v, want [0]", dims)
 	}
 	// Explicit Lemma 1 check per dimension.
 	for j := 0; j < 2; j++ {

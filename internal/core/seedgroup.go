@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/stats"
 )
@@ -41,7 +44,17 @@ func (g *seedGroup) drawMedoid(rng *stats.RNG) int {
 }
 
 // initializer builds the seed groups in the knowledge-driven order of §4.2.
+//
+// Its three large loops run on the restart's worker slots through
+// engine.ParallelChunksCtx, each with a fixed fold order, so the groups are
+// the same bits for every worker count: the density histograms split by
+// column range, the SelectDim kernel splits by column range, and the grids
+// of one seed group split by grid and fold their peaks in grid order. Every
+// chunk passes the engine's gate, so a canceled context or an armed fault
+// stops initialization with its error. With one slot each loop is a single
+// inline chunk. gather, adopt and maxMinObject run serially.
 type initializer struct {
+	ctx  context.Context
 	ds   *dataset.Dataset
 	opts Options
 	thr  *thresholds
@@ -51,9 +64,11 @@ type initializer struct {
 	nExcluded int
 	groups    []*seedGroup // every group created so far (for max-min)
 
-	// es backs every SelectDim / evaluateDims call of the initialization
-	// path, so repeated refinement passes reuse one kernel scratch.
-	es *evalScratch
+	// scratch holds one kernel scratch per worker slot. A chunk touches
+	// only its own slot's accumulators and gather buffer, and writes only
+	// its own columns of evals, the outcomes of the latest evaluation.
+	scratch []*evalScratch
+	evals   []dimEval
 
 	// hists holds each column's 1-D density histogram over all n objects,
 	// built on the first densityCandidates call; nil where a column admits
@@ -62,17 +77,26 @@ type initializer struct {
 	hists []*stats.Histogram
 }
 
-// initialize returns the private seed groups keyed by class and the shared
-// public groups.
-func initialize(ds *dataset.Dataset, opts Options, thr *thresholds, rng *stats.RNG) (map[int]*seedGroup, []*seedGroup, error) {
-	init := &initializer{
+// newInitializer returns an initializer whose chunked loops run on
+// len(scratch) worker slots (at least one) and stop once ctx is done.
+func newInitializer(ctx context.Context, ds *dataset.Dataset, opts Options, thr *thresholds, rng *stats.RNG, scratch []*evalScratch) *initializer {
+	return &initializer{
+		ctx:      ctx,
 		ds:       ds,
 		opts:     opts,
 		thr:      thr,
 		rng:      rng,
 		excluded: make([]bool, ds.N()),
-		es:       newEvalScratch(ds.D()),
+		scratch:  scratch,
+		evals:    make([]dimEval, ds.D()),
 	}
+}
+
+// initialize returns the private seed groups keyed by class and the shared
+// public groups. Its chunked loops run on one slot per scratch; a chunk gate
+// that trips (canceled ctx, armed fault) ends it with that error.
+func initialize(ctx context.Context, ds *dataset.Dataset, opts Options, thr *thresholds, rng *stats.RNG, scratch []*evalScratch) (map[int]*seedGroup, []*seedGroup, error) {
+	init := newInitializer(ctx, ds, opts, thr, rng, scratch)
 
 	private := make(map[int]*seedGroup)
 	for _, c := range init.orderedClasses() {
@@ -94,6 +118,9 @@ func initialize(ds *dataset.Dataset, opts Options, thr *thresholds, rng *stats.R
 	for t := 0; t < numPublic; t++ {
 		g, err := init.createPublic()
 		if err != nil {
+			return nil, nil, fmt.Errorf("sspc: public seed group %d: %w", t, err)
+		}
+		if g == nil {
 			// Running out of unexcluded objects is expected on small
 			// datasets; stop with what we have.
 			break
@@ -105,6 +132,38 @@ func initialize(ds *dataset.Dataset, opts Options, thr *thresholds, rng *stats.R
 		return nil, nil, fmt.Errorf("sspc: could not create any seed groups")
 	}
 	return private, public, nil
+}
+
+// chunks runs fn over [0, total) on the worker slots through
+// engine.ParallelChunksCtx: engine-sized chunks over several slots, one
+// inline chunk on a single slot. fn receives its slot index.
+func (init *initializer) chunks(total int, fn func(slot, lo, hi int)) error {
+	size := 0
+	if len(init.scratch) == 1 {
+		size = total
+	}
+	return engine.ParallelChunksCtx(init.ctx, total, size, len(init.scratch), fn)
+}
+
+// evaluate runs the columnar kernel on members over every dimension, split
+// into column ranges across the worker slots. Each chunk accumulates and
+// takes its medians on its own slot's scratch and writes only its own
+// columns, so the outcomes are evaluateDims' for every split. The result
+// aliases init.evals and is valid until the next evaluation.
+func (init *initializer) evaluate(members []int) ([]dimEval, error) {
+	err := init.chunks(init.ds.D(), func(slot, lo, hi int) {
+		init.scratch[slot].evaluateRange(init.ds, members, init.thr, lo, hi, init.evals)
+	})
+	return init.evals, err
+}
+
+// selectDims runs Procedure SelectDim on members through evaluate.
+func (init *initializer) selectDims(members []int) ([]int, error) {
+	evals, err := init.evaluate(members)
+	if err != nil {
+		return nil, err
+	}
+	return selectedDims(evals), nil
 }
 
 // orderedClasses returns the classes with knowledge in creation order:
@@ -162,13 +221,18 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 	var cands []int
 	var weights []float64
 	var start *representative // nil: each grid's absolute peak
+	var err error
 
 	switch {
 	case len(io) >= 2:
 		// §4.2.1/§4.2.2: the labeled objects form a temporary cluster C'.
 		// The start is their median. A grid reads it only on the
 		// dimensions it draws, so each coordinate is taken on first read.
-		cands, weights = privateCandidates(evaluateDims(init.ds, io, init.thr, init.es), iv)
+		evals, err := init.evaluate(io)
+		if err != nil {
+			return nil, err
+		}
+		cands, weights = privateCandidates(evals, iv)
 		start = init.medianStart(io)
 
 	case len(io) == 1:
@@ -179,8 +243,8 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 		if len(iv) > 0 {
 			cands = append(cands, iv...)
 			weights = uniformWeights(len(iv))
-		} else {
-			cands, weights = init.densityCandidates(start.vector(init.ds))
+		} else if cands, weights, err = init.densityCandidates(start.vector(init.ds)); err != nil {
+			return nil, err
 		}
 
 	default:
@@ -197,14 +261,22 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 		if start == nil {
 			start = init.medianStart(io)
 		}
-		cands, weights = init.densityCandidates(start.vector(init.ds))
+		if cands, weights, err = init.densityCandidates(start.vector(init.ds)); err != nil {
+			return nil, err
+		}
 	}
 
 	seeds, err := init.buildSeedsPreferring(cands, weights, iv, start)
 	if err != nil {
 		return nil, err
 	}
-	seeds, dims := init.refine(seeds, iv)
+	if seeds == nil {
+		return nil, errors.New("no grid produced a non-empty peak")
+	}
+	seeds, dims, err := init.refine(seeds, iv)
+	if err != nil {
+		return nil, err
+	}
 	if len(dims) == 0 {
 		dims = append([]int(nil), cands...)
 		sort.Ints(dims)
@@ -264,19 +336,26 @@ func privateCandidates(evals []dimEval, iv []int) (cands []int, weights []float6
 }
 
 // createPublic builds a shared seed group using the max-min mechanism of
-// §4.2.4.
+// §4.2.4. It returns nil, and no error, when the data supports no further
+// group: every object is excluded, or no grid has an object in its peak.
 func (init *initializer) createPublic() (*seedGroup, error) {
 	startObj, err := init.maxMinObject()
 	if err != nil {
-		return nil, err
+		return nil, nil
 	}
 	start := init.rowStart(startObj)
-	cands, weights := init.densityCandidates(start.vector(init.ds))
-	seeds, err := init.buildSeeds(cands, weights, start)
+	cands, weights, err := init.densityCandidates(start.vector(init.ds))
 	if err != nil {
 		return nil, err
 	}
-	seeds, dims := init.refine(seeds, nil)
+	seeds, err := init.buildSeeds(cands, weights, start)
+	if err != nil || seeds == nil {
+		return nil, err
+	}
+	seeds, dims, err := init.refine(seeds, nil)
+	if err != nil {
+		return nil, err
+	}
 	if len(dims) == 0 {
 		// Keep the group usable: take the densest candidate dimensions.
 		dims = topWeighted(cands, weights, init.opts.GridDims)
@@ -296,12 +375,15 @@ func (init *initializer) createPublic() (*seedGroup, error) {
 // dimensions (the top-φ ones, which are almost surely truly relevant), then
 // rerun SelectDim on the grown set. False selections on a representative
 // sample are harmless — they reflect genuine concentration of the cluster.
-func (init *initializer) refine(seeds []int, iv []int) ([]int, []int) {
+func (init *initializer) refine(seeds []int, iv []int) (grown, dims []int, err error) {
 	ds, thr := init.ds, init.thr
-	dims0 := selectDims(ds, seeds, thr, init.es)
+	dims0, err := init.selectDims(seeds)
+	if err != nil {
+		return nil, nil, err
+	}
 	dims0 = unionSorted(dims0, iv)
 	if len(dims0) == 0 {
-		return seeds, nil
+		return seeds, nil, nil
 	}
 
 	// Pass 1: rank the candidate dimensions by φ_ij on the raw seeds and
@@ -312,11 +394,13 @@ func (init *initializer) refine(seeds []int, iv []int) ([]int, []int) {
 		phis[t] = phiIJ(ds, seeds, j, thr, buf)
 	}
 	growDims := topWeighted(dims0, phis, init.opts.GridDims)
-	grown := init.gather(seeds, growDims)
+	grown = init.gather(seeds, growDims)
 	if len(grown) < len(seeds) {
 		grown = seeds
 	}
-	dims := selectDims(ds, grown, thr, init.es)
+	if dims, err = init.selectDims(grown); err != nil {
+		return nil, nil, err
+	}
 	dims = unionSorted(dims, iv)
 
 	// Pass 2: with a representative sample the selected dimensions are
@@ -326,10 +410,13 @@ func (init *initializer) refine(seeds []int, iv []int) ([]int, []int) {
 		regrown := init.gather(grown, dims)
 		if len(regrown) >= len(seeds) {
 			grown = regrown
-			dims = unionSorted(selectDims(ds, grown, thr, init.es), iv)
+			if dims, err = init.selectDims(grown); err != nil {
+				return nil, nil, err
+			}
+			dims = unionSorted(dims, iv)
 		}
 	}
-	return grown, dims
+	return grown, dims, nil
 }
 
 // gather returns the objects whose average normalized squared distance to
@@ -408,12 +495,10 @@ func (init *initializer) buildSeedsPreferring(cands []int, weights []float64, iv
 	init.opts.Grids = savedGrids
 
 	switch {
-	case errA != nil && errB != nil:
-		return nil, errA
 	case errA != nil:
-		return b, nil
+		return nil, errA
 	case errB != nil:
-		return a, nil
+		return nil, errB
 	case len(b) > len(a):
 		return b, nil
 	default:
@@ -465,13 +550,20 @@ func (init *initializer) maxMinObject() (int, error) {
 
 // densityCandidates weights every dimension by the object density around
 // the start point on a 1-D histogram, minus the uniform baseline (§4.2.4).
-func (init *initializer) densityCandidates(start []float64) ([]int, []float64) {
+// The first call builds the histograms, split into column ranges across the
+// worker slots.
+func (init *initializer) densityCandidates(start []float64) ([]int, []float64, error) {
 	d := init.ds.D()
 	bins := init.opts.GridBins
 	baseline := 1.0 / float64(bins)
 	if init.hists == nil {
-		init.hists = make([]*stats.Histogram, d)
-		columnHistograms(init.ds, bins, 0, d, init.hists)
+		hists := make([]*stats.Histogram, d)
+		if err := init.chunks(d, func(_, lo, hi int) {
+			columnHistograms(init.ds, bins, lo, hi, hists[lo:hi])
+		}); err != nil {
+			return nil, nil, err
+		}
+		init.hists = hists
 	}
 	cands := make([]int, 0, d)
 	weights := make([]float64, 0, d)
@@ -486,7 +578,7 @@ func (init *initializer) densityCandidates(start []float64) ([]int, []float64) {
 		cands = append(cands, j)
 		weights = append(weights, w)
 	}
-	return cands, weights
+	return cands, weights, nil
 }
 
 // columnHistograms builds the 1-D density histogram over all n objects of
@@ -520,51 +612,87 @@ func columnHistograms(ds *dataset.Dataset, bins, lo, hi int, hists []*stats.Hist
 }
 
 // buildSeeds builds g grids over weighted candidate dimensions and returns
-// the objects of the densest (hill-climbed) peak cell across all grids.
-// start is the hill-climbing anchor, read only on each grid's dimensions;
-// nil means the absolute peak of each grid is used.
+// the objects of the densest (hill-climbed) peak cell across all grids, or
+// nil when no grid has an object in its peak. start is the hill-climbing
+// anchor, read only on each grid's dimensions; nil means the absolute peak of
+// each grid is used.
+//
+// All g dimension sets are drawn first, in grid order. WeightedSample is the
+// only draw (building a grid and finding its peak draw nothing), so the RNG
+// stream is the one a grid-by-grid loop consumes. The start takes its
+// coordinates on the drawn dimensions before the grids run, so the chunks
+// only read it. The grids then build across the worker slots. Each chunk
+// records every grid's peak count and keeps the objects of its own densest
+// grid, the first in grid order on a tie. The fold takes the first grid in
+// grid order with the largest count, the grid a grid-by-grid loop keeps with
+// a strict >, so the same seeds win for every split.
 func (init *initializer) buildSeeds(cands []int, weights []float64, start *representative) ([]int, error) {
-	include := init.includeList()
-	var bestSeeds []int
-	bestDensity := -1
-
-	c := init.opts.GridDims
-	if c > len(cands) {
-		c = len(cands)
-	}
+	c := min(init.opts.GridDims, len(cands))
 	if c == 0 {
-		return nil, fmt.Errorf("no candidate dimensions")
+		return nil, nil
 	}
 	numGrids := init.opts.Grids
 	if numGrids > 1 && c == len(cands) {
 		// Every grid would use the same dimensions; one suffices.
 		numGrids = 1
 	}
+	dims := make([]int, numGrids*c) // grid t builds over dims[t*c : (t+1)*c]
 	for t := 0; t < numGrids; t++ {
-		picked := init.rng.WeightedSample(weights, c)
-		dims := make([]int, len(picked))
-		for u, idx := range picked {
-			dims[u] = cands[idx]
-		}
-		g, err := grid.Build(init.ds, dims, init.opts.GridBins, include)
-		if err != nil {
-			continue
-		}
-		var peak int64
-		if start != nil {
-			peak = g.HillClimb(g.CellOfPoint(start.on(init.ds, dims)))
-		} else {
-			peak, _ = g.Peak()
-		}
-		if cnt := g.Count(peak); cnt > bestDensity {
-			bestDensity = cnt
-			bestSeeds = append(bestSeeds[:0], g.Objects(peak)...)
+		for u, idx := range init.rng.WeightedSample(weights, c) {
+			dims[t*c+u] = cands[idx]
 		}
 	}
-	if len(bestSeeds) == 0 {
-		return nil, fmt.Errorf("no grid produced a non-empty peak")
+	var point []float64
+	if start != nil {
+		point = start.on(init.ds, dims)
 	}
-	return bestSeeds, nil
+	include := init.includeList()
+
+	// peaks[t] is grid t's peak count, −1 where the grid could not be
+	// built; objects is set only on the densest grid of each chunk.
+	type gridPeak struct {
+		count   int
+		objects []int
+	}
+	peaks := make([]gridPeak, numGrids)
+	err := init.chunks(numGrids, func(_, lo, hi int) {
+		best := -1
+		var objects []int
+		for t := lo; t < hi; t++ {
+			peaks[t].count = -1
+			g, err := grid.Build(init.ds, dims[t*c:(t+1)*c], init.opts.GridBins, include)
+			if err != nil {
+				continue
+			}
+			var peak int64
+			if point != nil {
+				peak = g.HillClimb(g.CellOfPoint(point))
+			} else {
+				peak, _ = g.Peak()
+			}
+			peaks[t].count = g.Count(peak)
+			if best < 0 || peaks[t].count > peaks[best].count {
+				best = t
+				objects = append(objects[:0], g.Objects(peak)...)
+			}
+		}
+		if best >= 0 {
+			peaks[best].objects = objects
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	best := -1
+	for t := range peaks {
+		if best < 0 || peaks[t].count > peaks[best].count {
+			best = t
+		}
+	}
+	if best < 0 || peaks[best].count <= 0 {
+		return nil, nil
+	}
+	return peaks[best].objects, nil
 }
 
 // includeList returns the unexcluded objects, or nil when nothing is

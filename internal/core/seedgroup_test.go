@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -18,14 +19,17 @@ func setupInit(t *testing.T, gt *synth.GroundTruth, kn *dataset.Knowledge, seed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &initializer{
-		ds:       gt.Data,
-		opts:     opts,
-		thr:      newThresholds(gt.Data, opts),
-		rng:      newTestRNGCore(seed),
-		excluded: make([]bool, gt.Data.N()),
-		es:       newEvalScratch(gt.Data.D()),
-	}, opts
+	return newInitializer(context.Background(), gt.Data, opts, newThresholds(gt.Data, opts),
+		newTestRNGCore(seed), slotScratch(gt.Data.D(), 1)), opts
+}
+
+// slotScratch returns kernel scratch for the given number of worker slots.
+func slotScratch(d, slots int) []*evalScratch {
+	out := make([]*evalScratch, slots)
+	for w := range out {
+		out[w] = newEvalScratch(d)
+	}
+	return out
 }
 
 func TestOrderedClassesCategoryOrder(t *testing.T) {
@@ -202,9 +206,9 @@ func TestInitializeAllPrivateStillMakesSpares(t *testing.T) {
 			kn.LabelObject(o, c)
 		}
 	}
-	init, opts := setupInit(t, gt, kn, 14)
-	_ = init
-	private, public, err := initialize(gt.Data, opts, newThresholds(gt.Data, opts), newTestRNGCore(14))
+	_, opts := setupInit(t, gt, kn, 14)
+	private, public, err := initialize(context.Background(), gt.Data, opts, newThresholds(gt.Data, opts),
+		newTestRNGCore(14), slotScratch(gt.Data.D(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}

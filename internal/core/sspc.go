@@ -39,9 +39,10 @@ type state struct {
 // never changes the output.
 //
 // Cancellation is checked at every restart launch, every main-loop iteration,
-// and every chunk boundary of the Step-3 assignment and Step-4 evaluation
-// scans, so a canceled fit returns context.Cause(ctx) — never a partial
-// result — within a bounded amount of work.
+// and every chunk boundary of initialization's histogram, SelectDim and grid
+// loops and of the Step-3 assignment and Step-4 evaluation scans, so a
+// canceled fit returns context.Cause(ctx) — never a partial result — within
+// a bounded amount of work.
 func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluster.Result, error) {
 	opts, err := opts.normalized(ds)
 	if err != nil {
@@ -62,19 +63,23 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 }
 
 // runOnce executes one restart of the SSPC main loop with its own RNG,
-// parallelizing the assignment and dimension re-selection steps across up
-// to intra goroutines. Everything it touches is restart-local except the
-// read-only dataset and the (internally synchronized) trace.
+// parallelizing initialization and the assignment and dimension
+// re-selection steps across up to intra goroutines. Everything it touches is
+// restart-local except the read-only dataset and the (internally
+// synchronized) trace.
 func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int, rng *stats.RNG, intra int) (*cluster.Result, error) {
 	thr := newThresholds(ds, opts)
+	n, d := ds.N(), ds.D()
 
-	private, public, err := initialize(ds, opts, thr, rng)
+	// The assigner's worker slots and kernel scratch serve initialization's
+	// chunked loops first, then Steps 3 and 4.
+	par := newAssigner(d, opts.K, intra)
+	private, public, err := initialize(ctx, ds, opts, thr, rng, par.scratch)
 	if err != nil {
 		return nil, err
 	}
 	opts.Trace.emitInit(restart, private, public)
 
-	n, d := ds.N(), ds.D()
 	clusters := make([]*state, opts.K)
 	for i := range clusters {
 		st := &state{prevSize: maxInt(2, n/opts.K), rep: newRepresentative(d)}
@@ -102,8 +107,6 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 	bestFitted := make([]cluster.FittedCluster, opts.K)
 	haveFitted := false
 	bestScore := math.Inf(-1)
-
-	par := newAssigner(d, opts.K, intra)
 
 	iterations := 0
 	stall := 0

@@ -119,14 +119,8 @@ func ValidateKnowledge(ds *dataset.Dataset, kn *dataset.Knowledge, opts Options,
 	// sample of cluster size — so even a coherent faction of mislabeled
 	// objects (all borrowed from one other class) is exposed, which a
 	// label-only leave-one-out consensus cannot do.
-	validator := &initializer{
-		ds:       ds,
-		opts:     opts,
-		thr:      thr,
-		rng:      stats.NewRNG(opts.Seed ^ 0x5eed),
-		excluded: make([]bool, ds.N()),
-		es:       newEvalScratch(ds.D()),
-	}
+	validator := newInitializer(context.Background(), ds, opts, thr,
+		stats.NewRNG(opts.Seed^0x5eed), []*evalScratch{newEvalScratch(ds.D())})
 
 	for _, c := range kn.Classes() {
 		io := kn.ObjectsOfClass(c)
