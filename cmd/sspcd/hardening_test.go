@@ -242,11 +242,7 @@ func TestFitQueueFull429(t *testing.T) {
 func TestBodyCap413(t *testing.T) {
 	s, ts := testServer(t)
 	m, rows, csv := fitAndModel(t)
-	enc, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := s.register(m, enc)
+	key, err := s.register(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,12 +381,8 @@ func (w *stalledWriter) Write(p []byte) (int, error) {
 // it, a registry lookup — the first step of every /assign — must return.
 func TestStalledClientDoesNotBlockRegistry(t *testing.T) {
 	m, rows, _ := fitAndModel(t)
-	enc, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := newServer()
-	key, err := s.register(m, enc)
+	key, err := s.register(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,11 +134,17 @@ func newServer() *server {
 	return s
 }
 
-// register decodes nothing — it takes an already-decoded model plus its
-// encoded bytes, builds the serving assigner, and stores the entry under the
-// model's key. Registering the same key twice is idempotent.
-func (s *server) register(m *model.Model, encoded []byte) (string, error) {
+// register decodes nothing — it takes an already-decoded model, builds the
+// serving assigner, and stores the entry under the model's key with the
+// model's canonical encoding, the bytes `sspc -save` writes, whatever
+// spelling the model arrived in. Registering the same key twice is
+// idempotent.
+func (s *server) register(m *model.Model) (string, error) {
 	a, err := m.Assigner()
+	if err != nil {
+		return "", err
+	}
+	encoded, err := m.Encode()
 	if err != nil {
 		return "", err
 	}
@@ -162,11 +168,7 @@ func (s *server) loadModelFile(path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	enc, err := m.Encode()
-	if err != nil {
-		return "", err
-	}
-	return s.register(m, enc)
+	return s.register(m)
 }
 
 // ServeHTTP stamps every request with an ID, contains handler panics (a
@@ -301,6 +303,21 @@ func (r *fitRequest) dataset() (ds *dataset.Dataset, hash string, closer func() 
 	return ds, model.DatasetHash(ds), nil, nil
 }
 
+// onlySpaceLeft reads the rest of a body whose first JSON value dec has just
+// decoded, and fails unless only JSON whitespace follows it, as model.Decode
+// does for model bodies. A read error, such as the body cap, comes back
+// as it is.
+func onlySpaceLeft(dec *json.Decoder, body io.Reader) error {
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), body))
+	if err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(rest, " \t\r\n")) > 0 {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
 // handleFit submits an asynchronous fit: the response carries a job ID to
 // poll. A registry hit — same dataset hash, algorithm, canonical options and
 // seed — short-circuits to a done job pointing at the existing model.
@@ -316,7 +333,11 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 	req := fitRequest{Fit: model.DefaultFit()}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		err = onlySpaceLeft(dec, r.Body)
+	}
+	if err != nil {
 		httpError(w, bodyErrStatus(err), "fit request: %v", err)
 		return
 	}
@@ -326,7 +347,6 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 	}
 	var reqTimeout time.Duration
 	if req.Timeout != "" {
-		var err error
 		if reqTimeout, err = time.ParseDuration(req.Timeout); err != nil || reqTimeout < 0 {
 			httpError(w, http.StatusBadRequest, "fit request: bad timeout %q", req.Timeout)
 			return
@@ -419,13 +439,9 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 			if err == nil {
 				m, err = model.FromResult(req.Algo, options, req.Seed, hash, ds.D(), res)
 			}
-			var enc []byte
-			if err == nil {
-				enc, err = m.Encode()
-			}
 			var regKey string
 			if err == nil {
-				regKey, err = s.register(m, enc)
+				regKey, err = s.register(m)
 			}
 			s.mu.Lock()
 			if err != nil {
@@ -524,7 +540,7 @@ func (s *server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, err := s.register(m, data)
+	key, err := s.register(m)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

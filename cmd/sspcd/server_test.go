@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -157,14 +160,53 @@ func TestUploadListDownloadAssign(t *testing.T) {
 	}
 }
 
-func TestAssignCSVMatchesCLIFormat(t *testing.T) {
-	s, ts := testServer(t)
-	m, _, csv := fitAndModel(t)
+// TestUploadServesCanonicalEncoding: POST /models accepts any spelling of a
+// valid model body, and GET /models/{key} serves the model's canonical
+// encoding, the bytes `sspc -save` writes, not the uploaded bytes. The
+// upload spells "algo" as "ALGO" (encoding/json matches keys without regard
+// to case) behind two leading spaces, under a header fixed up for the new
+// length and CRC.
+func TestUploadServesCanonicalEncoding(t *testing.T) {
+	_, ts := testServer(t)
+	m, _, _ := fitAndModel(t)
 	enc, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.register(m, enc); err != nil {
+	// The header is 8 magic bytes, a 4-byte version, then the body's
+	// length (8 bytes) and CRC-32 (4 bytes), big-endian.
+	const prefix, header = 12, 24
+	body := append([]byte("  "), bytes.Replace(enc[header:], []byte(`"algo"`), []byte(`"ALGO"`), 1)...)
+	upload := append([]byte(nil), enc[:prefix]...)
+	upload = binary.BigEndian.AppendUint64(upload, uint64(len(body)))
+	upload = binary.BigEndian.AppendUint32(upload, crc32.ChecksumIEEE(body))
+	upload = append(upload, body...)
+	if bytes.Equal(upload, enc) {
+		t.Fatal("fixture: the upload is already the canonical encoding")
+	}
+
+	resp, err := http.Post(ts.URL+"/models", "application/octet-stream", bytes.NewReader(upload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("upload status %d, want 200", resp.StatusCode)
+	}
+	var up map[string]string
+	decodeJSON(t, resp, &up)
+	if up["key"] != m.Key() {
+		t.Fatalf("upload key %q, want %q", up["key"], m.Key())
+	}
+	if got := getBody(t, ts.URL+"/models/"+m.Key()); !bytes.Equal(got, enc) {
+		t.Errorf("GET /models/{key} served %d bytes that are not the model's encoding (%d bytes)", len(got), len(enc))
+	}
+}
+
+func TestAssignCSVMatchesCLIFormat(t *testing.T) {
+	s, ts := testServer(t)
+	m, _, csv := fitAndModel(t)
+	if _, err := s.register(m); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(ts.URL+"/assign/csv?model="+m.Key(), "text/csv", strings.NewReader(csv))
@@ -416,6 +458,14 @@ func TestErrorPaths(t *testing.T) {
 			return http.Post(ts.URL+"/fit", "application/json",
 				strings.NewReader(`{"algo":"harp","k":2,"rows":[[1,2],[3,4],[5,6],[7,8]]}`))
 		}, http.StatusBadRequest},
+		{"trailing data after the fit request", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/fit", "application/json",
+				strings.NewReader(`{"algo":"sspc","k":2,"rows":[[1,2],[3,4],[5,6],[7,8]]} trailing garbage`))
+		}, http.StatusBadRequest},
+		{"second value after the fit request", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/fit", "application/json",
+				strings.NewReader(`{"algo":"sspc","k":2,"rows":[[1,2],[3,4],[5,6],[7,8]]} {}`))
+		}, http.StatusBadRequest},
 		{"unknown threshold scheme", func() (*http.Response, error) {
 			return http.Post(ts.URL+"/fit", "application/json",
 				strings.NewReader(`{"algo":"sspc","k":2,"scheme":"bogus","rows":[[1,2],[3,4],[5,6],[7,8]]}`))
@@ -451,11 +501,7 @@ func TestErrorPaths(t *testing.T) {
 func TestAssignShapeErrors(t *testing.T) {
 	s, ts := testServer(t)
 	m, _, _ := fitAndModel(t)
-	enc, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.register(m, enc); err != nil {
+	if _, err := s.register(m); err != nil {
 		t.Fatal(err)
 	}
 	resp := postJSON(t, ts.URL+"/assign", assignRequest{Model: m.Key(), Rows: [][]float64{{1, 2}}})
@@ -463,7 +509,7 @@ func TestAssignShapeErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("short row: status %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/assign/csv?model="+m.Key(), "text/csv", strings.NewReader("1,2\n"))
+	resp, err := http.Post(ts.URL+"/assign/csv?model="+m.Key(), "text/csv", strings.NewReader("1,2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,11 +531,7 @@ func registeredServer(t *testing.T) (*server, string, [][]float64) {
 	t.Helper()
 	s := newServer()
 	m, rows, _ := fitAndModel(t)
-	enc, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := s.register(m, enc)
+	key, err := s.register(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,9 +623,11 @@ func TestPreloadModelFile(t *testing.T) {
 // TestRegistryHoldsWhatItServes: a registered model costs the daemon its
 // encoded bytes and its serving assigner, not the decoded model, whose
 // training assignments alone are n·8 bytes. Registering 200 fitted models
-// with n=4000 the way a finished fit job does (FromResult, Encode,
-// register) must grow the live heap by less than twice the encoded size per
-// model, and /models and downloads must still answer byte for byte.
+// with n=4000 the way a finished fit job does (FromResult, register) must
+// grow the live heap by less than twice the encoded size per model, and
+// /models and downloads must still answer byte for byte. The test keeps
+// only a digest of each expected encoding, so the heap it measures holds
+// the registry's copy alone.
 func TestRegistryHoldsWhatItServes(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 4000, D: 100, K: 5, AvgDims: 10, Seed: 3})
 	if err != nil {
@@ -599,7 +643,7 @@ func TestRegistryHoldsWhatItServes(t *testing.T) {
 	const models = 200
 	s := newServer()
 	want := make([]modelSummary, 0, models)
-	encs := make(map[string][]byte, models)
+	sums := make(map[string][sha256.Size]byte, models)
 	var encBytes int
 
 	var m0, m1 runtime.MemStats
@@ -613,12 +657,12 @@ func TestRegistryHoldsWhatItServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, err := s.register(m, enc)
+		key, err := s.register(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, modelSummary{Key: key, Algo: m.Algo, K: m.K, D: m.D, N: m.N, Score: m.Score})
-		encs[key] = enc
+		sums[key] = sha256.Sum256(enc)
 		encBytes += len(enc)
 	}
 	settleHeap(&m1)
@@ -639,9 +683,9 @@ func TestRegistryHoldsWhatItServes(t *testing.T) {
 	if got := getBody(t, ts.URL+"/models"); !bytes.Equal(got, listing.Bytes()) {
 		t.Errorf("/models = %s, want %s", got, listing.Bytes())
 	}
-	for key, enc := range encs {
-		if got := getBody(t, ts.URL+"/models/"+key); !bytes.Equal(got, enc) {
-			t.Fatalf("download of %s differs from the registered bytes", key)
+	for key, sum := range sums {
+		if got := getBody(t, ts.URL+"/models/"+key); sha256.Sum256(got) != sum {
+			t.Fatalf("download of %s differs from the model's encoding", key)
 		}
 	}
 }
