@@ -8,6 +8,7 @@ import (
 	"io"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/copkmeans"
 	"repro/internal/core"
@@ -467,6 +468,54 @@ func BenchmarkARI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ARI(gt.Labels, pred); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFitInit times single-restart SSPC fits on the benchmark
+// workloads' two fit shapes at one and two workers: "paper" is §5.1's
+// n=4000, d=100, k=5, and "lowdim" is Figure 5/6's n=150, d=3000, k=5 with
+// five labeled objects and five labeled dimensions for every class. Beside
+// the whole fit's ns/op it reports init-ms/op, the time from the call to
+// Trace.OnInit, which fires when the restart's initialization ends.
+func BenchmarkFitInit(b *testing.B) {
+	shapes := []struct {
+		name      string
+		cfg       SynthConfig
+		knowledge bool
+	}{
+		{"paper", SynthConfig{N: 4000, D: 100, K: 5, AvgDims: 10, Seed: 42}, false},
+		{"lowdim", SynthConfig{N: 150, D: 3000, K: 5, AvgDims: 30, Seed: 42}, true},
+	}
+	for _, s := range shapes {
+		gt, err := Generate(s.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var kn *Knowledge
+		if s.knowledge {
+			kn, err = SampleKnowledge(gt, KnowledgeConfig{Kind: ObjectsAndDims, Coverage: 1, Size: 5, Seed: 42})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", s.name, workers), func(b *testing.B) {
+				var start time.Time
+				var init time.Duration
+				opts := DefaultOptions(s.cfg.K)
+				opts.Knowledge = kn
+				opts.Workers = workers
+				opts.Trace = &Trace{OnInit: func(int, []SeedGroupInfo) { init += time.Since(start) }}
+				for i := 0; i < b.N; i++ {
+					opts.Seed = int64(i % 8)
+					start = time.Now()
+					if _, err := Cluster(context.Background(), gt.Data, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(init.Nanoseconds())/1e6/float64(b.N), "init-ms/op")
+			})
 		}
 	}
 }

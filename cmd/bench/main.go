@@ -35,9 +35,12 @@
 // (BenchmarkConstrainedAssignChunked), the macro assignment benchmark
 // (BenchmarkAssignChunked), the
 // model-serving hot path (BenchmarkServeAssign — the Assigner behind
-// cmd/sspcd's /assign), and the /assign body decode, encoding/json against
+// cmd/sspcd's /assign), the /assign body decode, encoding/json against
 // model.DecodeAssign (BenchmarkAssignDecode, charted but not a required
-// key). CI runs the suite at -benchtime=1x every PR — a
+// key), and whole SSPC fits on the benchmark workloads' two fit shapes at
+// one and two workers with the time to the end of initialization
+// (BenchmarkFitInit, charted but not a required key). CI runs the suite at
+// -benchtime=1x every PR — a
 // compile-and-run smoke gate, not a measurement — verifies the committed
 // baseline's shape, and runs the cross-baseline diff in report-only mode
 // (single-core CI timings are noise; real numbers come from multi-core
@@ -61,7 +64,7 @@ import (
 )
 
 // defaultBench is the named benchmark suite a bare `bench` run executes.
-const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGridBuild|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign|BenchmarkAssignDecode)$"
+const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGridBuild|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign|BenchmarkAssignDecode|BenchmarkFitInit)$"
 
 // requiredKeys are the benchmark names (GOMAXPROCS suffix stripped) a valid
 // baseline must contain: the two EvaluateColumnar legs that compare the
