@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -27,15 +28,6 @@ type seedGroup struct {
 	// instead of every seed, keeping initialization O(n) in the dataset
 	// size (seed groups grow with n, so per-seed distances would be O(n²)).
 	medianOnDims []float64
-}
-
-// computeMedian fills medianOnDims from the current seeds.
-func (g *seedGroup) computeMedian(ds *dataset.Dataset) {
-	g.medianOnDims = make([]float64, len(g.dims))
-	buf := make([]float64, len(g.seeds))
-	for t, j := range g.dims {
-		g.medianOnDims[t] = stats.MedianInPlace(ds.GatherColumn(g.seeds, j, buf))
-	}
 }
 
 // drawMedoid returns a random seed from the group.
@@ -266,7 +258,7 @@ func (init *initializer) createPrivate(c int) (*seedGroup, error) {
 		}
 	}
 
-	seeds, err := init.buildSeedsPreferring(cands, weights, iv, start)
+	seeds, err := init.buildSeeds(cands, weights, boostedWeights(cands, weights, iv), start)
 	if err != nil {
 		return nil, err
 	}
@@ -322,17 +314,39 @@ func privateCandidates(evals []dimEval, iv []int) (cands []int, weights []float6
 	// rejected dimension's φ_ij: that is ≤ 0 or −Inf, or NaN where a constant
 	// column makes both s² + (µ − µ̃)² and ŝ² zero, and WeightedSample never
 	// draws a NaN weight.
-	inCands := make(map[int]bool, len(cands))
-	for _, j := range cands {
-		inCands[j] = true
-	}
 	for _, j := range iv {
-		if !inCands[j] {
+		if e := evals[j]; !(e.selected && e.phi > 0) {
 			cands = append(cands, j)
 			weights = append(weights, math.Max(maxPhi, 1))
 		}
 	}
 	return cands, weights
+}
+
+// boostedWeights returns the grid-dimension weights of a private group's
+// boosted grids: weights with every labeled dimension of iv (ascending)
+// raised to maxW·|cands|, so those grids are built (almost) purely from Iv.
+// It returns nil when iv is empty.
+func boostedWeights(cands []int, weights []float64, iv []int) []float64 {
+	if len(iv) == 0 {
+		return nil
+	}
+	maxW := 0.0
+	for _, w := range weights {
+		if w > maxW {
+			maxW = w
+		}
+	}
+	if maxW <= 0 {
+		maxW = 1
+	}
+	boosted := append([]float64(nil), weights...)
+	for t, j := range cands {
+		if _, labeled := slices.BinarySearch(iv, j); labeled {
+			boosted[t] = maxW * float64(len(cands))
+		}
+	}
+	return boosted
 }
 
 // createPublic builds a shared seed group using the max-min mechanism of
@@ -348,7 +362,7 @@ func (init *initializer) createPublic() (*seedGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	seeds, err := init.buildSeeds(cands, weights, start)
+	seeds, err := init.buildSeeds(cands, weights, nil, start)
 	if err != nil || seeds == nil {
 		return nil, err
 	}
@@ -376,146 +390,83 @@ func (init *initializer) createPublic() (*seedGroup, error) {
 // rerun SelectDim on the grown set. False selections on a representative
 // sample are harmless — they reflect genuine concentration of the cluster.
 func (init *initializer) refine(seeds []int, iv []int) (grown, dims []int, err error) {
-	ds, thr := init.ds, init.thr
-	dims0, err := init.selectDims(seeds)
-	if err != nil {
-		return nil, nil, err
-	}
-	dims0 = unionSorted(dims0, iv)
-	if len(dims0) == 0 {
-		return seeds, nil, nil
-	}
-
-	// Pass 1: rank the candidate dimensions by φ_ij on the raw seeds and
-	// grow along the strongest c of them.
-	phis := make([]float64, len(dims0))
-	buf := make([]float64, len(seeds))
-	for t, j := range dims0 {
-		phis[t] = phiIJ(ds, seeds, j, thr, buf)
-	}
-	growDims := topWeighted(dims0, phis, init.opts.GridDims)
-	grown = init.gather(seeds, growDims)
-	if len(grown) < len(seeds) {
-		grown = seeds
-	}
-	if dims, err = init.selectDims(grown); err != nil {
+	if dims, err = init.selectDims(seeds); err != nil {
 		return nil, nil, err
 	}
 	dims = unionSorted(dims, iv)
 
-	// Pass 2: with a representative sample the selected dimensions are
-	// mostly true; regrowing over all of them separates members from
-	// bystanders much more sharply.
-	if len(dims) > 0 {
-		regrown := init.gather(grown, dims)
-		if len(regrown) >= len(seeds) {
-			grown = regrown
-			if dims, err = init.selectDims(grown); err != nil {
+	// Round 1 grows along the strongest c candidate dimensions, ranked by
+	// φ_ij on the raw seeds. Round 2 regrows over every dimension the grown
+	// set selects: with a representative sample they are mostly true, and
+	// all of them separate members from bystanders much more sharply. A round
+	// whose growth is smaller than the raw seed set keeps the previous set
+	// and its dimensions.
+	phis := make([]float64, len(dims))
+	buf := make([]float64, len(seeds))
+	for t, j := range dims {
+		phis[t] = phiIJ(init.ds, seeds, j, init.thr, buf)
+	}
+	growDims := topWeighted(dims, phis, init.opts.GridDims)
+	grown = seeds
+	for round := 0; round < 2 && len(dims) > 0; round++ {
+		if next := init.gather(grown, growDims); len(next) >= len(seeds) {
+			if dims, err = init.selectDims(next); err != nil {
 				return nil, nil, err
 			}
-			dims = unionSorted(dims, iv)
+			grown, dims = next, unionSorted(dims, iv)
 		}
+		growDims = dims
 	}
 	return grown, dims, nil
 }
 
-// gather returns the objects whose average normalized squared distance to
-// the members' median over dims is below 1 — the likely cluster members
-// around the group.
+// gather returns the objects near the members' median over dims by the
+// §4.2 membership rule, with the thresholds taken at the expected cluster
+// size: the likely cluster members around the group.
 func (init *initializer) gather(members []int, dims []int) []int {
-	ds, thr := init.ds, init.thr
+	ds := init.ds
 	if len(dims) == 0 || len(members) == 0 {
 		return members
 	}
-	ni := maxInt(len(members), ds.N()/maxInt(init.opts.K, 1))
-	med := make([]float64, len(dims))
-	buf := make([]float64, len(members))
-	for t, j := range dims {
-		med[t] = stats.MedianInPlace(ds.GatherColumn(members, j, buf))
-	}
-	// The full-dataset scan reads whole rows (one storage dispatch per row,
-	// never per element) against thresholds hoisted out of the point loop —
-	// same divisors, same order, so the scores are bit-identical.
-	sHat := make([]float64, len(dims))
-	for t, j := range dims {
-		sHat[t] = thr.value(j, ni)
-	}
+	med := mediansOn(ds, members, dims)
+	sHat := init.thr.values(dims, max(len(members), ds.N()/max(init.opts.K, 1)))
 	var out []int
 	for i := 0; i < ds.N(); i++ {
-		row := ds.Row(i)
-		score := 0.0
-		for t, j := range dims {
-			diff := row[j] - med[t]
-			score += diff * diff / sHat[t]
-		}
-		if score/float64(len(dims)) < 1 {
+		if near(ds.Row(i), dims, med, sHat) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// buildSeedsPreferring behaves like buildSeeds but, when labeled dimensions
-// are present, builds half of the grids with the labeled dimensions taking
-// priority — the synergy of the two input kinds the paper describes (§4.5):
-// labeled dimensions pin down the subspace, labeled objects pin down the
-// location.
-func (init *initializer) buildSeedsPreferring(cands []int, weights []float64, iv []int, start *representative) ([]int, error) {
-	if len(iv) == 0 {
-		return init.buildSeeds(cands, weights, start)
+// near is the §4.2 membership rule: row's average normalized squared
+// distance to med over dims, under the thresholds sHat, is below 1. Each
+// caller reads whole rows (one storage dispatch per row, never per element)
+// against thresholds hoisted out of its row loop.
+func near(row []float64, dims []int, med, sHat []float64) bool {
+	score := 0.0
+	for t, j := range dims {
+		diff := row[j] - med[t]
+		score += diff * diff / sHat[t]
 	}
-	boosted := append([]float64(nil), weights...)
-	maxW := 0.0
-	for _, w := range boosted {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	if maxW <= 0 {
-		maxW = 1
-	}
-	ivSet := make(map[int]bool, len(iv))
-	for _, j := range iv {
-		ivSet[j] = true
-	}
-	// Give labeled dimensions overwhelming weight in half the grids so
-	// those grids are built (almost) purely from Iv.
-	for t, j := range cands {
-		if ivSet[j] {
-			boosted[t] = maxW * float64(len(cands))
-		}
-	}
-	half := init.opts.Grids / 2
-	savedGrids := init.opts.Grids
+	return score/float64(len(dims)) < 1
+}
 
-	init.opts.Grids = savedGrids - half
-	a, errA := init.buildSeeds(cands, weights, start)
-	init.opts.Grids = half
-	b, errB := init.buildSeeds(cands, boosted, start)
-	init.opts.Grids = savedGrids
-
-	switch {
-	case errA != nil:
-		return nil, errA
-	case errB != nil:
-		return nil, errB
-	case len(b) > len(a):
-		return b, nil
-	default:
-		return a, nil
+// mediansOn returns the medians of the objects' projections on each of dims.
+func mediansOn(ds *dataset.Dataset, objs, dims []int) []float64 {
+	med := make([]float64, len(dims))
+	buf := make([]float64, len(objs))
+	for t, j := range dims {
+		med[t] = stats.MedianInPlace(ds.GatherColumn(objs, j, buf))
 	}
+	return med
 }
 
 // maxMinObject returns the unexcluded object whose minimum normalized
 // subspace distance to all seeds of existing groups is maximal. With no
 // existing groups it returns a random unexcluded object.
 func (init *initializer) maxMinObject() (int, error) {
-	var pool []int
-	for i := 0; i < init.ds.N(); i++ {
-		if !init.excluded[i] {
-			pool = append(pool, i)
-		}
-	}
+	pool := init.unexcluded()
 	if len(pool) == 0 {
 		return 0, fmt.Errorf("all objects excluded")
 	}
@@ -611,13 +562,21 @@ func columnHistograms(ds *dataset.Dataset, bins, lo, hi int, hists []*stats.Hist
 	}
 }
 
-// buildSeeds builds g grids over weighted candidate dimensions and returns
+// buildSeeds builds grids over weighted candidate dimensions and returns
 // the objects of the densest (hill-climbed) peak cell across all grids, or
 // nil when no grid has an object in its peak. start is the hill-climbing
 // anchor, read only on each grid's dimensions; nil means the absolute peak of
 // each grid is used.
 //
-// All g dimension sets are drawn first, in grid order. WeightedSample is the
+// A private group with labeled dimensions passes boosted weights, in which
+// those dimensions take priority: Grids − Grids/2 grids draw their
+// dimensions from weights, then Grids/2 from boosted. That is the synergy of
+// the two input kinds the paper describes (§4.5): labeled dimensions pin
+// down the subspace, labeled objects pin down the location. With nil
+// boosted every grid draws from weights. Where every candidate fits in one
+// grid, each of the two parts builds a single grid.
+//
+// All dimension sets are drawn first, in grid order. WeightedSample is the
 // only draw (building a grid and finding its peak draw nothing), so the RNG
 // stream is the one a grid-by-grid loop consumes. The start takes its
 // coordinates on the drawn dimensions before the grids run, so the chunks
@@ -625,28 +584,40 @@ func columnHistograms(ds *dataset.Dataset, bins, lo, hi int, hists []*stats.Hist
 // records every grid's peak count and keeps the objects of its own densest
 // grid, the first in grid order on a tie. The fold takes the first grid in
 // grid order with the largest count, the grid a grid-by-grid loop keeps with
-// a strict >, so the same seeds win for every split.
-func (init *initializer) buildSeeds(cands []int, weights []float64, start *representative) ([]int, error) {
+// a strict >, so the same seeds win for every split, and a boosted grid wins
+// only with a strictly larger peak than every weights grid.
+func (init *initializer) buildSeeds(cands []int, weights, boosted []float64, start *representative) ([]int, error) {
 	c := min(init.opts.GridDims, len(cands))
 	if c == 0 {
 		return nil, nil
 	}
-	numGrids := init.opts.Grids
-	if numGrids > 1 && c == len(cands) {
-		// Every grid would use the same dimensions; one suffices.
-		numGrids = 1
-	}
-	dims := make([]int, numGrids*c) // grid t builds over dims[t*c : (t+1)*c]
-	for t := 0; t < numGrids; t++ {
-		for u, idx := range init.rng.WeightedSample(weights, c) {
-			dims[t*c+u] = cands[idx]
+	dims := make([]int, 0, init.opts.Grids*c) // grid t builds over dims[t*c : (t+1)*c]
+	draw := func(w []float64, grids int) {
+		if grids > 1 && c == len(cands) {
+			// Every grid would use the same dimensions; one suffices.
+			grids = 1
+		}
+		for ; grids > 0; grids-- {
+			for _, idx := range init.rng.WeightedSample(w, c) {
+				dims = append(dims, cands[idx])
+			}
 		}
 	}
+	boostedGrids := 0
+	if boosted != nil {
+		boostedGrids = init.opts.Grids / 2
+	}
+	draw(weights, init.opts.Grids-boostedGrids)
+	draw(boosted, boostedGrids)
+	numGrids := len(dims) / c
 	var point []float64
 	if start != nil {
 		point = start.on(init.ds, dims)
 	}
-	include := init.includeList()
+	var include []int // nil: grid.Build folds every object without an allocation
+	if init.nExcluded > 0 {
+		include = init.unexcluded()
+	}
 
 	// peaks[t] is grid t's peak count, −1 where the grid could not be
 	// built; objects is set only on the densest grid of each chunk.
@@ -695,15 +666,12 @@ func (init *initializer) buildSeeds(cands []int, weights []float64, start *repre
 	return peaks[best].objects, nil
 }
 
-// includeList returns the unexcluded objects, or nil when nothing is
-// excluded (grid.Build then folds everything without an allocation).
-func (init *initializer) includeList() []int {
-	if init.nExcluded == 0 {
-		return nil
-	}
+// unexcluded returns the objects no created group has claimed, in index
+// order.
+func (init *initializer) unexcluded() []int {
 	out := make([]int, 0, init.ds.N()-init.nExcluded)
-	for i := 0; i < init.ds.N(); i++ {
-		if !init.excluded[i] {
+	for i, ex := range init.excluded {
+		if !ex {
 			out = append(out, i)
 		}
 	}
@@ -719,28 +687,18 @@ func (init *initializer) adopt(g *seedGroup) {
 	if len(g.dims) == 0 || len(g.seeds) == 0 {
 		return
 	}
-	g.computeMedian(init.ds)
-	limit := init.ds.N() / 10
-	med := g.medianOnDims
-	ni := len(g.seeds)
-	sHat := make([]float64, len(g.dims))
-	for t, j := range g.dims {
-		sHat[t] = init.thr.value(j, ni)
-	}
-	for i := 0; i < init.ds.N(); i++ {
+	ds := init.ds
+	g.medianOnDims = mediansOn(ds, g.seeds, g.dims)
+	sHat := init.thr.values(g.dims, len(g.seeds))
+	limit := ds.N() / 10
+	for i := 0; i < ds.N(); i++ {
 		if init.excluded[i] {
 			continue
 		}
-		if init.ds.N()-init.nExcluded <= limit {
+		if ds.N()-init.nExcluded <= limit {
 			return
 		}
-		row := init.ds.Row(i)
-		score := 0.0
-		for t, j := range g.dims {
-			diff := row[j] - med[t]
-			score += diff * diff / sHat[t]
-		}
-		if score/float64(len(g.dims)) < 1 {
+		if near(ds.Row(i), g.dims, g.medianOnDims, sHat) {
 			init.excluded[i] = true
 			init.nExcluded++
 		}
@@ -755,21 +713,11 @@ func uniformWeights(n int) []float64 {
 	return w
 }
 
-// unionSorted merges two ascending-or-unsorted int slices into a sorted,
-// deduplicated slice.
+// unionSorted returns the sorted, deduplicated union of a and b.
 func unionSorted(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	out := make([]int, 0, len(a)+len(b))
-	for _, s := range [][]int{a, b} {
-		for _, v := range s {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
+	out := append(append(make([]int, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // topWeighted returns the k candidates with the largest weights.

@@ -77,6 +77,17 @@ func (t *thresholds) scale(ni int) float64 {
 // value returns ŝ²_ij for dimension j and cluster size ni.
 func (t *thresholds) value(j, ni int) float64 { return t.globalVar[j] * t.scale(ni) }
 
+// values returns ŝ²_ij for each dimension of dims at cluster size ni, the
+// same bits value gives, with the scale taken once.
+func (t *thresholds) values(dims []int, ni int) []float64 {
+	scale := t.scale(ni)
+	out := make([]float64, len(dims))
+	for u, j := range dims {
+		out[u] = t.globalVar[j] * scale
+	}
+	return out
+}
+
 // dispersion returns s²_ij + (µ_ij − µ̃_ij)², the quantity Lemma 1 compares
 // against ŝ²_ij, for the projections of members on dimension j. buf is
 // caller-provided scratch (capacity >= len(members), consumed by the median)

@@ -191,14 +191,13 @@ func ValidateKnowledge(ds *dataset.Dataset, kn *dataset.Knowledge, opts Options,
 // group: a genuine member is close on most dimensions (score ≪ 1), while a
 // mislabeled object is background-distant on most of them (score ≈ 2–6).
 func consensusScore(ds *dataset.Dataset, thr *thresholds, reference []int, dims []int, obj int) float64 {
-	buf := make([]float64, len(reference))
-	ni := len(reference)
-	objRow := ds.Row(obj)
-	ratios := make([]float64, 0, len(dims))
-	for _, j := range dims {
-		med := stats.MedianInPlace(ds.GatherColumn(reference, j, buf))
-		diff := objRow[j] - med
-		ratios = append(ratios, diff*diff/thr.value(j, ni))
+	med := mediansOn(ds, reference, dims)
+	sHat := thr.values(dims, len(reference))
+	row := ds.Row(obj)
+	ratios := make([]float64, len(dims))
+	for t, j := range dims {
+		diff := row[j] - med[t]
+		ratios[t] = diff * diff / sHat[t]
 	}
 	return stats.MedianInPlace(ratios)
 }
