@@ -186,6 +186,35 @@ func TestFaultsChunkGateStopsInitialization(t *testing.T) {
 	}
 }
 
+// TestFaultsChunkGatePanicParallel: a panic raised by the chunk gate on the
+// scheduler's multi-goroutine path is contained like a panic inside a chunk.
+// A Workers 2, one-restart fit with the gate armed in panic mode at its
+// first hit (initialization's first column range, on a pool goroutine)
+// fails with an *engine.PanicError wrapping the injected error, with no
+// partial result and no leaked goroutine, instead of crashing the process.
+func TestFaultsChunkGatePanicParallel(t *testing.T) {
+	gt := detFixture(t)
+	baseline := runtime.NumGoroutine()
+	opts := DefaultOptions(3)
+	opts.Seed = 5
+	opts.Restarts = 1
+	opts.Workers = 2
+	armFaults(t, faults.Plan{Site: faults.SiteChunkExec, Mode: faults.ModePanic, After: 1})
+	res, err := Cluster(context.Background(), gt.Data, opts)
+	faults.Disable()
+	var pe *engine.PanicError
+	if !errors.As(err, &pe) {
+		t.Errorf("err = %v, want a contained *engine.PanicError", err)
+	}
+	if !errors.Is(err, faults.ErrInjected) {
+		t.Errorf("err = %v, want a faults.ErrInjected chain", err)
+	}
+	if res != nil {
+		t.Error("failed fit returned a partial result")
+	}
+	settleGoroutines(t, baseline, "gate panic")
+}
+
 // chunkFaultFits are single-restart fits whose intra-restart chunk loops get
 // the whole worker budget, so every chunk pass runs through the scheduler's
 // gate on its multi-goroutine path. SSPC's first gates are its

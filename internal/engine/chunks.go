@@ -90,7 +90,9 @@ func chunkGate(ctx context.Context) error {
 // completion, so fn's writes stay confined to chunks the scheduler actually
 // issued. Partial output must be treated as garbage by the caller whenever
 // the return is non-nil — the determinism contract only covers completed
-// calls.
+// calls. A panic in fn or in the gate (a panic-mode fault) reaches the
+// calling goroutine on either path; inside a restart, Run's containment
+// turns it into a *PanicError.
 func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn func(worker, lo, hi int)) error {
 	if total <= 0 {
 		return nil
@@ -121,10 +123,12 @@ func ParallelChunksCtx(ctx context.Context, total, chunkSize, workers int, fn fu
 // A worker that trips the gate records its error under errMu (lowest chunk
 // index wins, so the reported error is scheduling-independent whenever a
 // deterministic gate — an expired deadline, an armed fault — trips every
-// worker) and flips stop so siblings cease pulling chunks. A panicking fn is
-// recovered on the worker, and the first panic value is re-raised on the
-// calling goroutine after the pool drains, so restart-boundary containment
-// in Run sees it exactly as if the chunk had run inline.
+// worker) and flips stop so siblings cease pulling chunks. One recover
+// around each worker's whole loop catches a panic from the gate and from fn
+// alike: unwinding a pool goroutine would kill the process before the
+// restart-boundary recover in Run could contain it. The first panic value
+// is re-raised on the calling goroutine after the pool drains, so that
+// containment sees it exactly as if the chunk had run inline.
 func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, lo, hi int)) error {
 	if workers > p.chunks {
 		workers = p.chunks
@@ -146,18 +150,20 @@ func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, 
 		errMu.Unlock()
 		stop.Store(true)
 	}
-	recordPanic := func(pv any) {
-		errMu.Lock()
-		if panicked == nil {
-			panicked = pv
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			defer func() {
+				if pv := recover(); pv != nil {
+					errMu.Lock()
+					if panicked == nil {
+						panicked = pv
+					}
+					errMu.Unlock()
+					stop.Store(true)
+				}
+			}()
 			for {
 				if stop.Load() {
 					return
@@ -171,10 +177,7 @@ func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, 
 					return
 				}
 				lo, hi := p.bounds(c)
-				if pv := runChunk(fn, worker, lo, hi); pv != nil {
-					recordPanic(pv)
-					return
-				}
+				fn(worker, lo, hi)
 			}
 		}(w)
 	}
@@ -186,17 +189,4 @@ func runParallel(ctx context.Context, p chunkPlan, workers int, fn func(worker, 
 		panic(panicked)
 	}
 	return firstErr
-}
-
-// runChunk invokes one chunk and converts a panic into a value instead of
-// letting it unwind a pool goroutine (which would kill the process before
-// the restart-boundary recover in Run could contain it).
-func runChunk(fn func(worker, lo, hi int), worker, lo, hi int) (panicked any) {
-	defer func() {
-		if v := recover(); v != nil {
-			panicked = v
-		}
-	}()
-	fn(worker, lo, hi)
-	return nil
 }
