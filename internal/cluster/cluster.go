@@ -80,20 +80,6 @@ type Result struct {
 	Fitted []FittedCluster
 }
 
-// Members returns the objects assigned to cluster c in ascending order.
-func (r *Result) Members(c int) []int {
-	var out []int
-	for i, a := range r.Assignments {
-		if a == c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Outliers returns the objects on the outlier list in ascending order.
-func (r *Result) Outliers() []int { return r.Members(Outlier) }
-
 // Sizes returns the size of each cluster (index 0..K-1) and the outlier
 // count as the second return value.
 func (r *Result) Sizes() ([]int, int) {
@@ -224,17 +210,4 @@ func (fc *FittedCluster) Validate(d int) error {
 		}
 	}
 	return nil
-}
-
-// AvgDimensionality returns the mean number of selected dimensions per
-// cluster, or 0 when no dims were recorded.
-func (r *Result) AvgDimensionality() float64 {
-	if len(r.Dims) == 0 {
-		return 0
-	}
-	total := 0
-	for _, dims := range r.Dims {
-		total += len(dims)
-	}
-	return float64(total) / float64(len(r.Dims))
 }

@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestMembersAndOutliers(t *testing.T) {
-	r := &Result{K: 2, Assignments: []int{0, 1, 0, Outlier, 1}}
-	m0 := r.Members(0)
-	if len(m0) != 2 || m0[0] != 0 || m0[1] != 2 {
-		t.Errorf("Members(0) = %v", m0)
-	}
-	out := r.Outliers()
-	if len(out) != 1 || out[0] != 3 {
-		t.Errorf("Outliers = %v", out)
-	}
-}
-
 func TestSizes(t *testing.T) {
 	r := &Result{K: 3, Assignments: []int{0, 0, 1, Outlier, Outlier}}
 	sizes, outliers := r.Sizes()
@@ -54,17 +42,6 @@ func TestValidateCatchesBadStructures(t *testing.T) {
 		if err := r.Validate(3, 3); err == nil {
 			t.Errorf("bad result %d accepted", i)
 		}
-	}
-}
-
-func TestAvgDimensionality(t *testing.T) {
-	r := &Result{K: 2, Dims: [][]int{{0, 1, 2}, {3}}}
-	if got := r.AvgDimensionality(); got != 2 {
-		t.Errorf("AvgDimensionality = %v", got)
-	}
-	empty := &Result{K: 2}
-	if got := empty.AvgDimensionality(); got != 0 {
-		t.Errorf("empty AvgDimensionality = %v", got)
 	}
 }
 

@@ -204,7 +204,7 @@ func NewParallelEvalBench(ds *dataset.Dataset, opts Options, membersByCluster []
 	k := len(membersByCluster)
 	clusters := make([]*state, k)
 	for i, members := range membersByCluster {
-		clusters[i] = &state{members: members, prevSize: maxInt(2, len(members))}
+		clusters[i] = &state{members: members, prevSize: max(2, len(members))}
 	}
 	return &ParallelEvalBench{
 		ds:       ds,

@@ -82,7 +82,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 
 	clusters := make([]*state, opts.K)
 	for i := range clusters {
-		st := &state{prevSize: maxInt(2, n/opts.K), rep: newRepresentative(d)}
+		st := &state{prevSize: max(2, n/opts.K), rep: newRepresentative(d)}
 		if g, ok := private[i]; ok {
 			st.group = g
 		} else {
@@ -186,7 +186,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 		bad := detectBadCluster(ds, clusters)
 		opts.Trace.emitIteration(restart, iterations, score, bestScore, improved, clusters, bestAssign, bad)
 		for i, st := range clusters {
-			st.prevSize = maxInt(2, len(st.members))
+			st.prevSize = max(2, len(st.members))
 			if i == bad {
 				replaceWithNewMedoid(ds, st, private, public, i, rng)
 				continue
@@ -361,11 +361,4 @@ func intersectSorted(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

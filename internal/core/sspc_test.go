@@ -327,7 +327,12 @@ func TestKnowledgeForSubsetOfClassesOnly(t *testing.T) {
 	res := runSSPC(t, gt, opts)
 	// Cluster 2 should align with class 2 (private seed group is pinned to
 	// the cluster index).
-	members := res.Members(2)
+	var members []int
+	for i, c := range res.Assignments {
+		if c == 2 {
+			members = append(members, i)
+		}
+	}
 	if len(members) == 0 {
 		t.Fatal("cluster 2 empty despite knowledge")
 	}

@@ -157,11 +157,6 @@ func (ds *Dataset) GatherColumn(members []int, j int, dst []float64) []float64 {
 	return dst
 }
 
-// Col gathers dimension j's values into a freshly allocated slice.
-func (ds *Dataset) Col(j int) []float64 {
-	return ds.ColInto(j, make([]float64, ds.n))
-}
-
 // ColInto gathers dimension j into dst (len >= n) and returns dst[:n],
 // avoiding an allocation on hot paths.
 func (ds *Dataset) ColInto(j int, dst []float64) []float64 {

@@ -50,9 +50,9 @@ func TestAtSetRowCol(t *testing.T) {
 	if len(row) != 3 || row[1] != 2 {
 		t.Errorf("Row(0) = %v", row)
 	}
-	col := ds.Col(2)
+	col := ds.ColInto(2, make([]float64, 2))
 	if col[0] != 3 || col[1] != 9 {
-		t.Errorf("Col(2) = %v", col)
+		t.Errorf("ColInto(2) = %v", col)
 	}
 	buf := make([]float64, 2)
 	got := ds.ColInto(1, buf)
@@ -168,7 +168,7 @@ func TestColumnStatsMatchDirect(t *testing.T) {
 			return false
 		}
 		for j := 0; j < d; j++ {
-			col := ds.Col(j)
+			col := ds.ColInto(j, make([]float64, ds.N()))
 			mean, variance := meanVar(col)
 			if math.Abs(ds.ColMean(j)-mean) > 1e-9 ||
 				math.Abs(ds.ColVariance(j)-variance) > 1e-9 {

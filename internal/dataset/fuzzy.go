@@ -49,11 +49,6 @@ func (fk *FuzzyKnowledge) LabelDim(dim, class int, confidence float64) error {
 	return nil
 }
 
-// Len returns the number of fuzzy entries of each kind.
-func (fk *FuzzyKnowledge) Len() (objects, dims int) {
-	return len(fk.objects), len(fk.dims)
-}
-
 // Harden returns the hard Knowledge containing every entry with confidence
 // >= minConfidence. When an object carries multiple labels above the
 // threshold, the most confident one wins (ties: lowest class).

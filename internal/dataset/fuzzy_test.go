@@ -96,14 +96,3 @@ func TestTopConfident(t *testing.T) {
 		t.Error("perClass=0 should be empty")
 	}
 }
-
-func TestFuzzyLen(t *testing.T) {
-	fk := NewFuzzyKnowledge()
-	_ = fk.LabelObject(0, 0, 1)
-	_ = fk.LabelDim(0, 0, 1)
-	_ = fk.LabelDim(1, 0, 1)
-	o, d := fk.Len()
-	if o != 1 || d != 2 {
-		t.Errorf("Len = %d,%d", o, d)
-	}
-}

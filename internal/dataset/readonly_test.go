@@ -43,7 +43,7 @@ func requireSameValues(t *testing.T, a, b *Dataset) {
 		}
 	}
 	for j := 0; j < a.D(); j++ {
-		if !reflect.DeepEqual(a.Col(j), b.Col(j)) {
+		if !reflect.DeepEqual(a.ColInto(j, make([]float64, a.N())), b.ColInto(j, make([]float64, b.N()))) {
 			t.Fatalf("col %d differs", j)
 		}
 	}

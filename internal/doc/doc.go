@@ -167,7 +167,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 					return nil, err
 				}
 				iterations++
-				X := rng.SampleFrom(remaining, minInt(r, len(remaining)))
+				X := rng.SampleFrom(remaining, min(r, len(remaining)))
 				var D []int
 				for j := 0; j < d; j++ {
 					ok := true
@@ -322,11 +322,4 @@ func removeAll(from, drop []int) []int {
 		}
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
