@@ -2,7 +2,9 @@ package binfmt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -463,5 +465,76 @@ func TestWriteBinaryFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("failed write left %d files behind", len(entries))
+	}
+}
+
+// TestEncodeDigest pins the bytes the writers produce and the column
+// statistics an opened file's dataset reports, by a SHA-256 over
+// WriteBinary's bytes and the ColMean, ColVariance, ColMin and ColMax bits
+// of each opened file, for several shapes (1×1 among them) and shard sizes
+// from one row to more rows than n. WriteBinaryFile and ConvertCSV must
+// write the same bytes as WriteBinary. The stat table and the open-time
+// replay share one accumulator, so a recurrence change made in both would
+// pass every round-trip test; the digest is what notices it, and files
+// already written would no longer open.
+func TestEncodeDigest(t *testing.T) {
+	const want = "aabf9c6c24e1e3b6670859805d29f6e30a6cf66c104c87a1abf6afd4b71762e1"
+	edge, err := dataset.FromRows([][]float64{
+		{0, 3, 1e150, 5e-324},
+		{math.Copysign(0, -1), 3, -1e150, -2.5e-310},
+		{0.1, 3, 7, 1e-300},
+		{-0.3, 3, 1e150, 0},
+		{1e15 + 0.5, 3, -7, 5e-324},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []*dataset.Dataset{
+		testDataset(t, 1, 1),
+		testDataset(t, 1, 3),
+		testDataset(t, 2, 1),
+		testDataset(t, 5, 4),
+		testDataset(t, 53, 7),
+		edge,
+	}
+	dir := t.TempDir()
+	h := sha256.New()
+	var buf [8]byte
+	for _, ds := range shapes {
+		n := ds.N()
+		for _, shardRows := range []int{1, 2, 3, 7, 16, n, n + 5} {
+			var w bytes.Buffer
+			if _, err := WriteBinary(&w, ds, shardRows); err != nil {
+				t.Fatal(err)
+			}
+			h.Write(w.Bytes())
+			path := filepath.Join(dir, fmt.Sprintf("%dx%d-%d.sspcb", n, ds.D(), shardRows))
+			if _, err := WriteBinaryFile(path, ds, shardRows); err != nil {
+				t.Fatal(err)
+			}
+			out := path + ".converted"
+			if _, err := ConvertCSV(out, writeCSVSegments(t, ds, []int{n}), ConvertOptions{ShardRows: shardRows}); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []string{path, out} {
+				got, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, w.Bytes()) {
+					t.Fatalf("%dx%d, shardRows %d: %s differs from WriteBinary's bytes", n, ds.D(), shardRows, filepath.Base(p))
+				}
+			}
+			opened := openTemp(t, path).Dataset()
+			for j := 0; j < opened.D(); j++ {
+				for _, v := range []float64{opened.ColMean(j), opened.ColVariance(j), opened.ColMin(j), opened.ColMax(j)} {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+					h.Write(buf[:])
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("encode digest %s, want %s", got, want)
 	}
 }

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 )
@@ -194,5 +197,63 @@ func TestHistogramDensity(t *testing.T) {
 	}
 	if got := h.Density(10); got != 0.25 {
 		t.Errorf("Density(10) = %v", got)
+	}
+}
+
+// TestWeightedSampleDraws pins WeightedSample's draws, and so the random
+// stream it consumes, by a SHA-256 over every index it returns for a table
+// of weight vectors, seeds and k: positive weights, zeros, all zeros, NaN
+// and negative weights, fewer positive weights than k, k = n and k > n. One
+// RNG per seed runs the whole table, so a call that consumed one more or
+// one fewer value would move every later draw. After every call the
+// caller's weights must be unchanged, bit for bit.
+func TestWeightedSampleDraws(t *testing.T) {
+	const want = "3f15e7985abe10bd78d907c4e13f2885669400ba9a1ccf7d3ab38136faed8f59"
+	long := make([]float64, 100)
+	for i := range long {
+		if i%3 != 0 {
+			long[i] = float64(i%7) * 0.37
+		}
+	}
+	table := [][]float64{
+		{1, 2, 3, 4, 5},
+		{0, 1, 0, 1, 0},
+		{0, 0, 0, 0},
+		{5, 0, 0, 0},
+		{1, 2},
+		{math.NaN(), 2, -1, 3, 0},
+		{1e-300, 1e300, 1e-300, 1},
+		long,
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for seed := int64(1); seed <= 5; seed++ {
+		g := NewRNG(seed)
+		for _, w := range table {
+			before := make([]uint64, len(w))
+			for i, v := range w {
+				before[i] = math.Float64bits(v)
+			}
+			for _, k := range []int{1, 2, 3, len(w) - 1, len(w), len(w) + 2} {
+				if k < 1 {
+					continue
+				}
+				out := g.WeightedSample(w, k)
+				binary.LittleEndian.PutUint64(buf[:], uint64(len(out)))
+				h.Write(buf[:])
+				for _, i := range out {
+					binary.LittleEndian.PutUint64(buf[:], uint64(i))
+					h.Write(buf[:])
+				}
+				for i, v := range w {
+					if math.Float64bits(v) != before[i] {
+						t.Fatalf("seed %d, k=%d: weights[%d] changed from %v to %v", seed, k, i, math.Float64frombits(before[i]), v)
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("WeightedSample draw digest %s, want %s", got, want)
 	}
 }
