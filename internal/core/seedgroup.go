@@ -581,11 +581,12 @@ func columnHistograms(ds *dataset.Dataset, bins, lo, hi int, hists []*stats.Hist
 // stream is the one a grid-by-grid loop consumes. The start takes its
 // coordinates on the drawn dimensions before the grids run, so the chunks
 // only read it. The grids then build across the worker slots. Each chunk
-// records every grid's peak count and keeps the objects of its own densest
-// grid, the first in grid order on a tie. The fold takes the first grid in
-// grid order with the largest count, the grid a grid-by-grid loop keeps with
-// a strict >, so the same seeds win for every split, and a boosted grid wins
-// only with a strictly larger peak than every weights grid.
+// records every grid's peak count and keeps its own densest grid, the first
+// in grid order on a tie. The fold takes the first grid in grid order with
+// the largest count, the grid a grid-by-grid loop keeps with a strict >, so
+// the same seeds win for every split, and a boosted grid wins only with a
+// strictly larger peak than every weights grid. The seeds are the winning
+// grid's peak objects, collected once after the fold.
 func (init *initializer) buildSeeds(cands []int, weights, boosted []float64, start *representative) ([]int, error) {
 	c := min(init.opts.GridDims, len(cands))
 	if c == 0 {
@@ -620,35 +621,34 @@ func (init *initializer) buildSeeds(cands []int, weights, boosted []float64, sta
 	}
 
 	// peaks[t] is grid t's peak count, −1 where the grid could not be
-	// built; objects is set only on the densest grid of each chunk.
+	// built; grid is set only on the densest grid of each chunk.
 	type gridPeak struct {
-		count   int
-		objects []int
+		count int
+		cell  int64
+		grid  *grid.Grid
 	}
 	peaks := make([]gridPeak, numGrids)
 	err := init.chunks(numGrids, func(_, lo, hi int) {
 		best := -1
-		var objects []int
+		var densest *grid.Grid
 		for t := lo; t < hi; t++ {
 			peaks[t].count = -1
 			g, err := grid.Build(init.ds, dims[t*c:(t+1)*c], init.opts.GridBins, include)
 			if err != nil {
 				continue
 			}
-			var peak int64
 			if point != nil {
-				peak = g.HillClimb(g.CellOfPoint(point))
+				peaks[t].cell = g.HillClimb(g.CellOfPoint(point))
 			} else {
-				peak, _ = g.Peak()
+				peaks[t].cell, _ = g.Peak()
 			}
-			peaks[t].count = g.Count(peak)
+			peaks[t].count = g.Count(peaks[t].cell)
 			if best < 0 || peaks[t].count > peaks[best].count {
-				best = t
-				objects = append(objects[:0], g.Objects(peak)...)
+				best, densest = t, g
 			}
 		}
 		if best >= 0 {
-			peaks[best].objects = objects
+			peaks[best].grid = densest
 		}
 	})
 	if err != nil {
@@ -663,7 +663,7 @@ func (init *initializer) buildSeeds(cands []int, weights, boosted []float64, sta
 	if best < 0 || peaks[best].count <= 0 {
 		return nil, nil
 	}
-	return peaks[best].objects, nil
+	return peaks[best].grid.Objects(peaks[best].cell), nil
 }
 
 // unexcluded returns the objects no created group has claimed, in index

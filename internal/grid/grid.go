@@ -6,15 +6,14 @@
 // dimensions are relevant to one cluster, one cell near the cluster center
 // holds an unexpectedly large number of objects.
 //
-// A grid stores only its occupied cells, in compressed sparse row (CSR)
-// form: the occupied keys in ascending order, an offsets array, and one
-// member slice that holds every cell's objects back to back. Build fills it
-// by counting, not by appending to per-cell slices, so one build makes a
+// A grid is a histogram: it keeps each included object's cell and the
+// occupied cells' counts, with the keys in ascending order. SSPC reads only
+// counts to find a peak, and asks for the objects of one cell of its best
+// grid, which Objects collects from the per-object cells. One build makes a
 // fixed handful of allocations whatever the number of objects or cells.
 package grid
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -24,25 +23,27 @@ import (
 )
 
 // Grid is a multi-dimensional equi-width histogram over a subset of
-// dimensions. Its occupied cells are stored in CSR form: keys[u] is the u-th
-// occupied cell's encoded key, in ascending order, and that cell's objects
-// are members[start[u]:start[u+1]], in the order Build folded them in.
+// dimensions. cellOf[t] is the cell of the t-th included object, keys[u] is
+// the u-th occupied cell's encoded key, in ascending order, and counts[u] is
+// how many objects it holds.
 type Grid struct {
 	dims  []int
 	bins  int
 	lo    []float64
 	width []float64
 
+	include []int // Build's include list, nil for every object
+	cellOf  []int64
 	keys    []int64
-	start   []int
-	members []int
+	counts  []int
 }
 
 // Build constructs a grid over the given dimensions with bins cells per
 // dimension. If include is non-nil, only those objects are folded in — SSPC
 // excludes likely members of already-initialized seed groups this way
-// (§4.2). It returns an error when the cell space cannot be encoded or when
-// no objects are included.
+// (§4.2). The grid keeps include to answer Objects, so the caller must not
+// modify it while the grid is in use. It returns an error when the cell
+// space cannot be encoded or when no objects are included.
 func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, error) {
 	if len(dims) == 0 {
 		return nil, errors.New("grid: no building dimensions")
@@ -62,10 +63,12 @@ func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, err
 		return nil, errors.New("grid: no objects included")
 	}
 	g := &Grid{
-		dims:  append([]int(nil), dims...),
-		bins:  bins,
-		lo:    make([]float64, len(dims)),
-		width: make([]float64, len(dims)),
+		dims:    append([]int(nil), dims...),
+		bins:    bins,
+		lo:      make([]float64, len(dims)),
+		width:   make([]float64, len(dims)),
+		include: include,
+		cellOf:  make([]int64, m),
 	}
 	for t, j := range dims {
 		lo, hi := ds.ColMin(j), ds.ColMax(j)
@@ -75,15 +78,13 @@ func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, err
 		g.lo[t] = lo
 		g.width[t] = (hi - lo) / float64(bins)
 	}
-	// cellOf[t] is the cell of the t-th included object.
-	cellOf := make([]int64, m)
-	for t := range cellOf {
-		cellOf[t] = g.CellOfPoint(ds.Row(object(include, t)))
+	for t := range g.cellOf {
+		g.cellOf[t] = g.CellOfPoint(ds.Row(object(include, t)))
 	}
 	if cells := int64(space); denseFits(cells, m) {
-		g.countDense(cellOf, include, int(cells))
+		g.countDense(int(cells))
 	} else {
-		g.sortSparse(cellOf, include)
+		g.countSparse()
 	}
 	return g, nil
 }
@@ -105,63 +106,39 @@ func denseFits(cells int64, m int) bool {
 	return cells <= int64(max(1<<12, 8*m))
 }
 
-// countDense builds the CSR layout by a counting sort over a dense array of
-// every cell: count each cell's objects, turn the counts into offsets in
-// ascending key order, then place every object at its cell's next free
-// slot. Objects are placed in include order, so each cell keeps it.
-func (g *Grid) countDense(cellOf []int64, include []int, cells int) {
-	next := make([]int, cells) // a cell's count, then its next free slot
-	for _, key := range cellOf {
-		next[key]++
-	}
-	occupied := min(cells, len(cellOf))
-	g.keys = make([]int64, 0, occupied)
-	g.start = make([]int, 0, occupied+1)
-	off := 0
-	for key, n := range next {
-		if n == 0 {
-			continue
+// countDense counts every cell's objects in a dense array over the whole
+// cell space, then keeps the occupied cells in ascending key order.
+func (g *Grid) countDense(cells int) {
+	dense := make([]int, cells)
+	occupied := 0
+	for _, key := range g.cellOf {
+		if dense[key] == 0 {
+			occupied++
 		}
-		g.keys = append(g.keys, int64(key))
-		g.start = append(g.start, off)
-		next[key] = off
-		off += n
+		dense[key]++
 	}
-	g.start = append(g.start, off)
-	g.members = make([]int, len(cellOf))
-	for t, key := range cellOf {
-		g.members[next[key]] = object(include, t)
-		next[key]++
+	g.keys = make([]int64, 0, occupied)
+	g.counts = make([]int, 0, occupied)
+	for key, n := range dense {
+		if n > 0 {
+			g.keys = append(g.keys, int64(key))
+			g.counts = append(g.counts, n)
+		}
 	}
 }
 
-// sortSparse builds the CSR layout from the (key, position) pairs sorted by
-// key and then position, for cell spaces too large for a dense array. The
-// position breaks ties, so each cell keeps include order.
-func (g *Grid) sortSparse(cellOf []int64, include []int) {
-	type entry struct {
-		key int64
-		pos int
-	}
-	order := make([]entry, len(cellOf))
-	for t, key := range cellOf {
-		order[t] = entry{key, t}
-	}
-	slices.SortFunc(order, func(a, b entry) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+// countSparse counts the runs of a sorted copy of the per-object cells, for
+// cell spaces too large for a dense array.
+func (g *Grid) countSparse() {
+	sorted := slices.Clone(g.cellOf)
+	slices.Sort(sorted)
+	for t, key := range sorted {
+		if t == 0 || key != sorted[t-1] {
+			g.keys = append(g.keys, key)
+			g.counts = append(g.counts, 0)
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	g.members = make([]int, len(order))
-	for u, e := range order {
-		if u == 0 || e.key != order[u-1].key {
-			g.keys = append(g.keys, e.key)
-			g.start = append(g.start, u)
-		}
-		g.members[u] = object(include, e.pos)
+		g.counts[len(g.counts)-1]++
 	}
-	g.start = append(g.start, len(order))
 }
 
 // coord returns the clamped cell coordinate of value v along axis t.
@@ -210,17 +187,24 @@ func (g *Grid) Count(cell int64) int {
 	if !ok {
 		return 0
 	}
-	return g.start[u+1] - g.start[u]
+	return g.counts[u]
 }
 
-// Objects returns the objects in the encoded cell, in the order Build folded
-// them in (shared slice; do not modify).
+// Objects returns a new slice of the objects in the encoded cell, in the
+// order Build folded them in, or nil for an empty cell. It scans every
+// included object's cell, so a caller asks only for the cell it keeps.
 func (g *Grid) Objects(cell int64) []int {
-	u, ok := slices.BinarySearch(g.keys, cell)
-	if !ok {
+	n := g.Count(cell)
+	if n == 0 {
 		return nil
 	}
-	return g.members[g.start[u]:g.start[u+1]:g.start[u+1]]
+	out := make([]int, 0, n)
+	for t, key := range g.cellOf {
+		if key == cell {
+			out = append(out, object(g.include, t))
+		}
+	}
+	return out
 }
 
 // Peak returns the densest cell and its count. The occupied cells are
@@ -228,9 +212,9 @@ func (g *Grid) Objects(cell int64) []int {
 // answer, so ties go to the smallest encoded key.
 func (g *Grid) Peak() (cell int64, count int) {
 	best := -1
-	for u, key := range g.keys {
-		if n := g.start[u+1] - g.start[u]; n > best {
-			best, cell = n, key
+	for u, n := range g.counts {
+		if n > best {
+			best, cell = n, g.keys[u]
 		}
 	}
 	return cell, best

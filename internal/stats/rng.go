@@ -81,7 +81,8 @@ func (g *RNG) SampleFrom(pool []int, k int) []int {
 // weight. Zero-weight entries are never chosen unless all weights are zero,
 // in which case the draw degenerates to uniform. If fewer than k indices
 // have positive weight, the positive-weight ones are returned first and the
-// remainder filled uniformly from the rest.
+// remainder filled uniformly from the rest. It only reads weights: a drawn
+// index is skipped by its taken flag, not by zeroing its weight.
 func (g *RNG) WeightedSample(weights []float64, k int) []int {
 	n := len(weights)
 	if k >= n {
@@ -96,8 +97,6 @@ func (g *RNG) WeightedSample(weights []float64, k int) []int {
 	if total == 0 {
 		return g.Sample(n, k)
 	}
-	w := make([]float64, n)
-	copy(w, weights)
 	remaining := total
 	out := make([]int, 0, k)
 	taken := make([]bool, n)
@@ -117,10 +116,10 @@ func (g *RNG) WeightedSample(weights []float64, k int) []int {
 		acc := 0.0
 		pick := -1
 		for i := 0; i < n; i++ {
-			if taken[i] || w[i] <= 0 {
+			if taken[i] || weights[i] <= 0 {
 				continue
 			}
-			acc += w[i]
+			acc += weights[i]
 			if acc >= target {
 				pick = i
 				break
@@ -129,7 +128,7 @@ func (g *RNG) WeightedSample(weights []float64, k int) []int {
 		if pick < 0 {
 			// Numerical slack: pick the last untaken positive weight.
 			for i := n - 1; i >= 0; i-- {
-				if !taken[i] && w[i] > 0 {
+				if !taken[i] && weights[i] > 0 {
 					pick = i
 					break
 				}
@@ -140,8 +139,7 @@ func (g *RNG) WeightedSample(weights []float64, k int) []int {
 			continue
 		}
 		taken[pick] = true
-		remaining -= w[pick]
-		w[pick] = 0
+		remaining -= weights[pick]
 		out = append(out, pick)
 	}
 	return out
