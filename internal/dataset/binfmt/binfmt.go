@@ -62,10 +62,13 @@
 package binfmt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
 	"math"
+
+	"repro/internal/stats"
 )
 
 // Magic identifies a binary dataset file; it never changes across versions.
@@ -136,79 +139,17 @@ type Info struct {
 // numShardsFor returns ceil(n/shardRows).
 func numShardsFor(n, shardRows int) int { return (n + shardRows - 1) / shardRows }
 
-// shardAccum accumulates one shard's column-stat partials in row order. The
-// Welford recurrence is byte-for-byte the one dataset.ensureStats runs, so a
-// verifier that replays the shard's rows reproduces the writer's mean and
-// variance bits exactly — floating-point equality, not tolerance.
-type shardAccum struct {
-	d    int
-	rows int
-	mn   []float64
-	mx   []float64
-	mean []float64
-	m2   []float64
-}
-
-func newShardAccum(d int) *shardAccum {
-	a := &shardAccum{
-		d:    d,
-		mn:   make([]float64, d),
-		mx:   make([]float64, d),
-		mean: make([]float64, d),
-		m2:   make([]float64, d),
-	}
-	a.reset()
-	return a
-}
-
-func (a *shardAccum) reset() {
-	a.rows = 0
-	for j := 0; j < a.d; j++ {
-		a.mn[j] = math.Inf(1)
-		a.mx[j] = math.Inf(-1)
-		a.mean[j] = 0
-		a.m2[j] = 0
-	}
-}
-
-// addRow folds one row into the partials. The row must have length d.
-func (a *shardAccum) addRow(row []float64) {
-	a.rows++
-	cnt := float64(a.rows)
-	for j, v := range row {
-		delta := v - a.mean[j]
-		a.mean[j] += delta / cnt
-		a.m2[j] += delta * (v - a.mean[j])
-		if v < a.mn[j] {
-			a.mn[j] = v
-		}
-		if v > a.mx[j] {
-			a.mx[j] = v
+// appendStats appends one shard's record in the stat table to buf: the d
+// minimums, maximums, means and variances of the shard's rows, folded in row
+// order, each value's bits little-endian. The writers build the table with
+// it, and OpenBinary replays each shard through it and compares bytes.
+func appendStats(buf []byte, c *stats.Columns) []byte {
+	for _, col := range [][]float64{c.Min, c.Max, c.Mean, c.Variances()} {
+		for _, v := range col {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
-}
-
-// stats is one shard's finished column-stat record as stored in the table.
-type stats struct {
-	mn, mx, mean, vr []float64
-}
-
-// finish snapshots the accumulated partials into a stats record (copying, so
-// the accumulator can be reset and reused for the next shard).
-func (a *shardAccum) finish() stats {
-	s := stats{
-		mn:   append([]float64(nil), a.mn...),
-		mx:   append([]float64(nil), a.mx...),
-		mean: append([]float64(nil), a.mean...),
-		vr:   make([]float64, a.d),
-	}
-	if a.rows > 1 {
-		inv := float64(a.rows - 1)
-		for j := 0; j < a.d; j++ {
-			s.vr[j] = a.m2[j] / inv
-		}
-	}
-	return s
+	return buf
 }
 
 // layoutSizes returns the derived byte layout of a file with the given

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 // ConvertOptions configures ConvertCSV.
@@ -171,14 +172,10 @@ func assemble(f *os.File, payloadOff int64, n, d int, results []segmentResult, o
 	numShards := numShardsFor(n, opts.ShardRows)
 	bw := bufio.NewWriter(f)
 	crc := crc64.New(crcTable)
-	accum := newShardAccum(d)
-	perShard := make([]stats, 0, numShards)
+	acc := stats.NewColumns(d)
+	statTable := make([]byte, 0, numShards*4*d*8)
 	row := make([]float64, d)
 	rowBytes := make([]byte, d*8)
-	seal := func() {
-		perShard = append(perShard, accum.finish())
-		accum.reset()
-	}
 	for _, res := range results {
 		spill, err := os.Open(res.path)
 		if err != nil {
@@ -194,25 +191,26 @@ func assemble(f *os.File, payloadOff int64, n, d int, results []segmentResult, o
 				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(rowBytes[j*8:]))
 			}
 			crc.Write(rowBytes)
-			accum.addRow(row)
+			acc.AddRow(row)
 			if _, err := bw.Write(rowBytes); err != nil {
 				spill.Close()
 				return Info{}, err
 			}
-			if accum.rows == opts.ShardRows {
-				seal()
+			if acc.Rows == opts.ShardRows {
+				statTable = appendStats(statTable, acc)
+				acc.Reset()
 			}
 		}
 		spill.Close()
 	}
-	if accum.rows > 0 {
-		seal()
+	if acc.Rows > 0 {
+		statTable = appendStats(statTable, acc)
 	}
 	if err := bw.Flush(); err != nil {
 		return Info{}, err
 	}
 	payloadCRC := crc.Sum64()
-	if _, err := f.WriteAt(encodePrefix(n, d, opts.ShardRows, payloadCRC, perShard), 0); err != nil {
+	if _, err := f.WriteAt(encodePrefix(n, d, opts.ShardRows, payloadCRC, statTable), 0); err != nil {
 		return Info{}, err
 	}
 	return Info{N: n, D: d, ShardRows: opts.ShardRows, NumShards: numShards, PayloadChecksum: payloadCRC}, nil

@@ -1,6 +1,7 @@
 package binfmt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
+	"repro/internal/stats"
 )
 
 // hostLittleEndian reports whether float64/uint64 loads through an aliased
@@ -175,7 +177,9 @@ func (fl *File) verifyAndBuild(payloadOff int64) error {
 	// way. This proves the payload holds the values the writer saw, even
 	// when both checksums were recomputed after an edit.
 	statTable := data[fixedHeaderSize+fl.numShards*extentSize : crcOff]
-	accum := newShardAccum(d)
+	recSize := 4 * d * 8
+	acc := stats.NewColumns(d)
+	rec := make([]byte, 0, recSize)
 	for s := 0; s < fl.numShards; s++ {
 		lo, hi := shardRowRange(n, shardRows, s)
 		blk := vals[lo*d : hi*d]
@@ -184,22 +188,13 @@ func (fl *File) verifyAndBuild(payloadOff int64) error {
 				return fmt.Errorf("%w: non-finite value in shard %d at offset %d", ErrFormat, s, t)
 			}
 		}
-		accum.reset()
+		acc.Reset()
 		for base := 0; base < len(blk); base += d {
-			accum.addRow(blk[base : base+d])
+			acc.AddRow(blk[base : base+d])
 		}
-		got := accum.finish()
-		rec := statTable[s*4*d*8:]
-		stored := func(col, j int) uint64 {
-			return binary.LittleEndian.Uint64(rec[(col*d+j)*8:])
-		}
-		for j := 0; j < d; j++ {
-			if stored(0, j) != math.Float64bits(got.mn[j]) ||
-				stored(1, j) != math.Float64bits(got.mx[j]) ||
-				stored(2, j) != math.Float64bits(got.mean[j]) ||
-				stored(3, j) != math.Float64bits(got.vr[j]) {
-				return fmt.Errorf("%w: shard %d stat partial does not match its rows", ErrChecksum, s)
-			}
+		rec = appendStats(rec[:0], acc)
+		if !bytes.Equal(rec, statTable[s*recSize:(s+1)*recSize]) {
+			return fmt.Errorf("%w: shard %d stat partial does not match its rows", ErrChecksum, s)
 		}
 	}
 

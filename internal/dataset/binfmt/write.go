@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 // encodeRow appends row's float64 bits little-endian to buf[:0] and returns
@@ -23,10 +24,10 @@ func encodeRow(buf []byte, row []float64) []byte {
 }
 
 // encodePrefix builds the complete pre-payload prefix of a file — fixed
-// header, extent table, stat table, and the trailing headerCRC — so the
-// writer paths (WriteBinary, ConvertCSV) emit byte-identical files for
-// identical data and shardRows.
-func encodePrefix(n, d, shardRows int, payloadCRC uint64, perShard []stats) []byte {
+// header, extent table, the stat table the caller built with appendStats,
+// and the trailing headerCRC — so the writer paths (WriteBinary, ConvertCSV)
+// emit byte-identical files for identical data and shardRows.
+func encodePrefix(n, d, shardRows int, payloadCRC uint64, statTable []byte) []byte {
 	numShards := numShardsFor(n, shardRows)
 	payloadOff, _, err := layoutSizes(n, d, shardRows)
 	if err != nil {
@@ -51,13 +52,7 @@ func encodePrefix(n, d, shardRows int, payloadCRC uint64, perShard []stats) []by
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(payloadOff)+uint64(lo)*uint64(d)*8)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(hi-lo)*uint64(d)*8)
 	}
-	for _, st := range perShard {
-		for _, col := range [][]float64{st.mn, st.mx, st.mean, st.vr} {
-			for _, v := range col {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-		}
-	}
+	buf = append(buf, statTable...)
 	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
 }
 
@@ -89,8 +84,8 @@ func WriteBinary(w io.Writer, ds *dataset.Dataset, shardRows int) (Info, error) 
 
 	// Pass 1: per-shard stat partials and the payload checksum.
 	crc := crc64.New(crcTable)
-	accum := newShardAccum(d)
-	perShard := make([]stats, 0, numShards)
+	acc := stats.NewColumns(d)
+	statTable := make([]byte, 0, numShards*4*d*8)
 	rowBuf := make([]byte, 0, d*8)
 	for i := 0; i < n; i++ {
 		row := ds.Row(i)
@@ -100,20 +95,20 @@ func WriteBinary(w io.Writer, ds *dataset.Dataset, shardRows int) (Info, error) 
 			}
 		}
 		crc.Write(encodeRow(rowBuf, row))
-		accum.addRow(row)
-		if accum.rows == shardRows {
-			perShard = append(perShard, accum.finish())
-			accum.reset()
+		acc.AddRow(row)
+		if acc.Rows == shardRows {
+			statTable = appendStats(statTable, acc)
+			acc.Reset()
 		}
 	}
-	if accum.rows > 0 {
-		perShard = append(perShard, accum.finish())
+	if acc.Rows > 0 {
+		statTable = appendStats(statTable, acc)
 	}
 	payloadCRC := crc.Sum64()
 
 	// Pass 2: emit prefix then payload.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(encodePrefix(n, d, shardRows, payloadCRC, perShard)); err != nil {
+	if _, err := bw.Write(encodePrefix(n, d, shardRows, payloadCRC, statTable)); err != nil {
 		return Info{}, err
 	}
 	for i := 0; i < n; i++ {

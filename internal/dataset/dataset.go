@@ -183,37 +183,11 @@ func (ds *Dataset) ensureStats() *colStats {
 	if st := ds.stats.Load(); st != nil {
 		return st
 	}
-	d := ds.d
-	mean := make([]float64, d)
-	m2 := make([]float64, d)
-	mn := make([]float64, d)
-	mx := make([]float64, d)
-	for j := 0; j < d; j++ {
-		mn[j] = math.Inf(1)
-		mx[j] = math.Inf(-1)
-	}
+	acc := stats.NewColumns(ds.d)
 	for i := 0; i < ds.n; i++ {
-		row := ds.Row(i)
-		cnt := float64(i + 1)
-		for j, v := range row {
-			delta := v - mean[j]
-			mean[j] += delta / cnt
-			m2[j] += delta * (v - mean[j])
-			if v < mn[j] {
-				mn[j] = v
-			}
-			if v > mx[j] {
-				mx[j] = v
-			}
-		}
+		acc.AddRow(ds.Row(i))
 	}
-	vr := make([]float64, d)
-	if ds.n > 1 {
-		for j := 0; j < d; j++ {
-			vr[j] = m2[j] / float64(ds.n-1)
-		}
-	}
-	st := &colStats{mean: mean, vr: vr, mn: mn, mx: mx}
+	st := &colStats{mean: acc.Mean, vr: acc.Variances(), mn: acc.Min, mx: acc.Max}
 	ds.stats.Store(st)
 	return st
 }

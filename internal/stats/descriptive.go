@@ -184,6 +184,66 @@ func (r *Running) Variance() float64 {
 	return r.M2 / float64(r.N-1)
 }
 
+// Columns accumulates, over rows folded in order, each column's mean and M2
+// by Running's Welford recurrence, and its minimum and maximum. A dataset's
+// column statistics and a .sspcb file's per-shard stat partials both come
+// from it, so a file's stored partials replay bit for bit.
+type Columns struct {
+	Rows               int
+	Mean, M2, Min, Max []float64
+}
+
+// NewColumns returns an empty accumulator over d columns.
+func NewColumns(d int) *Columns {
+	c := &Columns{
+		Mean: make([]float64, d),
+		M2:   make([]float64, d),
+		Min:  make([]float64, d),
+		Max:  make([]float64, d),
+	}
+	c.Reset()
+	return c
+}
+
+// Reset empties the accumulator: no rows, every mean and M2 zero, every
+// minimum +Inf and every maximum −Inf.
+func (c *Columns) Reset() {
+	c.Rows = 0
+	for j := range c.Mean {
+		c.Mean[j], c.M2[j] = 0, 0
+		c.Min[j], c.Max[j] = math.Inf(1), math.Inf(-1)
+	}
+}
+
+// AddRow folds one row, one value per column, into the accumulator.
+func (c *Columns) AddRow(row []float64) {
+	c.Rows++
+	cnt := float64(c.Rows)
+	for j, v := range row {
+		delta := v - c.Mean[j]
+		c.Mean[j] += delta / cnt
+		c.M2[j] += delta * (v - c.Mean[j])
+		if v < c.Min[j] {
+			c.Min[j] = v
+		}
+		if v > c.Max[j] {
+			c.Max[j] = v
+		}
+	}
+}
+
+// Variances returns a new slice of each column's unbiased sample variance,
+// M2/(Rows−1); every entry is zero when fewer than two rows were folded.
+func (c *Columns) Variances() []float64 {
+	vr := make([]float64, len(c.M2))
+	if c.Rows > 1 {
+		for j, m2 := range c.M2 {
+			vr[j] = m2 / float64(c.Rows-1)
+		}
+	}
+	return vr
+}
+
 // Merge combines another accumulator into r (parallel Welford merge).
 func (r *Running) Merge(o Running) {
 	if o.N == 0 {

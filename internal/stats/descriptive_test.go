@@ -174,6 +174,62 @@ func TestRunningMergeEmpty(t *testing.T) {
 	}
 }
 
+// TestColumnsMatchesRunning: each column of a Columns accumulator holds the
+// bits a Running fed the same values holds, and the column's extremes, with
+// -0 and 0 kept in the order they arrive; Reset starts it over.
+func TestColumnsMatchesRunning(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const rows, d = 40, 5
+	c := NewColumns(d)
+	for round := 0; round < 2; round++ {
+		c.Reset()
+		runs := make([]Running, d)
+		lo, hi := make([]float64, d), make([]float64, d)
+		for i := 0; i < rows; i++ {
+			row := make([]float64, d)
+			for j := range row {
+				row[j] = (rng.Float64() - 0.5) * math.Pow(10, float64(j))
+			}
+			row[d-1] = 0
+			if i%2 == 1 {
+				row[d-1] = math.Copysign(0, -1)
+			}
+			c.AddRow(row)
+			for j, v := range row {
+				runs[j].Add(v)
+				if i == 0 || v < lo[j] {
+					lo[j] = v
+				}
+				if i == 0 || v > hi[j] {
+					hi[j] = v
+				}
+			}
+		}
+		vr := c.Variances()
+		for j := 0; j < d; j++ {
+			for name, pair := range map[string][2]float64{
+				"mean": {c.Mean[j], runs[j].Mean()},
+				"M2":   {c.M2[j], runs[j].M2},
+				"var":  {vr[j], runs[j].Variance()},
+				"min":  {c.Min[j], lo[j]},
+				"max":  {c.Max[j], hi[j]},
+			} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Errorf("round %d, column %d: %s = %v, want %v", round, j, name, pair[0], pair[1])
+				}
+			}
+		}
+		if c.Rows != rows {
+			t.Errorf("round %d: Rows = %d, want %d", round, c.Rows, rows)
+		}
+	}
+	one := NewColumns(2)
+	one.AddRow([]float64{4, -1})
+	if vr := one.Variances(); vr[0] != 0 || vr[1] != 0 {
+		t.Errorf("one row: Variances = %v, want zeros", vr)
+	}
+}
+
 // Property: median minimizes the sum of absolute deviations at least as well
 // as the mean does (the robustness rationale behind the paper's use of µ̃).
 func TestMedianMinimizesL1Property(t *testing.T) {
