@@ -200,7 +200,11 @@ func BenchmarkConstrainedAssignChunked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cons := ConstraintsFromKnowledge(kn)
+	must, cannot, err := (&Supervision{Knowledge: kn}).AsConstraints()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cons := &Constraints{MustLink: must, CannotLink: cannot}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			bench, err := copkmeans.NewAssignBench(gt.Data, cons, 4, workers)
@@ -648,7 +652,11 @@ func BenchmarkCOPKMeansRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cons := ConstraintsFromKnowledge(kn)
+	must, cannot, err := (&Supervision{Knowledge: kn}).AsConstraints()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cons := &Constraints{MustLink: must, CannotLink: cannot}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := COPKMeansDefaults(4)

@@ -37,30 +37,6 @@ type Constraints struct {
 	CannotLink [][2]int
 }
 
-// FromKnowledge derives constraints from labeled objects: same class →
-// must-link, different classes → cannot-link.
-func FromKnowledge(kn *dataset.Knowledge) *Constraints {
-	c := &Constraints{}
-	if kn == nil {
-		return c
-	}
-	var objs []int
-	for obj := range kn.ObjectLabels {
-		objs = append(objs, obj)
-	}
-	sort.Ints(objs) // for determinism
-	for i := 0; i < len(objs); i++ {
-		for j := i + 1; j < len(objs); j++ {
-			if kn.ObjectLabels[objs[i]] == kn.ObjectLabels[objs[j]] {
-				c.MustLink = append(c.MustLink, [2]int{objs[i], objs[j]})
-			} else {
-				c.CannotLink = append(c.CannotLink, [2]int{objs[i], objs[j]})
-			}
-		}
-	}
-	return c
-}
-
 // Options configures COP-KMeans.
 type Options struct {
 	K             int

@@ -5,10 +5,22 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/synth"
 )
+
+// constraintsOf derives must-links and cannot-links from labeled objects
+// through the conversion the facade offers, Supervision.AsConstraints.
+func constraintsOf(t *testing.T, kn *dataset.Knowledge) *Constraints {
+	t.Helper()
+	must, cannot, err := (&core.Supervision{Knowledge: kn}).AsConstraints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Constraints{MustLink: must, CannotLink: cannot}
+}
 
 func TestRunValidation(t *testing.T) {
 	ds, _ := dataset.FromRows([][]float64{{1}, {2}, {3}})
@@ -111,9 +123,9 @@ func TestConstraintsImproveAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons := FromKnowledge(kn)
+	cons := constraintsOf(t, kn)
 	if len(cons.MustLink) == 0 || len(cons.CannotLink) == 0 {
-		t.Fatal("FromKnowledge produced no constraints")
+		t.Fatal("labeled objects produced no constraints")
 	}
 	bestFree, bestCons := -1.0, -1.0
 	for s := int64(0); s < 5; s++ {
@@ -154,7 +166,7 @@ func TestFailsOnProjectedClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunContext(context.Background(), gt.Data, FromKnowledge(kn), DefaultOptions(4))
+	res, err := RunContext(context.Background(), gt.Data, constraintsOf(t, kn), DefaultOptions(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +176,5 @@ func TestFailsOnProjectedClusters(t *testing.T) {
 	}
 	if a > 0.5 {
 		t.Errorf("COP-KMeans ARI = %v on 5%%-dim projected clusters; expected poor", a)
-	}
-}
-
-func TestFromKnowledgeNil(t *testing.T) {
-	c := FromKnowledge(nil)
-	if len(c.MustLink) != 0 || len(c.CannotLink) != 0 {
-		t.Error("nil knowledge should give empty constraints")
 	}
 }

@@ -48,9 +48,6 @@ func NewAssigner(d int, fitted []cluster.FittedCluster) (*Assigner, error) {
 	return a, nil
 }
 
-// K returns the number of clusters a point can be assigned to.
-func (a *Assigner) K() int { return len(a.clusters) }
-
 // D returns the point dimensionality the assigner expects.
 func (a *Assigner) D() int { return a.d }
 

@@ -38,8 +38,8 @@ func TestAssignerReproducesTrainingAssignments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.K() != res.K || a.D() != d {
-		t.Fatalf("K=%d D=%d, want K=%d D=%d", a.K(), a.D(), res.K, d)
+	if len(a.clusters) != res.K || a.D() != d {
+		t.Fatalf("K=%d D=%d, want K=%d D=%d", len(a.clusters), a.D(), res.K, d)
 	}
 	n := len(res.Assignments)
 	out := make([]int, n)

@@ -101,9 +101,6 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("opened %d/%d/%d/%d, want %d/%d/%d/%d",
 					fl.N(), fl.D(), fl.ShardRows(), fl.NumShards(), n, d, shardRows, wantShards)
 			}
-			if fl.Info() != (Info{N: n, D: d, ShardRows: shardRows, NumShards: wantShards, PayloadChecksum: fl.PayloadChecksum()}) {
-				t.Fatalf("Info mismatch: %+v", fl.Info())
-			}
 			requireSameMatrix(t, fl.Dataset(), ds)
 		})
 	}

@@ -225,11 +225,6 @@ func (fl *File) NumShards() int { return fl.numShards }
 // PayloadChecksum returns the CRC-64/ECMA of the payload bytes.
 func (fl *File) PayloadChecksum() uint64 { return fl.payloadCRC }
 
-// Info returns the file's summary.
-func (fl *File) Info() Info {
-	return Info{N: fl.n, D: fl.d, ShardRows: fl.shardRows, NumShards: fl.numShards, PayloadChecksum: fl.payloadCRC}
-}
-
 // ContentHash returns the file's dataset fingerprint for model registries:
 // shape plus payload checksum, invariant under re-sharding (the payload is
 // the rows in row order whatever the shard boundaries). Computing it needs

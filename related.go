@@ -62,12 +62,6 @@ type COPKMeansOptions = copkmeans.Options
 // assignment.
 var ErrInfeasible = copkmeans.ErrInfeasible
 
-// ConstraintsFromKnowledge turns labeled objects into must-link /
-// cannot-link pairs.
-func ConstraintsFromKnowledge(kn *Knowledge) *Constraints {
-	return copkmeans.FromKnowledge(kn)
-}
-
 // COPKMeansDefaults returns a standard COP-KMeans configuration.
 func COPKMeansDefaults(k int) COPKMeansOptions { return copkmeans.DefaultOptions(k) }
 

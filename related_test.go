@@ -59,7 +59,11 @@ func TestFacadeCOPKMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons := ConstraintsFromKnowledge(kn)
+	must, cannot, err := (&Supervision{Knowledge: kn}).AsConstraints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := &Constraints{MustLink: must, CannotLink: cannot}
 	res, err := COPKMeans(context.Background(), gt.Data, cons, COPKMeansDefaults(3))
 	if err != nil {
 		t.Fatal(err)
