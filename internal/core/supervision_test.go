@@ -124,7 +124,8 @@ func TestSupervisionErrorsNameSmallestEntry(t *testing.T) {
 
 // TestSupervisionAsConstraints: explicit pairs survive, labels and seeds
 // derive same-class must-links and cross-class cannot-links, duplicates
-// collapse, and the output order is the sorted pair order.
+// collapse, and the output order is the sorted pair order. Supervision with
+// no knowledge, and nil supervision, give no pairs.
 func TestSupervisionAsConstraints(t *testing.T) {
 	s := &Supervision{
 		Knowledge:  dataset.NewKnowledge(),
@@ -144,6 +145,12 @@ func TestSupervisionAsConstraints(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cannot, wantCannot) {
 		t.Errorf("cannot = %v, want %v", cannot, wantCannot)
+	}
+	for _, empty := range []*Supervision{{}, nil} {
+		must, cannot, err := empty.AsConstraints()
+		if err != nil || len(must) != 0 || len(cannot) != 0 {
+			t.Errorf("%+v: AsConstraints = %v, %v, %v; want no pairs", empty, must, cannot, err)
+		}
 	}
 }
 
