@@ -72,13 +72,13 @@ func DefaultOptions(k int) Options { return Options{K: k, MaxIterations: 100} }
 var ErrInfeasible = errors.New("copkmeans: constraints infeasible")
 
 // prep is the constraint structure shared read-only by every restart: the
-// must-link components (roots ascending, each member list ascending) and the
-// cannot-link set keyed by ordered root pairs.
+// must-link components (roots ascending, each member list ascending) and
+// each component's cannot-link partners.
 type prep struct {
-	root    []int   // object → component root
-	roots   []int   // component roots, ascending
-	members [][]int // members[t] = objects of component roots[t], ascending
-	cannot  map[[2]int]bool
+	root     []int   // object → component index
+	roots    []int   // component roots, ascending
+	members  [][]int // members[t] = objects of component roots[t], ascending
+	partners [][]int // partners[t] = components cannot-linked to component t
 }
 
 // prepare builds the transitive closure of the must-links and validates the
@@ -106,18 +106,12 @@ func prepare(n int, cons *Constraints) (*prep, error) {
 	}
 	// Cannot-link between two objects of the same must-component is
 	// immediately infeasible.
-	cannot := make(map[[2]int]bool, len(cons.CannotLink))
 	for _, p := range cons.CannotLink {
-		a, b := find(p[0]), find(p[1])
-		if a == b {
+		if find(p[0]) == find(p[1]) {
 			return nil, fmt.Errorf("%w: cannot-link %v within a must-link component", ErrInfeasible, p)
 		}
-		if a > b {
-			a, b = b, a
-		}
-		cannot[[2]int{a, b}] = true
 	}
-	p := &prep{root: make([]int, n), cannot: cannot}
+	p := &prep{root: make([]int, n)}
 	byRoot := map[int][]int{}
 	for i := 0; i < n; i++ {
 		r := find(i)
@@ -139,6 +133,12 @@ func prepare(n int, cons *Constraints) (*prep, error) {
 	// maps.
 	for i := 0; i < n; i++ {
 		p.root[i] = compIdx[p.root[i]]
+	}
+	p.partners = make([][]int, len(p.roots))
+	for _, c := range cons.CannotLink {
+		a, b := p.root[c[0]], p.root[c[1]]
+		p.partners[a] = append(p.partners[a], b)
+		p.partners[b] = append(p.partners[b], a)
 	}
 	return p, nil
 }
@@ -314,17 +314,11 @@ func assignComponents(ctx context.Context, ds *dataset.Dataset, pre *prep, cente
 }
 
 // feasible checks whether placing component t in cluster c violates any
-// cannot-link against already-placed components.
+// cannot-link against already-placed components: it is false exactly when a
+// cannot-link partner of t already sits in c.
 func feasible(t, c int, pre *prep, compAssign []int) bool {
-	for o, oc := range compAssign {
-		if oc != c || o == t {
-			continue
-		}
-		a, b := pre.roots[t], pre.roots[o]
-		if a > b {
-			a, b = b, a
-		}
-		if pre.cannot[[2]int{a, b}] {
+	for _, o := range pre.partners[t] {
+		if compAssign[o] == c {
 			return false
 		}
 	}
