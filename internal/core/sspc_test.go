@@ -402,8 +402,8 @@ func TestFitAllocBound(t *testing.T) {
 		} else {
 			t.Logf("one fit made %d allocations (limit %d)", mallocs, limit)
 		}
-		if limit := uint64(8 * n * d * 8 / 5); allocated >= limit {
-			t.Errorf("one fit allocated %d bytes, want < 1.6·n·d·8 = %d", allocated, limit)
+		if limit := uint64(n * d * 8); allocated >= limit {
+			t.Errorf("one fit allocated %d bytes, want < n·d·8 = %d", allocated, limit)
 		} else {
 			t.Logf("one fit allocated %.2f MB (limit %.2f MB)", float64(allocated)/1e6, float64(limit)/1e6)
 		}

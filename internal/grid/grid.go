@@ -6,10 +6,10 @@
 // dimensions are relevant to one cluster, one cell near the cluster center
 // holds an unexpectedly large number of objects.
 //
-// A grid is a histogram: it keeps each included object's cell and the
-// occupied cells' counts, with the keys in ascending order. SSPC reads only
-// counts to find a peak, and asks for the objects of one cell of its best
-// grid, which Objects collects from the per-object cells. One build makes a
+// A grid is a histogram: it keeps the occupied cells' counts, with the keys
+// in ascending order, and no per-object state. SSPC reads only counts to
+// find a peak, and asks for the objects of one cell of its best grid, which
+// Objects finds by placing the included objects again. One build makes a
 // fixed handful of allocations whatever the number of objects or cells.
 package grid
 
@@ -23,17 +23,16 @@ import (
 )
 
 // Grid is a multi-dimensional equi-width histogram over a subset of
-// dimensions. cellOf[t] is the cell of the t-th included object, keys[u] is
-// the u-th occupied cell's encoded key, in ascending order, and counts[u] is
-// how many objects it holds.
+// dimensions. keys[u] is the u-th occupied cell's encoded key, in ascending
+// order, and counts[u] is how many objects it holds.
 type Grid struct {
 	dims  []int
 	bins  int
 	lo    []float64
 	width []float64
 
-	include []int // Build's include list, nil for every object
-	cellOf  []int64
+	ds      *dataset.Dataset // Build's dataset
+	include []int            // Build's include list, nil for every object
 	keys    []int64
 	counts  []int
 }
@@ -41,8 +40,8 @@ type Grid struct {
 // Build constructs a grid over the given dimensions with bins cells per
 // dimension. If include is non-nil, only those objects are folded in — SSPC
 // excludes likely members of already-initialized seed groups this way
-// (§4.2). The grid keeps include to answer Objects, so the caller must not
-// modify it while the grid is in use. It returns an error when the cell
+// (§4.2). The grid keeps ds and include to answer Objects, so the caller
+// must not modify them while the grid is in use. It returns an error when the cell
 // space cannot be encoded or when no objects are included.
 func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, error) {
 	if len(dims) == 0 {
@@ -67,8 +66,8 @@ func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, err
 		bins:    bins,
 		lo:      make([]float64, len(dims)),
 		width:   make([]float64, len(dims)),
+		ds:      ds,
 		include: include,
-		cellOf:  make([]int64, m),
 	}
 	for t, j := range dims {
 		lo, hi := ds.ColMin(j), ds.ColMax(j)
@@ -78,13 +77,10 @@ func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, err
 		g.lo[t] = lo
 		g.width[t] = (hi - lo) / float64(bins)
 	}
-	for t := range g.cellOf {
-		g.cellOf[t] = g.CellOfPoint(ds.Row(object(include, t)))
-	}
 	if cells := int64(space); denseFits(cells, m) {
-		g.countDense(int(cells))
+		g.countDense(int(cells), m)
 	} else {
-		g.countSparse()
+		g.countSparse(m)
 	}
 	return g, nil
 }
@@ -98,6 +94,11 @@ func object(include []int, t int) int {
 	return include[t]
 }
 
+// objectCell returns the cell of the t-th included object.
+func (g *Grid) objectCell(t int) int64 {
+	return g.CellOfPoint(g.ds.Row(object(g.include, t)))
+}
+
 // denseFits reports whether a cell space of the given size is counted
 // through a dense per-cell array for m objects. The array costs O(cells)
 // to clear and scan, the sort it replaces O(m log m); at the defaults (6
@@ -106,12 +107,13 @@ func denseFits(cells int64, m int) bool {
 	return cells <= int64(max(1<<12, 8*m))
 }
 
-// countDense counts every cell's objects in a dense array over the whole
-// cell space, then keeps the occupied cells in ascending key order.
-func (g *Grid) countDense(cells int) {
+// countDense counts the m included objects into a dense array over the
+// whole cell space, then keeps the occupied cells in ascending key order.
+func (g *Grid) countDense(cells, m int) {
 	dense := make([]int, cells)
 	occupied := 0
-	for _, key := range g.cellOf {
+	for t := 0; t < m; t++ {
+		key := g.objectCell(t)
 		if dense[key] == 0 {
 			occupied++
 		}
@@ -127,10 +129,13 @@ func (g *Grid) countDense(cells int) {
 	}
 }
 
-// countSparse counts the runs of a sorted copy of the per-object cells, for
+// countSparse counts the runs of the m included objects' sorted cells, for
 // cell spaces too large for a dense array.
-func (g *Grid) countSparse() {
-	sorted := slices.Clone(g.cellOf)
+func (g *Grid) countSparse(m int) {
+	sorted := make([]int64, m)
+	for t := range sorted {
+		sorted[t] = g.objectCell(t)
+	}
 	slices.Sort(sorted)
 	for t, key := range sorted {
 		if t == 0 || key != sorted[t-1] {
@@ -191,16 +196,17 @@ func (g *Grid) Count(cell int64) int {
 }
 
 // Objects returns a new slice of the objects in the encoded cell, in the
-// order Build folded them in, or nil for an empty cell. It scans every
-// included object's cell, so a caller asks only for the cell it keeps.
+// order Build folded them in, or nil for an empty cell. It places the
+// included objects again in that order until it has the cell's count, so a
+// caller asks only for the cell it keeps.
 func (g *Grid) Objects(cell int64) []int {
 	n := g.Count(cell)
 	if n == 0 {
 		return nil
 	}
 	out := make([]int, 0, n)
-	for t, key := range g.cellOf {
-		if key == cell {
+	for t := 0; len(out) < n; t++ {
+		if g.objectCell(t) == cell {
 			out = append(out, object(g.include, t))
 		}
 	}
