@@ -126,8 +126,9 @@ func restartErr(ctx context.Context, r int, err error) error {
 	return fmt.Errorf("engine: restart %d: %w", r, err)
 }
 
-// Run executes fn for restarts 0..n-1 on at most `workers` goroutines (<= 0
-// means GOMAXPROCS) and returns the per-restart results in restart order.
+// Run executes fn for restarts 0..n-1 on a pool of at most `workers`
+// goroutines (<= 0 means GOMAXPROCS), one goroutine included, and returns the
+// per-restart results in restart order.
 // Restart r receives a fresh RNG seeded with ChildSeed(seed, r) and intra,
 // its share of the worker budget for the chunked loops inside it: min(W, n)
 // restarts run at once and each gets ceil(W / min(W, n)) goroutines,
@@ -180,23 +181,6 @@ func Run[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 			bestIdx = r
 		}
 		return r-bestIdx >= plateau
-	}
-
-	if workers == 1 {
-		for r := 0; r < n; r++ {
-			if err := Cause(ctx); err != nil {
-				return nil, err
-			}
-			res, err := safeCall(r, stats.NewRNG(ChildSeed(seed, r)), intra, fn)
-			if err != nil {
-				return nil, restartErr(ctx, r, err)
-			}
-			results[r] = res
-			if stopAfter(r) {
-				return results[: r+1 : r+1], nil
-			}
-		}
-		return results, nil
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
