@@ -38,12 +38,7 @@ type Options struct {
 	K int
 	// Delta is the residue threshold δ.
 	Delta float64
-	// Alpha is the multiple-deletion aggressiveness (rows/columns with
-	// residue above Alpha·H are removed in bulk); the paper uses 1.2.
-	Alpha float64
-	// MinRows and MinCols stop deletion from emptying the bicluster.
-	MinRows, MinCols int
-	Seed             int64
+	Seed  int64
 
 	// Restarts is the number of independent randomized restarts (the
 	// masking values differ); the result with the lowest mean residue is
@@ -62,8 +57,17 @@ type Options struct {
 
 // DefaultOptions returns the paper's usual parameters.
 func DefaultOptions(k int, delta float64) Options {
-	return Options{K: k, Delta: delta, Alpha: 1.2, MinRows: 2, MinCols: 2}
+	return Options{K: k, Delta: delta}
 }
+
+const (
+	// alpha is the multiple-deletion aggressiveness: rows and columns with
+	// residue above alpha·H are removed in bulk. The paper uses 1.2.
+	alpha = 1.2
+	// minRows and minCols stop deletion from emptying the bicluster.
+	minRows = 2
+	minCols = 2
+)
 
 // Bicluster is a discovered submatrix.
 type Bicluster struct {
@@ -92,15 +96,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Biclu
 	}
 	if opts.Delta < 0 {
 		return nil, nil, fmt.Errorf("bicluster: Delta = %v", opts.Delta)
-	}
-	if opts.Alpha < 1 {
-		opts.Alpha = 1.2
-	}
-	if opts.MinRows < 2 {
-		opts.MinRows = 2
-	}
-	if opts.MinCols < 2 {
-		opts.MinCols = 2
 	}
 	restarts := opts.Restarts
 	if restarts <= 0 {
@@ -162,10 +157,10 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 
 		// Phase 1 — multiple node deletion (Algorithm 2 of the paper), used
 		// only while the matrix is large: drop in bulk every row/column
-		// whose residue exceeds Alpha·H.
+		// whose residue exceeds alpha·H.
 		const bulkThreshold = 100
 		for (len(rows) > bulkThreshold || len(cols) > bulkThreshold) &&
-			(len(rows) > opts.MinRows && len(cols) > opts.MinCols) {
+			(len(rows) > minRows && len(cols) > minCols) {
 			if err := engine.Cause(ctx); err != nil {
 				return nil, nil, err
 			}
@@ -176,14 +171,14 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 			if h <= opts.Delta {
 				break
 			}
-			threshold := opts.Alpha * h
+			threshold := alpha * h
 			newRows := rows[:0:0]
 			for t, i := range rows {
 				if rowRes[t] <= threshold {
 					newRows = append(newRows, i)
 				}
 			}
-			if len(newRows) < opts.MinRows {
+			if len(newRows) < minRows {
 				newRows = rows
 			}
 			newCols := cols[:0:0]
@@ -192,7 +187,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 					newCols = append(newCols, j)
 				}
 			}
-			if len(newCols) < opts.MinCols {
+			if len(newCols) < minCols {
 				newCols = cols
 			}
 			if len(newRows) == len(rows) && len(newCols) == len(cols) {
@@ -203,7 +198,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 
 		// Phase 2 — single node deletion (Algorithm 1): repeatedly remove
 		// the one row or column with the largest residue until H <= δ.
-		for len(rows) > opts.MinRows || len(cols) > opts.MinCols {
+		for len(rows) > minRows || len(cols) > minCols {
 			if err := engine.Cause(ctx); err != nil {
 				return nil, nil, err
 			}
@@ -229,11 +224,11 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 				}
 			}
 			switch {
-			case worstRowVal >= worstColVal && len(rows) > opts.MinRows:
+			case worstRowVal >= worstColVal && len(rows) > minRows:
 				rows = append(rows[:worstRow], rows[worstRow+1:]...)
-			case len(cols) > opts.MinCols:
+			case len(cols) > minCols:
 				cols = append(cols[:worstCol], cols[worstCol+1:]...)
-			case len(rows) > opts.MinRows:
+			case len(rows) > minRows:
 				rows = append(rows[:worstRow], rows[worstRow+1:]...)
 			default:
 				// Both at the floor; cannot shrink further.
@@ -242,7 +237,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 			if worstRow == -1 && worstCol == -1 {
 				break
 			}
-			if len(rows) == opts.MinRows && len(cols) == opts.MinCols {
+			if len(rows) == minRows && len(cols) == minCols {
 				break
 			}
 		}

@@ -2,7 +2,7 @@
 // non-projected k-medoids algorithm the SSPC paper uses as the full-space
 // reference in its evaluation. CLARANS searches the graph of medoid sets by
 // repeatedly trying random single-medoid swaps, restarting from a fresh
-// random medoid set numlocal times.
+// random medoid set numlocal times (Options.Restarts).
 package clarans
 
 import (
@@ -21,17 +21,15 @@ import (
 type Options struct {
 	// K is the number of clusters.
 	K int
-	// NumLocal is the number of random restarts; MaxNeighbor the number of
-	// consecutive non-improving random swaps that declare a local optimum.
-	// Zero values take the paper's defaults (2 and max(250,
-	// 0.0125·K·(N−K))).
-	NumLocal    int
+	// MaxNeighbor is the number of consecutive non-improving random swaps
+	// that declare a local optimum; <= 0 takes the paper's default,
+	// max(250, 0.0125·K·(N−K)).
 	MaxNeighbor int
 	Seed        int64
 
-	// Restarts, when > 0, overrides NumLocal — it is the same knob under
-	// the name every other package in this repository uses. Each restart
-	// (local search) derives its RNG from engine.ChildSeed(Seed, r).
+	// Restarts is the paper's numlocal, the number of random local
+	// searches; <= 0 takes the paper's default, 2. Each restart (local
+	// search) derives its RNG from engine.ChildSeed(Seed, r).
 	Restarts int
 
 	// Workers bounds how many local searches run concurrently; <= 0 means
@@ -44,7 +42,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's recommended parameters.
-func DefaultOptions(k int) Options { return Options{K: k, NumLocal: 2} }
+func DefaultOptions(k int) Options { return Options{K: k} }
 
 // localOptimum is the outcome of one randomized local search.
 type localOptimum struct {
@@ -54,7 +52,7 @@ type localOptimum struct {
 }
 
 // RunContext executes CLARANS with full-dimensional Euclidean distance. The
-// NumLocal (or Restarts) local searches run concurrently on up to Workers
+// Restarts local searches run concurrently on up to Workers
 // goroutines through the restart engine; the lowest-cost local optimum wins,
 // with ties going to the lowest restart index, so the result is a pure
 // function of (ds, opts) regardless of the worker count.
@@ -70,10 +68,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	if opts.K <= 0 || opts.K > n {
 		return nil, fmt.Errorf("clarans: K = %d out of range", opts.K)
 	}
-	numLocal := opts.NumLocal
-	if opts.Restarts > 0 {
-		numLocal = opts.Restarts
-	}
+	numLocal := opts.Restarts
 	if numLocal <= 0 {
 		numLocal = 2
 	}

@@ -5,39 +5,41 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/synth"
 )
 
 // The generic parallelism contract (worker invariance, chunk-size
 // invariance, restart-0 ≡ base-seed, concurrent shared datasets) is asserted
 // for this package by the cross-algorithm conformance suite at the
-// repository root (conformance_test.go). Only the CLARANS-specific spelling
-// of the restart knob is pinned here.
+// repository root (conformance_test.go). Only CLARANS's default number of
+// local searches is pinned here.
 
-// TestRestartsOverrideNumLocal checks the cross-package Restarts spelling:
-// Restarts = NumLocal must behave identically under the same seed.
-func TestRestartsOverrideNumLocal(t *testing.T) {
+// TestRestartsDefaultsToNumLocal checks the paper's numlocal default: an
+// unset Restarts runs the same two local searches as Restarts = 2, and not
+// the one search of Restarts = 1.
+func TestRestartsDefaultsToNumLocal(t *testing.T) {
 	gt, err := synth.Generate(synth.Config{N: 150, D: 8, K: 2, AvgDims: 8, Seed: 81})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNumLocal := DefaultOptions(2)
-	viaNumLocal.Seed = 3
-	viaNumLocal.NumLocal = 3
-	viaNumLocal.MaxNeighbor = 60
-	a, err := RunContext(context.Background(), gt.Data, viaNumLocal)
-	if err != nil {
-		t.Fatal(err)
+	run := func(restarts int) *cluster.Result {
+		t.Helper()
+		opts := DefaultOptions(2)
+		opts.Seed = 3
+		opts.Restarts = restarts
+		opts.MaxNeighbor = 60
+		res, err := RunContext(context.Background(), gt.Data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	viaRestarts := DefaultOptions(2)
-	viaRestarts.Seed = 3
-	viaRestarts.Restarts = 3
-	viaRestarts.MaxNeighbor = 60
-	b, err := RunContext(context.Background(), gt.Data, viaRestarts)
-	if err != nil {
-		t.Fatal(err)
+	unset := run(0)
+	if !reflect.DeepEqual(unset, run(2)) {
+		t.Fatal("unset Restarts diverged from Restarts=2")
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Restarts=3 diverged from NumLocal=3")
+	if reflect.DeepEqual(unset, run(1)) {
+		t.Fatal("unset Restarts matched Restarts=1")
 	}
 }

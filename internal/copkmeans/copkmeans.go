@@ -39,9 +39,8 @@ type Constraints struct {
 
 // Options configures COP-KMeans.
 type Options struct {
-	K             int
-	MaxIterations int
-	Seed          int64
+	K    int
+	Seed int64
 
 	// Restarts is the number of independent randomized restarts (fresh
 	// random initial centers); the result with the lowest cost is returned
@@ -65,7 +64,10 @@ type Options struct {
 }
 
 // DefaultOptions returns a standard configuration.
-func DefaultOptions(k int) Options { return Options{K: k, MaxIterations: 100} }
+func DefaultOptions(k int) Options { return Options{K: k} }
+
+// maxIterations caps the assignment and center-update rounds of a restart.
+const maxIterations = 100
 
 // ErrInfeasible is returned when no constraint-respecting assignment
 // exists for some object.
@@ -156,9 +158,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cons *Constraints, opt
 	if opts.K <= 0 || opts.K > n {
 		return nil, fmt.Errorf("copkmeans: K = %d out of range", opts.K)
 	}
-	if opts.MaxIterations <= 0 {
-		opts.MaxIterations = 100
-	}
 	if cons == nil {
 		cons = &Constraints{}
 	}
@@ -198,7 +197,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, pre *prep, opts Options, 
 	var cost float64
 	iterations := 0
 
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		if err := engine.Cause(ctx); err != nil {
 			return nil, err
 		}

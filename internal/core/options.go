@@ -84,21 +84,9 @@ type Options struct {
 
 	// GridDims is c, the number of building dimensions per grid (paper
 	// default 3). Grids is g, the number of grids per seed group (paper
-	// example: 20). GridBins is the number of equi-width cells per
-	// building dimension.
+	// example: 20).
 	GridDims int
 	Grids    int
-	GridBins int
-
-	// PublicGroups is the number of shared seed groups for clusters
-	// without knowledge; 0 means max(2K, 10).
-	PublicGroups int
-
-	// MaxStall stops the main loop after this many iterations without an
-	// improvement of the best objective score. MaxIterations is a hard
-	// cap.
-	MaxStall      int
-	MaxIterations int
 
 	// Representative and Order select the ablation variants described
 	// above.
@@ -140,17 +128,25 @@ type Options struct {
 // with threshold scheme m = 0.5.
 func DefaultOptions(k int) Options {
 	return Options{
-		K:             k,
-		Scheme:        SchemeM,
-		M:             0.5,
-		P:             0.1,
-		GridDims:      3,
-		Grids:         20,
-		GridBins:      6,
-		MaxStall:      10,
-		MaxIterations: 60,
+		K:        k,
+		Scheme:   SchemeM,
+		M:        0.5,
+		P:        0.1,
+		GridDims: 3,
+		Grids:    20,
 	}
 }
+
+// Settings every SSPC fit shares.
+const (
+	// gridBins is the number of equi-width cells per building dimension of
+	// a seed-group grid and per 1-D density histogram.
+	gridBins = 6
+	// maxStall stops the main loop after this many iterations without an
+	// improvement of the best objective score; maxIterations is a hard cap.
+	maxStall      = 10
+	maxIterations = 60
+)
 
 // normalized fills defaults and validates against the dataset shape.
 func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
@@ -183,21 +179,6 @@ func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
 	}
 	if o.Grids <= 0 {
 		o.Grids = 20
-	}
-	if o.GridBins < 2 {
-		o.GridBins = 6
-	}
-	if o.PublicGroups <= 0 {
-		o.PublicGroups = 2 * o.K
-		if o.PublicGroups < 10 {
-			o.PublicGroups = 10
-		}
-	}
-	if o.MaxStall <= 0 {
-		o.MaxStall = 10
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 60
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 1

@@ -64,7 +64,7 @@ type initializer struct {
 
 	// hists holds each column's 1-D density histogram over all n objects,
 	// built on the first densityCandidates call; nil where a column admits
-	// none. They depend only on the column and GridBins, so every group of
+	// none. They depend only on the column and gridBins, so every group of
 	// the initialization shares them.
 	hists []*stats.Histogram
 }
@@ -100,7 +100,8 @@ func initialize(ctx context.Context, ds *dataset.Dataset, opts Options, thr *thr
 		init.adopt(g)
 	}
 
-	numPublic := opts.PublicGroups
+	// Clusters without knowledge share max(2K, 10) public groups.
+	numPublic := max(2*opts.K, 10)
 	if len(private) >= opts.K {
 		// Every cluster has a private group; a couple of public groups are
 		// still kept as replacement material for bad clusters.
@@ -505,12 +506,11 @@ func (init *initializer) maxMinObject() (int, error) {
 // worker slots.
 func (init *initializer) densityCandidates(start []float64) ([]int, []float64, error) {
 	d := init.ds.D()
-	bins := init.opts.GridBins
-	baseline := 1.0 / float64(bins)
+	baseline := 1.0 / float64(gridBins)
 	if init.hists == nil {
 		hists := make([]*stats.Histogram, d)
 		if err := init.chunks(d, func(_, lo, hi int) {
-			columnHistograms(init.ds, bins, lo, hi, hists[lo:hi])
+			columnHistograms(init.ds, lo, hi, hists[lo:hi])
 		}); err != nil {
 			return nil, nil, err
 		}
@@ -532,24 +532,24 @@ func (init *initializer) densityCandidates(start []float64) ([]int, []float64, e
 	return cands, weights, nil
 }
 
-// columnHistograms builds the 1-D density histogram over all n objects of
-// every column j in [lo, hi) into hists[j-lo], in one row-major pass. Each
-// spans its column's cached [ColMin, ColMax]: the dataset's statistics scan
-// the rows in index order from ±Inf with the same strict < and > as
-// stats.Min and stats.Max, and the cell counts are integers, so each
-// histogram equals one built over the gathered column with Min and Max
+// columnHistograms builds the gridBins-cell density histogram over all n
+// objects of every column j in [lo, hi) into hists[j-lo], in one row-major
+// pass. Each spans its column's cached [ColMin, ColMax]: the dataset's
+// statistics scan the rows in index order from ±Inf with the same strict <
+// and > as stats.Min and stats.Max, and the cell counts are integers, so
+// each histogram equals one built over the gathered column with Min and Max
 // bounds. A column without a finite value gets nil.
-func columnHistograms(ds *dataset.Dataset, bins, lo, hi int, hists []*stats.Histogram) {
+func columnHistograms(ds *dataset.Dataset, lo, hi int, hists []*stats.Histogram) {
 	hists = hists[:hi-lo]
 	// The range's histograms and their cells live in two arrays.
 	hs := make([]stats.Histogram, len(hists))
-	counts := make([]int, len(hists)*bins)
+	counts := make([]int, len(hists)*gridBins)
 	for t := range hists {
 		var err error
-		hs[t], err = stats.NewHistogramOver(ds.ColMin(lo+t), ds.ColMax(lo+t), counts[t*bins:(t+1)*bins:(t+1)*bins])
+		hs[t], err = stats.NewHistogramOver(ds.ColMin(lo+t), ds.ColMax(lo+t), counts[t*gridBins:(t+1)*gridBins:(t+1)*gridBins])
 		hists[t] = &hs[t]
 		if err != nil {
-			// No bins or no values: the nil histogram drops the column.
+			// No values: the nil histogram drops the column.
 			hists[t] = nil
 		}
 	}
@@ -633,7 +633,7 @@ func (init *initializer) buildSeeds(cands []int, weights, boosted []float64, sta
 		var densest *grid.Grid
 		for t := lo; t < hi; t++ {
 			peaks[t].count = -1
-			g, err := grid.Build(init.ds, dims[t*c:(t+1)*c], init.opts.GridBins, include)
+			g, err := grid.Build(init.ds, dims[t*c:(t+1)*c], gridBins, include)
 			if err != nil {
 				continue
 			}

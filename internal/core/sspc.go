@@ -110,7 +110,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, restart int
 
 	iterations := 0
 	stall := 0
-	for iterations < opts.MaxIterations && stall < opts.MaxStall {
+	for iterations < maxIterations && stall < maxStall {
 		if err := engine.Cause(ctx); err != nil {
 			return nil, err
 		}

@@ -154,13 +154,13 @@ func ValidateKnowledge(ds *dataset.Dataset, kn *dataset.Knowledge, opts Options,
 			// No labeled objects: a relevant dimension must at least show
 			// a density peak somewhere.
 			var hist [1]*stats.Histogram
-			columnHistograms(ds, opts.GridBins, j, j+1, hist[:])
+			columnHistograms(ds, j, j+1, hist[:])
 			h := hist[0]
 			if h == nil {
 				return nil, fmt.Errorf("sspc: validate dim %d: no finite values", j)
 			}
 			peak := float64(h.Counts[h.PeakBin()])
-			expected := float64(ds.N()) / float64(opts.GridBins)
+			expected := float64(ds.N()) / gridBins
 			// A dimension relevant to some cluster of ~n/k objects piles
 			// that cluster into one or two cells; an irrelevant dimension's
 			// peak stays within multinomial fluctuation of the uniform

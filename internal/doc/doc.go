@@ -31,10 +31,6 @@ type Options struct {
 	// Beta balances cluster size against dimensionality in the quality
 	// function µ(a,b) = a·(1/β)^b; β ∈ (0, 0.5].
 	Beta float64
-	// OuterIterations and InnerIterations bound the Monte-Carlo sampling;
-	// zero picks the theory-guided defaults (2/α outer, capped inner).
-	OuterIterations int
-	InnerIterations int
 	// Fast switches to the FastDOC heuristic: inner trials only compare
 	// |D| (the dimension count), and the best box is computed once.
 	Fast bool
@@ -121,19 +117,12 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 	if r < 1 {
 		r = 1
 	}
-	outer := opts.OuterIterations
-	if outer <= 0 {
-		outer = int(math.Ceil(2 / opts.Alpha))
-		if outer > 30 {
-			outer = 30
-		}
-	}
-	inner := opts.InnerIterations
-	if inner <= 0 {
-		inner = 64
-		if opts.Fast {
-			inner = 32
-		}
+	// The Monte-Carlo budget: min(⌈2/α⌉, 30) seed points per cluster, 64
+	// discriminating sets per seed point (32 under FastDOC).
+	outer := int(min(math.Ceil(2/opts.Alpha), 30))
+	inner := 64
+	if opts.Fast {
+		inner = 32
 	}
 
 	assign := make([]int, n)

@@ -34,9 +34,6 @@ type Options struct {
 	// RMax is the starting relevance threshold (default 0.9); the baseline
 	// at the final level is 0.
 	RMax float64
-	// ReportR is the relevance at which a dimension is reported as
-	// selected for the final clusters (default 0.5).
-	ReportR float64
 
 	// HARP's merge procedure is deterministic; its only free choice is the
 	// order in which clusters are scanned, which breaks ties between
@@ -54,8 +51,12 @@ type Options struct {
 
 // DefaultOptions returns a configuration matching the published defaults.
 func DefaultOptions(k int) Options {
-	return Options{K: k, Levels: 15, RMax: 0.9, ReportR: 0.5}
+	return Options{K: k, Levels: 15, RMax: 0.9}
 }
+
+// reportR is the relevance at which a dimension is reported as selected for
+// the final clusters.
+const reportR = 0.5
 
 // node is a cluster in the merge forest with per-dimension Welford
 // accumulators, so merged variances are computed in O(d) without touching
@@ -86,9 +87,6 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	}
 	if opts.RMax <= 0 || opts.RMax > 1 {
 		opts.RMax = 0.9
-	}
-	if opts.ReportR <= 0 || opts.ReportR >= 1 {
-		opts.ReportR = 0.5
 	}
 	restarts := opts.Restarts
 	if restarts <= 0 {
@@ -256,7 +254,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, order []int
 		}
 		for j := 0; j < d; j++ {
 			r := 1 - nd.stats[j].Variance()/globalVar[j]
-			if r >= opts.ReportR {
+			if r >= reportR {
 				dims[c] = append(dims[c], j)
 				score += r
 			}

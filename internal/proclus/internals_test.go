@@ -20,8 +20,8 @@ func TestGreedyPiercingSpreadsCandidates(t *testing.T) {
 	}
 	rng := stats.NewRNG(2)
 	cands := greedyPiercing(gt.Data, rng, opts)
-	if len(cands) != opts.CandidateFactor*4 {
-		t.Fatalf("got %d candidates, want %d", len(cands), opts.CandidateFactor*4)
+	if len(cands) != candidateFactor*4 {
+		t.Fatalf("got %d candidates, want %d", len(cands), candidateFactor*4)
 	}
 	// No duplicates.
 	seen := map[int]bool{}

@@ -4,7 +4,7 @@
 // of well-separated medoid candidates, iteratively selects per-cluster
 // dimensions from the locality of each medoid via z-scores of the average
 // per-dimension distances, assigns points by Manhattan segmental distance,
-// and replaces the medoids of bad (small) clusters.
+// and replaces the medoid of the smallest cluster.
 //
 // PROCLUS requires the user to supply l, the average number of relevant
 // dimensions per cluster — the parameter whose misspecification the SSPC
@@ -31,18 +31,6 @@ type Options struct {
 	// least 2 per cluster.
 	K int
 	L int
-
-	// SampleFactor (A) and CandidateFactor (B) size the random sample
-	// (A·K) and the greedy piercing set (B·K) of the initialization phase.
-	SampleFactor    int
-	CandidateFactor int
-
-	// MinDeviation flags clusters with fewer than MinDeviation·(n/K)
-	// members as bad. MaxStall terminates the iterative phase after this
-	// many non-improving medoid replacements; MaxIterations is a hard cap.
-	MinDeviation  float64
-	MaxStall      int
-	MaxIterations int
 
 	// OutlierHandling enables the refinement-phase outlier pass: points
 	// farther from every medoid than that medoid's sphere of influence are
@@ -73,19 +61,23 @@ type Options struct {
 	EarlyStop int
 }
 
-// DefaultOptions mirrors the constants of the original paper.
+// DefaultOptions returns the paper's configuration for k clusters of
+// average dimensionality l.
 func DefaultOptions(k, l int) Options {
-	return Options{
-		K:               k,
-		L:               l,
-		SampleFactor:    30,
-		CandidateFactor: 5,
-		MinDeviation:    0.1,
-		MaxStall:        10,
-		MaxIterations:   60,
-		OutlierHandling: true,
-	}
+	return Options{K: k, L: l, OutlierHandling: true}
 }
+
+// Constants of the original paper.
+const (
+	// sampleFactor (A) and candidateFactor (B) size the random sample (A·K)
+	// and the greedy piercing set (B·K) of the initialization phase.
+	sampleFactor    = 30
+	candidateFactor = 5
+	// maxStall ends the iterative phase after this many non-improving
+	// medoid replacements; maxIterations is a hard cap.
+	maxStall      = 10
+	maxIterations = 60
+)
 
 func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
 	if ds == nil {
@@ -99,21 +91,6 @@ func (o Options) normalized(ds *dataset.Dataset) (Options, error) {
 	}
 	if o.L > ds.D() {
 		return o, fmt.Errorf("proclus: L = %d exceeds d = %d", o.L, ds.D())
-	}
-	if o.SampleFactor <= 0 {
-		o.SampleFactor = 30
-	}
-	if o.CandidateFactor <= 0 {
-		o.CandidateFactor = 5
-	}
-	if o.MinDeviation <= 0 {
-		o.MinDeviation = 0.1
-	}
-	if o.MaxStall <= 0 {
-		o.MaxStall = 10
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 60
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 1
@@ -172,7 +149,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 
 	stall := 0
 	iterations := 0
-	for iterations < opts.MaxIterations && stall < opts.MaxStall {
+	for iterations < maxIterations && stall < maxStall {
 		if err := engine.Cause(ctx); err != nil {
 			return nil, err
 		}
@@ -283,12 +260,12 @@ func fittedFrom(ds *dataset.Dataset, medoids []int, dims [][]int) []cluster.Fitt
 // contain a medoid of each real cluster).
 func greedyPiercing(ds *dataset.Dataset, rng *stats.RNG, opts Options) []int {
 	n := ds.N()
-	sampleSize := opts.SampleFactor * opts.K
+	sampleSize := sampleFactor * opts.K
 	if sampleSize > n {
 		sampleSize = n
 	}
 	sample := rng.Sample(n, sampleSize)
-	target := opts.CandidateFactor * opts.K
+	target := candidateFactor * opts.K
 	if target > len(sample) {
 		target = len(sample)
 	}

@@ -23,8 +23,8 @@
 // the worker budget is split. Each Options struct exposes two knobs:
 //
 //   - Restarts: the number of independent randomized runs; the best result
-//     by the algorithm's own objective is returned. For CLARANS it overrides
-//     the paper's NumLocal, which is the same knob under another name.
+//     by the algorithm's own objective is returned. For CLARANS it is the
+//     paper's NumLocal, with default 2.
 //   - Workers: the maximum number of restarts executed concurrently; <= 0
 //     means runtime.GOMAXPROCS(0).
 //
