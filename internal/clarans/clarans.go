@@ -52,10 +52,10 @@ type localOptimum struct {
 }
 
 // RunContext executes CLARANS with full-dimensional Euclidean distance. The
-// Restarts local searches run concurrently on up to Workers
-// goroutines through the restart engine; the lowest-cost local optimum wins,
-// with ties going to the lowest restart index, so the result is a pure
-// function of (ds, opts) regardless of the worker count.
+// Restarts local searches run concurrently on up to Workers goroutines
+// through the restart engine; the lowest-cost local optimum wins, with ties
+// going to the lowest restart index, so the result is a pure function of
+// (ds, opts) regardless of the worker count.
 //
 // Cancellation is checked at every local search launch, every swap trial
 // inside a search, and every chunk boundary of the final assignment scan, so

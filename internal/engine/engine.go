@@ -127,8 +127,8 @@ func restartErr(ctx context.Context, r int, err error) error {
 }
 
 // Run executes fn for restarts 0..n-1 on a pool of at most `workers`
-// goroutines (<= 0 means GOMAXPROCS), one goroutine included, and returns the
-// per-restart results in restart order.
+// goroutines (<= 0 means GOMAXPROCS; one worker is a pool of one) and returns
+// the per-restart results in restart order.
 // Restart r receives a fresh RNG seeded with ChildSeed(seed, r) and intra,
 // its share of the worker budget for the chunked loops inside it: min(W, n)
 // restarts run at once and each gets ceil(W / min(W, n)) goroutines,
