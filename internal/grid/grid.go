@@ -41,8 +41,8 @@ type Grid struct {
 // dimension. If include is non-nil, only those objects are folded in — SSPC
 // excludes likely members of already-initialized seed groups this way
 // (§4.2). The grid keeps ds and include to answer Objects, so the caller
-// must not modify them while the grid is in use. It returns an error when the cell
-// space cannot be encoded or when no objects are included.
+// must not modify them while the grid is in use. It returns an error when
+// the cell space cannot be encoded or when no objects are included.
 func Build(ds *dataset.Dataset, dims []int, bins int, include []int) (*Grid, error) {
 	if len(dims) == 0 {
 		return nil, errors.New("grid: no building dimensions")
