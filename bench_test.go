@@ -377,14 +377,13 @@ func BenchmarkExperimentsParallel(b *testing.B) {
 }
 
 // The *Chunked benchmarks below measure the intra-restart chunked loops of
-// the baselines at 1/2/4/8 workers: Restarts=1 routes the whole worker
-// budget into each algorithm's chunked loops (PROCLUS locality, assignment,
-// cost and outlier passes; DOC box-membership scans). Results are
-// byte-identical across every sub-benchmark (pinned by
-// TestConformanceParallelEvaluation); only
-// wall-clock time changes. Single-core CI caveat: the CI container has one
-// core, so these curves are flat there (worker scheduling overhead only) —
-// run on multi-core hardware for the actual speedup numbers.
+// the baselines that keep them at 1/2/4/8 workers: Restarts=1 routes the
+// whole worker budget into each algorithm's chunked loops (PROCLUS
+// locality, assignment, cost and outlier passes; Seeded-KMeans's
+// assignment step). Each is the sweep behind keeping that algorithm's
+// loops chunked. Results are byte-identical across every sub-benchmark
+// (pinned by TestConformanceParallelEvaluation); only wall-clock time
+// changes, so run them on multi-core hardware for the speedup numbers.
 
 func BenchmarkProclusChunked(b *testing.B) {
 	gt := benchGroundTruth(b, 2000, 100, 5, 10)
@@ -402,15 +401,19 @@ func BenchmarkProclusChunked(b *testing.B) {
 	}
 }
 
-func BenchmarkDOCChunked(b *testing.B) {
-	gt := benchGroundTruth(b, 600, 30, 3, 8)
+func BenchmarkSeedKMeansChunked(b *testing.B) {
+	gt := benchGroundTruth(b, 2000, 50, 4, 20)
+	kn, err := SampleKnowledge(gt, KnowledgeConfig{Kind: ObjectsOnly, Coverage: 1, Size: 5, Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := DOCDefaults(3, 15)
+				opts := SeedKMeansDefaults(4)
 				opts.Seed = 42
 				opts.Workers = workers
-				if _, err := DOC(context.Background(), gt.Data, opts); err != nil {
+				if _, err := SeedKMeans(context.Background(), gt.Data, kn, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,8 +32,10 @@
 // mmap-backed .sspcb file), the cluster-chunked
 // parallel evaluation path (BenchmarkEvaluateParallel), the chunked
 // COP-KMeans constrained-assignment pass
-// (BenchmarkConstrainedAssignChunked), the macro assignment benchmark
-// (BenchmarkAssignChunked), the
+// (BenchmarkConstrainedAssignChunked), the worker sweeps of the other two
+// baselines that chunk inside a restart (BenchmarkProclusChunked,
+// BenchmarkSeedKMeansChunked; charted but not required keys), the macro
+// assignment benchmark (BenchmarkAssignChunked), the
 // model-serving hot path (BenchmarkServeAssign — the Assigner behind
 // cmd/sspcd's /assign), the /assign body decode, encoding/json against
 // model.DecodeAssign (BenchmarkAssignDecode, charted but not a required
@@ -64,7 +66,7 @@ import (
 )
 
 // defaultBench is the named benchmark suite a bare `bench` run executes.
-const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGridBuild|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign|BenchmarkAssignDecode|BenchmarkFitInit)$"
+const defaultBench = "^(BenchmarkEvaluateColumnar|BenchmarkEvaluateParallel|BenchmarkGridBuild|BenchmarkGatherRows|BenchmarkGatherRowsMmap|BenchmarkAssignChunked|BenchmarkConstrainedAssignChunked|BenchmarkProclusChunked|BenchmarkSeedKMeansChunked|BenchmarkClusterMmap|BenchmarkClusterCtxOverhead|BenchmarkServeAssign|BenchmarkAssignDecode|BenchmarkFitInit)$"
 
 // requiredKeys are the benchmark names (GOMAXPROCS suffix stripped) a valid
 // baseline must contain: the two EvaluateColumnar legs that compare the

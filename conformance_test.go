@@ -141,7 +141,6 @@ func conformanceAlgos() []confAlgo {
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := CLIQUEDefaults()
 				opts.Tau = 0.08
-				opts.Workers = r.workers
 				_, res, err := CLIQUE(ctx, ds, opts)
 				return res, err
 			},

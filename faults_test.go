@@ -102,15 +102,15 @@ func TestFaultsFitMatrix(t *testing.T) {
 	}
 
 	// Error mode at the chunk gate must come back as a plain injected error,
-	// never a contained panic, in every algorithm's chunk loops — including
-	// PROCLUS's dimension and outlier passes, DOC's box scans, SSPC's
-	// initialization and Step-4 evaluation and Cheng–Church's residue scans.
-	// A delay-mode probe counts the fit's chunk gates; arming the first three
-	// and the last eight of them reaches PROCLUS's first dimension pass and
-	// its outlier tail, DOC's first and last box scans, SSPC's initialization
-	// (its first gates are the density histograms' column ranges) and its
-	// last Step-3 scans and Step-4 evaluation, and lands inside the residue
-	// scans for the bicluster search.
+	// never a contained panic, in every algorithm's chunk loops — PROCLUS's
+	// dimension and outlier passes, SSPC's initialization and Step-4
+	// evaluation, COP-KMeans's component distance pass and Seeded-KMeans's
+	// assignment. A delay-mode probe counts the fit's chunk gates; arming the
+	// first three and the last eight of them reaches PROCLUS's first
+	// dimension pass and its outlier tail, SSPC's initialization (its first
+	// gates are the density histograms' column ranges) and its last Step-3
+	// scans and Step-4 evaluation, and the first and last assignment passes
+	// of the two k-means fits.
 	for _, f := range chunkFaultFits {
 		for label, ds := range storage {
 			armFaults(t, faults.Plan{Site: faults.SiteChunkExec, Mode: faults.ModeDelay})
@@ -230,12 +230,6 @@ var chunkFaultFits = []struct {
 		opts.Workers = 4
 		return PROCLUS(context.Background(), ds, opts)
 	}},
-	{"DOC", func(ds *Dataset) (*Result, error) {
-		opts := DOCDefaults(3, 15)
-		opts.Seed = 11
-		opts.Workers = 4
-		return DOC(context.Background(), ds, opts)
-	}},
 	{"SSPC", func(ds *Dataset) (*Result, error) {
 		opts := DefaultOptions(3)
 		opts.Seed = 5
@@ -243,12 +237,21 @@ var chunkFaultFits = []struct {
 		opts.Workers = 4
 		return Cluster(context.Background(), ds, opts)
 	}},
-	{"Bicluster", func(ds *Dataset) (*Result, error) {
-		opts := BiclusterDefaults(3, 50)
-		opts.Seed = 19
+	{"COP-KMeans", func(ds *Dataset) (*Result, error) {
+		cons := &Constraints{
+			MustLink:   [][2]int{{0, 1}, {5, 6}},
+			CannotLink: [][2]int{{0, 5}, {10, 20}},
+		}
+		opts := COPKMeansDefaults(3)
+		opts.Seed = 15
 		opts.Workers = 4
-		_, res, err := Biclusters(context.Background(), ds, opts)
-		return res, err
+		return COPKMeans(context.Background(), ds, cons, opts)
+	}},
+	{"SeedKMeans", func(ds *Dataset) (*Result, error) {
+		opts := SeedKMeansDefaults(3)
+		opts.Seed = 17
+		opts.Workers = 4
+		return SeedKMeans(context.Background(), ds, nil, opts)
 	}},
 }
 

@@ -11,9 +11,7 @@
 //
 // The randomized restarts (masking draws fresh random values, so searches
 // after the first bicluster diverge between restarts) run through the
-// shared restart engine, and the hot loop — the residue computation that
-// node deletion re-evaluates at every step — is chunked over the bicluster's
-// row and column lists, under the repository-wide determinism contract:
+// shared restart engine under the repository-wide determinism contract:
 // results are a pure function of (dataset, options) for every Workers
 // value. Run also flattens the biclusters into the
 // repository's shared disjoint-partition Result (rows → clusters, columns →
@@ -48,10 +46,10 @@ type Options struct {
 	// every restart is identical.
 	Restarts int
 
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over parallelize the
-	// chunked residue scans inside each restart. <= 0 means
+	// Workers bounds how many restarts run concurrently; <= 0 means
 	// runtime.GOMAXPROCS(0). The worker count never changes the result.
+	// Each restart runs serially: its residue scans measured slower split
+	// across goroutines.
 	Workers int
 }
 
@@ -84,9 +82,8 @@ type Bicluster struct {
 // is copied; masking does not modify the caller's dataset.
 //
 // Cancellation is checked at every restart launch, before every extracted
-// bicluster, at every deletion round of both node-deletion phases, and at
-// every chunk boundary of the residue scans, so a canceled search returns
-// context.Cause(ctx) — never a partial result.
+// bicluster, and at every deletion round of both node-deletion phases, so a
+// canceled search returns context.Cause(ctx) — never a partial result.
 func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Bicluster, *cluster.Result, error) {
 	if ds == nil {
 		return nil, nil, errors.New("bicluster: nil dataset")
@@ -122,8 +119,8 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Biclu
 		res  *cluster.Result
 	}
 	outs, err := engine.Run(ctx, restarts, opts.Workers, opts.Seed, 0, nil,
-		func(_ int, rng *stats.RNG, intra int) (runOut, error) {
-			bics, res, err := runOnce(ctx, ds, opts, maskLo, maskHi, rng, intra)
+		func(_ int, rng *stats.RNG, _ int) (runOut, error) {
+			bics, res, err := runOnce(ctx, ds, opts, maskLo, maskHi, rng)
 			return runOut{bics, res}, err
 		})
 	if err != nil {
@@ -138,7 +135,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Biclu
 // runOnce is one restart: extract K biclusters from a private copy of the
 // matrix, masking each found bicluster with rng-drawn values.
 func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, maskHi float64,
-	rng *stats.RNG, workers int) ([]Bicluster, *cluster.Result, error) {
+	rng *stats.RNG) ([]Bicluster, *cluster.Result, error) {
 	n, d := ds.N(), ds.D()
 
 	// Working copy for masking.
@@ -164,10 +161,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 			if err := engine.Cause(ctx); err != nil {
 				return nil, nil, err
 			}
-			h, rowRes, colRes, err := residuesChunked(ctx, a, rows, cols, workers)
-			if err != nil {
-				return nil, nil, err
-			}
+			h, rowRes, colRes := residues(a, rows, cols)
 			if h <= opts.Delta {
 				break
 			}
@@ -202,10 +196,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 			if err := engine.Cause(ctx); err != nil {
 				return nil, nil, err
 			}
-			h, rowRes, colRes, err := residuesChunked(ctx, a, rows, cols, workers)
-			if err != nil {
-				return nil, nil, err
-			}
+			h, rowRes, colRes := residues(a, rows, cols)
 			if h <= opts.Delta {
 				break
 			}
@@ -244,14 +235,9 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, maskLo, mas
 
 		// Node addition: add back columns then rows whose residue does not
 		// exceed the current H.
-		h, _, _, err := residuesChunked(ctx, a, rows, cols, workers)
-		if err != nil {
-			return nil, nil, err
-		}
+		h, _, _ := residues(a, rows, cols)
 		rows, cols = addNodes(a, rows, cols, h, n, d)
-		if h, _, _, err = residuesChunked(ctx, a, rows, cols, workers); err != nil {
-			return nil, nil, err
-		}
+		h, _, _ = residues(a, rows, cols)
 
 		out = append(out, Bicluster{
 			Rows: append([]int(nil), rows...),
@@ -305,43 +291,23 @@ func flatten(bics []Bicluster, n, d int) (*cluster.Result, error) {
 	return res, nil
 }
 
-// residuesChunked computes H(I,J) and the per-row / per-column mean squared
-// residues d(i) and d(j) — the node-deletion scoring hot loop. Every per-row
-// statistic scans its row serially in ascending column order and every
-// per-column statistic scans its column serially in ascending row order, so
-// each entry of rowSum/colSum/rowRes/colRes is a fixed addition sequence —
-// independent of Workers — and the cross-row folds (the grand total and H)
-// run serially in ascending index order. The four scans chunk the row list
-// (resp. column list) in engine-sized chunks with disjoint writes; a non-nil
-// error (cancellation cause or injected fault) leaves the outputs
-// meaningless.
-func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, workers int) (h float64, rowRes, colRes []float64, err error) {
+// residues computes H(I,J) and the per-row / per-column mean squared
+// residues d(i) and d(j) — the node-deletion scoring hot loop — in two
+// row-major passes over the submatrix. Each row's sums add in ascending
+// column order and each column's sums in ascending row order, and H folds
+// the row residues in ascending row order.
+func residues(a [][]float64, rows, cols []int) (h float64, rowRes, colRes []float64) {
 	nr, nc := len(rows), len(cols)
 	rowMean := make([]float64, nr)
 	colMean := make([]float64, nc)
-	if err := engine.ParallelChunksCtx(ctx, nr, 0, workers, func(_, lo, hi int) {
-		for ti := lo; ti < hi; ti++ {
-			sum := 0.0
-			ai := a[rows[ti]]
-			for _, j := range cols {
-				sum += ai[j]
-			}
-			rowMean[ti] = sum
+	for ti, i := range rows {
+		ai := a[i]
+		sum := 0.0
+		for tj, j := range cols {
+			sum += ai[j]
+			colMean[tj] += ai[j]
 		}
-	}); err != nil {
-		return 0, nil, nil, err
-	}
-	if err := engine.ParallelChunksCtx(ctx, nc, 0, workers, func(_, lo, hi int) {
-		for tj := lo; tj < hi; tj++ {
-			sum := 0.0
-			j := cols[tj]
-			for _, i := range rows {
-				sum += a[i][j]
-			}
-			colMean[tj] = sum
-		}
-	}); err != nil {
-		return 0, nil, nil, err
+		rowMean[ti] = sum
 	}
 	total := 0.0
 	for ti := range rowMean {
@@ -355,31 +321,15 @@ func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, worke
 
 	rowRes = make([]float64, nr)
 	colRes = make([]float64, nc)
-	if err := engine.ParallelChunksCtx(ctx, nr, 0, workers, func(_, lo, hi int) {
-		for ti := lo; ti < hi; ti++ {
-			sum := 0.0
-			ai := a[rows[ti]]
-			for tj, j := range cols {
-				r := ai[j] - rowMean[ti] - colMean[tj] + grand
-				sum += r * r
-			}
-			rowRes[ti] = sum
+	for ti, i := range rows {
+		ai := a[i]
+		sum := 0.0
+		for tj, j := range cols {
+			r := ai[j] - rowMean[ti] - colMean[tj] + grand
+			sum += r * r
+			colRes[tj] += r * r
 		}
-	}); err != nil {
-		return 0, nil, nil, err
-	}
-	if err := engine.ParallelChunksCtx(ctx, nc, 0, workers, func(_, lo, hi int) {
-		for tj := lo; tj < hi; tj++ {
-			sum := 0.0
-			j := cols[tj]
-			for ti, i := range rows {
-				r := a[i][j] - rowMean[ti] - colMean[tj] + grand
-				sum += r * r
-			}
-			colRes[tj] = sum
-		}
-	}); err != nil {
-		return 0, nil, nil, err
+		rowRes[ti] = sum
 	}
 	for ti := range rowRes {
 		h += rowRes[ti]
@@ -389,7 +339,7 @@ func residuesChunked(ctx context.Context, a [][]float64, rows, cols []int, worke
 	for tj := range colRes {
 		colRes[tj] /= float64(nr)
 	}
-	return h, rowRes, colRes, nil
+	return h, rowRes, colRes
 }
 
 // addNodes adds back columns and rows whose mean squared residue against

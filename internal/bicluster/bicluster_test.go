@@ -53,18 +53,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// residues computes H(I,J) and the per-row / per-column mean squared
-// residues serially: the reference the chunked scan must reproduce bit for
-// bit.
-func residues(t *testing.T, a [][]float64, rows, cols []int) (h float64, rowRes, colRes []float64) {
-	t.Helper()
-	h, rowRes, colRes, err := residuesChunked(context.Background(), a, rows, cols, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h, rowRes, colRes
-}
-
 func TestResidueZeroForAdditiveMatrix(t *testing.T) {
 	// A perfectly additive matrix has H = 0.
 	rows := [][]float64{
@@ -73,7 +61,7 @@ func TestResidueZeroForAdditiveMatrix(t *testing.T) {
 		{21, 22, 23},
 	}
 	a := rows
-	h, rowRes, colRes := residues(t, a, []int{0, 1, 2}, []int{0, 1, 2})
+	h, rowRes, colRes := residues(a, []int{0, 1, 2}, []int{0, 1, 2})
 	if h > 1e-12 {
 		t.Errorf("additive matrix H = %v, want 0", h)
 	}
@@ -90,7 +78,7 @@ func TestResidueDetectsIncoherence(t *testing.T) {
 		{11, 12, 13},
 		{21, 22, 100}, // breaks additivity
 	}
-	h, _, colRes := residues(t, a, []int{0, 1, 2}, []int{0, 1, 2})
+	h, _, colRes := residues(a, []int{0, 1, 2}, []int{0, 1, 2})
 	if h < 1 {
 		t.Errorf("incoherent matrix H = %v, want large", h)
 	}

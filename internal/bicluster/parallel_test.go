@@ -15,8 +15,8 @@ import (
 
 // The generic parallelism contract is asserted by the cross-algorithm
 // conformance suite at the repository root (conformance_test.go). This file
-// pins the package-level golden fingerprint and exercises the chunked
-// residue scans under -race.
+// pins the package-level golden fingerprint, pins the residue arithmetic bit
+// for bit, and runs concurrent restarts under -race.
 
 // fp is the root suite's fingerprint spelling, duplicated so the package
 // pin stands alone.
@@ -51,10 +51,63 @@ func TestGoldenPin(t *testing.T) {
 	}
 }
 
-// TestResiduesChunkedMatchesSerial checks bit-exact equality of the chunked
-// residue scans against the serial reference over shrinking row/column
-// lists, the way node deletion drives them. Every worker count moves the
-// engine-sized chunk boundaries.
+// columnResidues is the residue arithmetic one index at a time: every row
+// statistic scans its row in ascending column order, every column statistic
+// scans its column in ascending row order, and H folds the row residues in
+// ascending row order. It is what the four scans of the chunked residue
+// computation added, so residues must reproduce it bit for bit.
+func columnResidues(a [][]float64, rows, cols []int) (h float64, rowRes, colRes []float64) {
+	nr, nc := len(rows), len(cols)
+	rowMean := make([]float64, nr)
+	colMean := make([]float64, nc)
+	for ti, i := range rows {
+		for _, j := range cols {
+			rowMean[ti] += a[i][j]
+		}
+	}
+	for tj, j := range cols {
+		for _, i := range rows {
+			colMean[tj] += a[i][j]
+		}
+	}
+	total := 0.0
+	for ti := range rowMean {
+		total += rowMean[ti]
+		rowMean[ti] /= float64(nc)
+	}
+	for tj := range colMean {
+		colMean[tj] /= float64(nr)
+	}
+	grand := total / float64(nr*nc)
+	rowRes = make([]float64, nr)
+	colRes = make([]float64, nc)
+	for ti, i := range rows {
+		for tj, j := range cols {
+			r := a[i][j] - rowMean[ti] - colMean[tj] + grand
+			rowRes[ti] += r * r
+		}
+	}
+	for tj, j := range cols {
+		for ti, i := range rows {
+			r := a[i][j] - rowMean[ti] - colMean[tj] + grand
+			colRes[tj] += r * r
+		}
+	}
+	for ti := range rowRes {
+		h += rowRes[ti]
+		rowRes[ti] /= float64(nc)
+	}
+	h /= float64(nr * nc)
+	for tj := range colRes {
+		colRes[tj] /= float64(nr)
+	}
+	return h, rowRes, colRes
+}
+
+// TestResiduesChunkedMatchesSerial checks that the two row-major passes of
+// residues give the bits of the one-index-at-a-time arithmetic the chunked
+// scans used, over shrinking row/column lists, the way node deletion drives
+// them.
 func TestResiduesChunkedMatchesSerial(t *testing.T) {
 	rng := stats.NewRNG(54)
 	n, d := 60, 25
@@ -74,24 +127,19 @@ func TestResiduesChunkedMatchesSerial(t *testing.T) {
 		cols = append(cols, j)
 	}
 	for len(rows) > 2 && len(cols) > 2 {
-		hS, rowS, colS := residues(t, a, rows, cols)
-		for _, workers := range []int{2, 3, 8} {
-			hC, rowC, colC, err := residuesChunked(context.Background(), a, rows, cols, workers)
-			if err != nil {
-				t.Fatal(err)
+		hW, rowW, colW := columnResidues(a, rows, cols)
+		h, rowRes, colRes := residues(a, rows, cols)
+		if math.Float64bits(h) != math.Float64bits(hW) {
+			t.Fatalf("%dx%d: h %v != %v", len(rows), len(cols), h, hW)
+		}
+		for i := range rowW {
+			if math.Float64bits(rowRes[i]) != math.Float64bits(rowW[i]) {
+				t.Fatalf("%dx%d: rowRes[%d] diverged", len(rows), len(cols), i)
 			}
-			if math.Float64bits(hS) != math.Float64bits(hC) {
-				t.Fatalf("workers=%d: h %v != serial %v", workers, hC, hS)
-			}
-			for i := range rowS {
-				if math.Float64bits(rowS[i]) != math.Float64bits(rowC[i]) {
-					t.Fatalf("workers=%d: rowRes[%d] diverged", workers, i)
-				}
-			}
-			for j := range colS {
-				if math.Float64bits(colS[j]) != math.Float64bits(colC[j]) {
-					t.Fatalf("workers=%d: colRes[%d] diverged", workers, j)
-				}
+		}
+		for j := range colW {
+			if math.Float64bits(colRes[j]) != math.Float64bits(colW[j]) {
+				t.Fatalf("%dx%d: colRes[%d] diverged", len(rows), len(cols), j)
 			}
 		}
 		rows = rows[:len(rows)-3]
@@ -99,10 +147,9 @@ func TestResiduesChunkedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestChunkedResiduesRace drives the four chunked residue scans on 8
-// workers, four engine-sized chunks each, for several rounds through full
-// Run calls, comparing every round against the serial output — meaningful under -race,
-// which would flag any cross-chunk write overlap.
+// TestChunkedResiduesRace runs two restarts concurrently on 8 workers for
+// several rounds, comparing every round against the one-worker output —
+// meaningful under -race, which would flag any state the restarts share.
 func TestChunkedResiduesRace(t *testing.T) {
 	ds := plantBicluster(80, 20, []int{1, 3, 5, 7, 9, 11, 13}, []int{0, 2, 4, 6, 8}, 0.2, 53)
 	opts := DefaultOptions(2, 2.0)
@@ -114,14 +161,14 @@ func TestChunkedResiduesRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
-		chunked := opts
-		chunked.Workers = 8
-		bics, res, err := RunContext(context.Background(), ds, chunked)
+		concurrent := opts
+		concurrent.Workers = 8
+		bics, res, err := RunContext(context.Background(), ds, concurrent)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(bics, bicsSerial) || !reflect.DeepEqual(res, serial) {
-			t.Fatalf("round %d: chunked run diverged from serial (%s vs %s)",
+			t.Fatalf("round %d: concurrent run diverged from serial (%s vs %s)",
 				round, fp(res), fp(serial))
 		}
 	}

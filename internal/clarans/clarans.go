@@ -34,10 +34,8 @@ type Options struct {
 
 	// Workers bounds how many local searches run concurrently; <= 0 means
 	// runtime.GOMAXPROCS(0). The worker count never changes the result.
-	// After the local searches finish, the full budget parallelizes the
-	// final chunked assignment scan. (The swap-cost loop inside a local
-	// search stays serial: its running sum is order-sensitive floating
-	// point.)
+	// Each local search and the final assignment run serially: the final
+	// assignment costs one swap trial of a search's hundreds.
 	Workers int
 }
 
@@ -57,9 +55,9 @@ type localOptimum struct {
 // going to the lowest restart index, so the result is a pure function of
 // (ds, opts) regardless of the worker count.
 //
-// Cancellation is checked at every local search launch, every swap trial
-// inside a search, and every chunk boundary of the final assignment scan, so
-// a canceled run returns context.Cause(ctx) — never a partial result.
+// Cancellation is checked at every local search launch and every swap trial
+// inside a search, so a canceled run returns context.Cause(ctx) — never a
+// partial result.
 func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluster.Result, error) {
 	if ds == nil {
 		return nil, errors.New("clarans: nil dataset")
@@ -94,22 +92,16 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 		iterations += l.iterations
 	}
 
-	// Final assignment: per-point nearest medoid, chunked over point ranges
-	// with disjoint writes — the whole worker budget is free again once the
-	// local searches have finished.
+	// Final assignment: per-point nearest medoid.
 	assign := make([]int, n)
-	if err := engine.ParallelChunksCtx(ctx, n, 0, engine.DefaultWorkers(opts.Workers), func(_, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			bestDist := math.Inf(1)
-			for i, m := range best.medoids {
-				if d := ds.EuclideanSq(p, m, nil); d < bestDist {
-					bestDist = d
-					assign[p] = i
-				}
+	for p := range assign {
+		bestDist := math.Inf(1)
+		for i, m := range best.medoids {
+			if d := ds.EuclideanSq(p, m, nil); d < bestDist {
+				bestDist = d
+				assign[p] = i
 			}
 		}
-	}); err != nil {
-		return nil, err
 	}
 	res := &cluster.Result{
 		K:                   opts.K,

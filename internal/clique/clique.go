@@ -12,11 +12,11 @@
 // object to the highest-dimensional cluster that covers it.
 //
 // CLIQUE draws no random numbers — the grid search is fully deterministic —
-// so it runs once, with no seed and no restarts. That one run still goes
-// through the shared restart engine, so launch cancellation, fault injection
-// and panic containment behave as for every other algorithm, and the whole
-// worker budget parallelizes the per-object cell scan and the per-dimension
-// density scan.
+// so it runs once, with no seed, no restarts and no workers. That one run
+// still goes through the shared restart engine, so launch cancellation,
+// fault injection and panic containment behave as for every other
+// algorithm. Its scans run serially: split across goroutines, they measured
+// no faster.
 package clique
 
 import (
@@ -43,11 +43,6 @@ type Options struct {
 	MaxSubspaceDim int
 	// MaxClusters bounds how many clusters Run reports (0 = all).
 	MaxClusters int
-
-	// Workers bounds the goroutines of the per-object cell scan and the
-	// per-dimension density scan. <= 0 means runtime.GOMAXPROCS(0). The
-	// worker count never changes the result.
-	Workers int
 }
 
 // DefaultOptions returns a workable configuration for normalized data.
@@ -79,9 +74,9 @@ type Subspace struct {
 // RunContext executes CLIQUE and returns both the raw subspace clusters and
 // the flattened disjoint partition.
 //
-// Cancellation is checked at launch, every chunk boundary of the cell and
-// density scans, and every apriori level, so a canceled run returns
-// context.Cause(ctx) — never a partial result.
+// Cancellation is checked at launch, after the level-1 scan, and at every
+// apriori level, so a canceled run returns context.Cause(ctx) — never a
+// partial result.
 func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Subspace, *cluster.Result, error) {
 	if ds == nil {
 		return nil, nil, errors.New("clique: nil dataset")
@@ -97,9 +92,9 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Subsp
 		subs []Subspace
 		res  *cluster.Result
 	}
-	outs, err := engine.Run(ctx, 1, opts.Workers, 0, 0, nil,
-		func(_ int, _ *stats.RNG, intra int) (runOut, error) {
-			subs, res, err := runOnce(ctx, ds, opts, intra)
+	outs, err := engine.Run(ctx, 1, 1, 0, 0, nil,
+		func(_ int, _ *stats.RNG, _ int) (runOut, error) {
+			subs, res, err := runOnce(ctx, ds, opts)
 			return runOut{subs, res}, err
 		})
 	if err != nil {
@@ -108,20 +103,18 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Subsp
 	return outs[0].subs, outs[0].res, nil
 }
 
-// runOnce is the CLIQUE search with `workers` goroutines available for its
-// chunked scans.
-func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int) ([]Subspace, *cluster.Result, error) {
+// runOnce is the CLIQUE search.
+func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options) ([]Subspace, *cluster.Result, error) {
 	n, d := ds.N(), ds.D()
 	minDense := int(opts.Tau * float64(n))
 	if minDense < 1 {
 		minDense = 1
 	}
 
-	// Precompute each object's interval index on every dimension — the
-	// per-object cell scan, chunked over row ranges with disjoint writes
-	// into each row's slice of the flat backing array.
-	cells := make([]int, n*d)
-	cellOf := make([][]int, n)
+	// Level 1: one row-major pass puts every object into its interval on
+	// every dimension, and the dense intervals become the 1-D units, in
+	// ascending dimension order, each unit's members in ascending object
+	// order.
 	width := make([]float64, d)
 	lo := make([]float64, d)
 	for j := 0; j < d; j++ {
@@ -132,58 +125,32 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, workers int
 		}
 		width[j] = (hi - lo[j]) / float64(opts.Xi)
 	}
-	if err := engine.ParallelChunksCtx(ctx, n, 0, workers, func(_, rlo, rhi int) {
-		for i := rlo; i < rhi; i++ {
-			cellOf[i] = cells[i*d : (i+1)*d : (i+1)*d]
-			row := ds.Row(i)
-			for j := 0; j < d; j++ {
-				c := int((row[j] - lo[j]) / width[j])
-				if c >= opts.Xi {
-					c = opts.Xi - 1
-				}
-				if c < 0 {
-					c = 0
-				}
-				cellOf[i][j] = c
+	members := make([][]int, d*opts.Xi) // interval c of dimension j at j*Xi+c
+	for i := 0; i < n; i++ {
+		for j, v := range ds.Row(i) {
+			c := int((v - lo[j]) / width[j])
+			if c >= opts.Xi {
+				c = opts.Xi - 1
 			}
+			if c < 0 {
+				c = 0
+			}
+			members[j*opts.Xi+c] = append(members[j*opts.Xi+c], i)
 		}
-	}); err != nil {
-		return nil, nil, err
 	}
-
-	// Level 1: dense 1-D units — the per-unit density scan, chunked over
-	// the dimension list (each dimension's member lists build serially in
-	// ascending object order, writes disjoint per dimension), then folded
-	// into the level maps in ascending dimension order.
-	type dimUnits struct {
-		units   []unit
-		members [][]int
-	}
-	perDim := make([]dimUnits, d)
-	if err := engine.ParallelChunksCtx(ctx, d, 0, workers, func(_, jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			counts := make([][]int, opts.Xi)
-			for i := 0; i < n; i++ {
-				c := cellOf[i][j]
-				counts[c] = append(counts[c], i)
-			}
-			for c, members := range counts {
-				if len(members) >= minDense {
-					perDim[j].units = append(perDim[j].units, unit{dims: []int{j}, cells: []int{c}})
-					perDim[j].members = append(perDim[j].members, members)
-				}
-			}
-		}
-	}); err != nil {
+	if err := engine.Cause(ctx); err != nil {
 		return nil, nil, err
 	}
 	type denseLevel map[string][]int // unit key -> member objects
 	level := denseLevel{}
 	units := map[string]unit{}
 	for j := 0; j < d; j++ {
-		for t, u := range perDim[j].units {
-			level[u.key()] = perDim[j].members[t]
-			units[u.key()] = u
+		for c := 0; c < opts.Xi; c++ {
+			if m := members[j*opts.Xi+c]; len(m) >= minDense {
+				u := unit{dims: []int{j}, cells: []int{c}}
+				level[u.key()] = m
+				units[u.key()] = u
+			}
 		}
 	}
 

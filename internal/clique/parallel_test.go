@@ -5,19 +5,16 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/synth"
 )
 
-// The generic parallelism contract (worker invariance, chunk-size
-// invariance, restart-0 ≡ base-seed, sharded-vs-flat, concurrent shared
-// datasets) is asserted for this package by the cross-algorithm conformance
+// The cross-algorithm contract (sharded-vs-flat, concurrent shared
+// datasets, cancellation) is asserted for this package by the conformance
 // suite at the repository root (conformance_test.go). This file pins the
-// package-level golden fingerprint and exercises the chunked hot loops
-// under -race.
+// package-level golden fingerprint.
 
 // fp is the root suite's fingerprint spelling, duplicated so the package
 // pin stands alone.
@@ -61,33 +58,5 @@ func TestGoldenPin(t *testing.T) {
 	}
 	if got := fp(res); got != golden {
 		t.Errorf("fingerprint = %s, want %s", got, golden)
-	}
-}
-
-// TestChunkedScansRace drives the two chunked hot loops (the row-ranged
-// cell scan and the per-dimension density scan) on 8 workers, four
-// engine-sized chunks each, for several rounds, comparing every round
-// against the serial output — meaningful under -race, which would flag any
-// cross-chunk write overlap.
-func TestChunkedScansRace(t *testing.T) {
-	gt := raceFixture(t)
-	opts := DefaultOptions()
-	opts.Tau = 0.08
-	opts.Workers = 1
-	subsSerial, serial, err := RunContext(context.Background(), gt.Data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 5; round++ {
-		chunked := opts
-		chunked.Workers = 8
-		subs, res, err := RunContext(context.Background(), gt.Data, chunked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(subs, subsSerial) || !reflect.DeepEqual(res, serial) {
-			t.Fatalf("round %d: chunked run diverged from serial (%s vs %s)",
-				round, fp(res), fp(serial))
-		}
 	}
 }

@@ -42,11 +42,10 @@ type Options struct {
 	// engine.ChildSeed(Seed, r).
 	Restarts int
 
-	// Workers bounds the total worker budget: restarts run concurrently on
-	// up to this many goroutines, and workers left over (when Workers >
-	// Restarts) parallelize the chunked box-membership scans inside each
-	// restart. <= 0 means runtime.GOMAXPROCS(0). The worker count never
-	// changes the result.
+	// Workers bounds how many restarts run concurrently; <= 0 means
+	// runtime.GOMAXPROCS(0). The worker count never changes the result.
+	// Each restart runs serially: its box-membership scan is a short
+	// filter that measured slower split across goroutines.
 	Workers int
 
 	// EarlyStop, when > 0, streams the restarts instead of running a fixed
@@ -70,9 +69,9 @@ func DefaultOptions(k int, w float64) Options {
 // through the restart engine and the highest-scoring run wins, so the result
 // is a pure function of (ds, opts) regardless of the worker count.
 //
-// Cancellation is checked at every restart launch, every Monte-Carlo inner
-// trial, and every chunk boundary of the box-membership scan, so a canceled
-// run returns context.Cause(ctx) — never a partial result.
+// Cancellation is checked at every restart launch and every Monte-Carlo
+// inner trial, so a canceled run returns context.Cause(ctx) — never a
+// partial result.
 func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluster.Result, error) {
 	if ds == nil {
 		return nil, errors.New("doc: nil dataset")
@@ -98,8 +97,8 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	}
 	results, err := engine.Run(ctx, restarts, opts.Workers,
 		opts.Seed, opts.EarlyStop, cluster.BetterResult,
-		func(_ int, rng *stats.RNG, intra int) (*cluster.Result, error) {
-			return runOnce(ctx, ds, opts, rng, intra)
+		func(_ int, rng *stats.RNG, _ int) (*cluster.Result, error) {
+			return runOnce(ctx, ds, opts, rng)
 		})
 	if err != nil {
 		return nil, err
@@ -107,9 +106,8 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, opts Options) (*cluste
 	return cluster.BestResult(results), nil
 }
 
-// runOnce executes one Monte-Carlo DOC run with its own RNG, parallelizing
-// the box-membership scans across up to intra goroutines.
-func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.RNG, intra int) (*cluster.Result, error) {
+// runOnce executes one Monte-Carlo DOC run with its own RNG.
+func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.RNG) (*cluster.Result, error) {
 	n, d := ds.N(), ds.D()
 
 	// Discriminating set size r = ceil(log(2d)/log(1/2β)).
@@ -179,10 +177,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 					// end of the inner loop.
 					if bestDims == nil || len(D) > len(bestDims) ||
 						(len(D) == len(bestDims) && bestMembers == nil) {
-						members, err := boxMembers(ctx, ds, remaining, prow, D, opts.W, intra)
-						if err != nil {
-							return nil, err
-						}
+						members := boxMembers(ds, remaining, prow, D, opts.W)
 						if len(members) < minSize {
 							continue
 						}
@@ -193,10 +188,7 @@ func runOnce(ctx context.Context, ds *dataset.Dataset, opts Options, rng *stats.
 					}
 					continue
 				}
-				members, err := boxMembers(ctx, ds, remaining, prow, D, opts.W, intra)
-				if err != nil {
-					return nil, err
-				}
+				members := boxMembers(ds, remaining, prow, D, opts.W)
 				if len(members) < minSize {
 					continue
 				}
@@ -269,34 +261,23 @@ func mu(a, b int, beta float64) float64 {
 }
 
 // boxMembers returns the remaining points within w of p on every dimension
-// in D, scanning `remaining` in engine-sized index chunks. Each chunk marks
-// its own slots of inBox, and the members are collected afterwards in
-// `remaining` order, so the list is byte-identical to the serial scan for
-// every workers value.
-func boxMembers(ctx context.Context, ds *dataset.Dataset, remaining []int, prow []float64, D []int, w float64, workers int) ([]int, error) {
-	inBox := make([]bool, len(remaining))
-	if err := engine.ParallelChunksCtx(ctx, len(remaining), 0, workers, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			qrow := ds.Row(remaining[t])
-			ok := true
-			for _, j := range D {
-				if math.Abs(qrow[j]-prow[j]) > w {
-					ok = false
-					break
-				}
-			}
-			inBox[t] = ok
-		}
-	}); err != nil {
-		return nil, err
-	}
+// in D, in `remaining` order.
+func boxMembers(ds *dataset.Dataset, remaining []int, prow []float64, D []int, w float64) []int {
 	var members []int
-	for t, ok := range inBox {
+	for _, q := range remaining {
+		qrow := ds.Row(q)
+		ok := true
+		for _, j := range D {
+			if math.Abs(qrow[j]-prow[j]) > w {
+				ok = false
+				break
+			}
+		}
 		if ok {
-			members = append(members, remaining[t])
+			members = append(members, q)
 		}
 	}
-	return members, nil
+	return members
 }
 
 func removeAll(from, drop []int) []int {

@@ -156,7 +156,6 @@ func SubspaceBaselinesContext(ctx context.Context, cfg Config) (*Table, error) {
 				opts := clique.DefaultOptions()
 				opts.Tau = 0.08
 				opts.MaxClusters = k
-				opts.Workers = 1
 				_, res, err := clique.RunContext(ctx, gt.Data, opts)
 				if err != nil {
 					return err

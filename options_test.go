@@ -22,7 +22,7 @@ func TestOptionFields(t *testing.T) {
 		{HARPOptions{}, "K Levels RMax Seed Restarts Workers"},
 		{CLARANSOptions{}, "K MaxNeighbor Seed Restarts Workers"},
 		{DOCOptions{}, "K W Alpha Beta Fast Seed Restarts Workers EarlyStop"},
-		{CLIQUEOptions{}, "Xi Tau MaxSubspaceDim MaxClusters Workers"},
+		{CLIQUEOptions{}, "Xi Tau MaxSubspaceDim MaxClusters"},
 		{COPKMeansOptions{}, "K Seed Restarts Workers EarlyStop"},
 		{SeedKMeansOptions{}, "K Constrained MaxIterations Seed Restarts Workers EarlyStop"},
 		{BiclusterOptions{}, "K Delta Seed Restarts Workers"},
