@@ -140,12 +140,12 @@ func restartErr(ctx context.Context, r int, err error) error {
 // consuming restart r, the run ends iff none of restarts bestIdx+1..r
 // improved on the incumbent best at bestIdx under `better` and
 // r-bestIdx >= plateau, and Run returns the consumed prefix (at least
-// min(plateau+1, n) results). Workers may compute restarts beyond the stop
-// point speculatively; those results and failures are discarded, never
-// reduced. The returned slice is therefore a pure function of (n, seed,
-// plateau, fn), byte-identical for every worker count, provided `better` is
-// a pure function of its arguments. plateau <= 0 runs all n restarts and
-// better may be nil.
+// min(plateau+1, n) results). Workers may compute up to workers-1 restarts
+// beyond the stop point speculatively; those results and failures are
+// discarded, never reduced. The returned slice is therefore a pure function
+// of (n, seed, plateau, fn), byte-identical for every worker count, provided
+// `better` is a pure function of its arguments. plateau <= 0 runs all n
+// restarts and better may be nil.
 //
 // The first failing restart stops new launches; the error reported is the
 // consumed failure with the lowest restart index, wrapped with that index. A
@@ -193,14 +193,14 @@ func Run[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 	}
 
 	// Workers take one launch token per restart. Without early stop every
-	// token is issued up front. With it, the consumer issues one more per
-	// consumed slot, which caps the speculative overhang at workers+plateau
-	// restarts beyond the stop point, so cheap restarts cannot race through
-	// the whole schedule before the run decides to stop. At most n tokens
-	// are ever issued, so the buffer never blocks a send.
+	// token is issued up front. With it, the first `workers` tokens are, and
+	// the consumer issues one more per consumed restart only once the
+	// early-stop rule says to go on. So at most workers-1 restarts run past
+	// the stop point, and a one-worker run computes only what it consumes.
+	// At most n tokens are ever issued, so the buffer never blocks a send.
 	lookahead := n
 	if plateau > 0 {
-		lookahead = min(n, workers+plateau)
+		lookahead = workers
 	}
 	tokens := make(chan struct{}, n)
 	for i := 0; i < lookahead; i++ {
@@ -253,12 +253,12 @@ func Run[R any](ctx context.Context, n, workers int, seed int64, plateau int,
 			firstErr = restartErr(ctx, r, errs[r])
 			break
 		}
-		if r+lookahead < n {
-			tokens <- struct{}{}
-		}
 		if stopAfter(r) {
 			consumed = r + 1
 			break
+		}
+		if r+lookahead < n {
+			tokens <- struct{}{}
 		}
 	}
 	cancel()

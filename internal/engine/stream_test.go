@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -102,10 +103,33 @@ func TestStreamCancelsRemainder(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("consumed %d restarts, want 4 (best at 0 + plateau 3)", len(got))
 	}
-	// The launch-token lookahead caps speculative work at workers+plateau
-	// restarts beyond the consumed prefix.
-	if l := launched.Load(); l > int64(4+workers+3) {
-		t.Fatalf("launched %d restarts for a stream that stops at 4 (lookahead %d)", l, workers+3)
+	// A launch token is issued only after a consumed restart that does not
+	// stop the run, so at most workers-1 restarts launch past the consumed
+	// prefix.
+	if l := launched.Load(); l > int64(4+workers-1) {
+		t.Fatalf("launched %d restarts for a stream that stops at 4 (at most %d past it)", l, workers-1)
+	}
+}
+
+// TestStreamOneWorkerComputesWhatItConsumes: a one-worker stream launches
+// the next restart only after the consumed one says to go on, so it calls fn
+// exactly once per consumed restart, however long each restart takes.
+func TestStreamOneWorkerComputesWhatItConsumes(t *testing.T) {
+	var calls atomic.Int64
+	never := func(a, b float64) bool { return false }
+	got, err := Run(context.Background(), 10, 1, 1, 1, never, func(r int, _ *stats.RNG, _ int) (float64, error) {
+		calls.Add(1)
+		time.Sleep(20 * time.Millisecond)
+		return float64(r), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("consumed %d restarts, want 2 (best at 0 + plateau 1)", len(got))
+	}
+	if c := calls.Load(); c != 2 {
+		t.Fatalf("fn called %d times for a stream that consumed 2", c)
 	}
 }
 
