@@ -578,6 +578,22 @@ func TestAssignParsePathsAgree(t *testing.T) {
 	}
 }
 
+// TestAssignRefusesNullValue: a row of the model's width with one null
+// value answers 400, not the row scored with a 0 in its place.
+func TestAssignRefusesNullValue(t *testing.T) {
+	s, key, rows := registeredServer(t)
+	js, err := json.Marshal(rows[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := strings.Split(strings.Trim(string(js), "[]"), ",")
+	values[1] = "null"
+	body := fmt.Sprintf(`{"model":%q,"rows":[[%s]]}`, key, strings.Join(values, ","))
+	if code, got := serveAssign(s, body); code != http.StatusBadRequest || !strings.Contains(got, "null") {
+		t.Errorf("null value: %d %q, want 400 naming the null", code, got)
+	}
+}
+
 // TestEmptyAssignAnswersEmptyList: a batch of zero rows answers [] whether
 // the pooled buffers are new or have served a batch before.
 func TestEmptyAssignAnswersEmptyList(t *testing.T) {

@@ -3,15 +3,18 @@ package model
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"unicode/utf8"
 )
 
 // assignRequest is the POST /assign body: the registry key of a model and
 // the rows to score. encoding/json names the type in its error messages.
+// The values are pointers so that a null value stays nil instead of
+// reading as 0.
 type assignRequest struct {
-	Model string      `json:"model"`
-	Rows  [][]float64 `json:"rows"`
+	Model string       `json:"model"`
+	Rows  [][]*float64 `json:"rows"`
 }
 
 // DecodeAssign parses a POST /assign body, {"model":"<key>","rows":[[…],…]}.
@@ -25,7 +28,8 @@ type assignRequest struct {
 // call encoding/json makes for a float64, so every value keeps its bits. Any
 // other body — escapes, case-folded or duplicate keys, null, unknown fields,
 // a number ParseFloat refuses — is decoded by encoding/json over the same
-// bytes, so both kinds answer exactly as encoding/json does.
+// bytes, so both kinds answer exactly as encoding/json does, except that a
+// null row value is an error rather than 0.
 func DecodeAssign(body []byte, rows []float64, lens []int) (string, []float64, []int, error) {
 	key, rows, lens, ok := parseAssign(body, rows[:0], lens[:0])
 	if ok {
@@ -35,7 +39,8 @@ func DecodeAssign(body []byte, rows []float64, lens []int) (string, []float64, [
 }
 
 // decodeAssignJSON is DecodeAssign's general path: encoding/json with
-// unknown fields refused, reading the first JSON value of the body.
+// unknown fields refused, reading the first JSON value of the body. A null
+// row value is refused; a null row is a row of no values.
 func decodeAssignJSON(body []byte, rows []float64, lens []int) (string, []float64, []int, error) {
 	var req assignRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -43,8 +48,13 @@ func decodeAssignJSON(body []byte, rows []float64, lens []int) (string, []float6
 	if err := dec.Decode(&req); err != nil {
 		return "", rows, lens, err
 	}
-	for _, row := range req.Rows {
-		rows = append(rows, row...)
+	for i, row := range req.Rows {
+		for j, v := range row {
+			if v == nil {
+				return "", rows, lens, fmt.Errorf("row %d value %d is null, not a number", i, j)
+			}
+			rows = append(rows, *v)
+		}
 		lens = append(lens, len(row))
 	}
 	return req.Model, rows, lens, nil

@@ -75,10 +75,10 @@ func TestParseAssignShape(t *testing.T) {
 }
 
 // FuzzAssignBody is the differential test of DecodeAssign's two paths.
-// Whenever the fast parser accepts a body, encoding/json accepts it too
-// with the same key, the same row lengths and the same bits for every
-// value; and on every body DecodeAssign answers what encoding/json answers,
-// down to the error text.
+// Whenever the fast parser accepts a body, the encoding/json path accepts it
+// too with the same key, the same row lengths and the same bits for every
+// value; and on every body DecodeAssign answers what the encoding/json path
+// answers, down to the error text.
 func FuzzAssignBody(f *testing.F) {
 	for _, tc := range assignBodies {
 		f.Add([]byte(tc.body))
@@ -128,11 +128,31 @@ func benchAssignBody(tb testing.TB, n, d int) []byte {
 			rows[i][j] = rng.NormFloat64() * 10
 		}
 	}
-	body, err := json.Marshal(assignRequest{Model: strings.Repeat("0123abcd", 8), Rows: rows})
+	body, err := json.Marshal(struct {
+		Model string      `json:"model"`
+		Rows  [][]float64 `json:"rows"`
+	}{strings.Repeat("0123abcd", 8), rows})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return body
+}
+
+// A null row value is refused, not read as 0; a null row is a row of no
+// values.
+func TestDecodeAssignRefusesNullValue(t *testing.T) {
+	for _, body := range []string{
+		`{"model":"k","rows":[[1,null,3],[null,null,null]]}`,
+		`{"model":"k","rows":[[1,2],[null]]}`,
+	} {
+		if _, rows, _, err := DecodeAssign([]byte(body), nil, nil); err == nil {
+			t.Errorf("%s: decoded %v, want an error", body, rows)
+		}
+	}
+	_, rows, lens, err := DecodeAssign([]byte(`{"model":"k","rows":[null,[1]]}`), nil, nil)
+	if err != nil || !slices.Equal(rows, []float64{1}) || !slices.Equal(lens, []int{0, 1}) {
+		t.Errorf("null row: rows %v, lengths %v, err %v; want [1], [0 1], nil", rows, lens, err)
+	}
 }
 
 // Decoding a client-shaped body into warmed buffers allocates only the key
