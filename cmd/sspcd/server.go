@@ -87,11 +87,9 @@ type server struct {
 	jobs    map[string]*job
 	nextJob int
 	// cancels holds the cancel function of every running fit job, keyed by
-	// job ID; entries disappear when the fit goroutine exits.
+	// job ID; entries disappear when the fit goroutine exits. Cache hits
+	// never enter it, so its length is the gauge -max-jobs bounds.
 	cancels map[string]context.CancelCauseFunc
-	// running counts admitted, not-yet-finished fit computations (cache hits
-	// never count) — the gauge -max-jobs bounds.
-	running int
 	// fits tracks in-flight fit goroutines so shutdown can drain them.
 	fits sync.WaitGroup
 
@@ -362,7 +360,7 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	_, cached := s.models[key]
-	if !cached && s.maxJobs > 0 && s.running >= s.maxJobs {
+	if !cached && s.maxJobs > 0 && len(s.cancels) >= s.maxJobs {
 		s.mu.Unlock()
 		if closeDS != nil {
 			closeDS()
@@ -381,7 +379,6 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[j.ID] = j
 	var ctx context.Context
 	if !cached {
-		s.running++
 		// WithCancelCause keeps the operator's cancel distinguishable from a
 		// deadline in the job's error class; the deadline (if any) layers on
 		// top inside the fit goroutine.
@@ -417,7 +414,6 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 			defer func() {
 				s.mu.Lock()
 				delete(s.cancels, j.ID)
-				s.running--
 				// A panic that escaped the engine's restart containment (e.g.
 				// from the trace callback or model encoding) must not kill the
 				// daemon: record it as a failed job and keep serving.
