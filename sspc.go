@@ -28,17 +28,19 @@
 //   - Workers: the maximum number of restarts executed concurrently; <= 0
 //     means runtime.GOMAXPROCS(0).
 //
-// Every algorithm but HARP also parallelizes inside each restart, and the
-// restart-based searches can stream their restarts adaptively:
+// SSPC, PROCLUS, COP-KMeans and Seeded-KMeans also parallelize inside
+// each restart, where two workers measured faster than one; HARP, DOC,
+// CLARANS and Cheng–Church run each restart serially, and CLIQUE runs once,
+// serially, with no Workers. The restart-based searches can stream their
+// restarts adaptively:
 //
-//   - Workers beyond the restart count are spent on each algorithm's hot
-//     point loops: the scheduler hands each of the min(Workers, Restarts)
-//     concurrent restarts ceil(Workers / min(Workers, Restarts))
-//     goroutines for SSPC's O(n·K·|V|) assignment and dimension
-//     re-selection, PROCLUS's assignment / locality / outlier passes,
-//     DOC's box-membership scans, CLARANS's final assignment —
-//     chunked into ranges the engine sizes from the worker count (every
-//     chunk layout gives identical output).
+//   - Workers beyond the restart count are spent on the hot point loops:
+//     the scheduler hands each of the min(Workers, Restarts) concurrent
+//     restarts ceil(Workers / min(Workers, Restarts)) goroutines for
+//     SSPC's O(n·K·|V|) assignment and dimension re-selection, PROCLUS's
+//     assignment / locality / outlier passes, and the two k-means
+//     assignment steps — chunked into ranges the engine sizes from the
+//     worker count (every chunk layout gives identical output).
 //   - Options.EarlyStop > 0 (SSPC, PROCLUS, DOC) launches restarts lazily
 //     and stops once the best objective has not improved for that many
 //     consecutive restarts, with Restarts as the hard cap. EarlyStop = 0
