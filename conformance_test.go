@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -64,7 +65,10 @@ type confAlgo struct {
 	// the single authoritative copy of the fingerprints, captured at the
 	// commit that introduced internal/engine. An intentional algorithm
 	// change re-captures them and says so in the commit.
-	golden     string
+	golden string
+	// scoreBits pins the same run's Score bit for bit; golden prints it to
+	// 12 significant digits only, so a last-bit change would pass golden.
+	scoreBits  uint64
 	goldenSeed int64
 	restarts   int  // multi-restart count for the invariance legs
 	earlyStop  bool // has a streaming EarlyStop knob
@@ -74,7 +78,7 @@ type confAlgo struct {
 func conformanceAlgos() []confAlgo {
 	return []confAlgo{
 		{
-			name: "SSPC", golden: "5c33774cfd995ba7 score=0.176140223125",
+			name: "SSPC", golden: "5c33774cfd995ba7 score=0.176140223125", scoreBits: 0x3fc68bc348ea93ec,
 			goldenSeed: 5, restarts: 6, earlyStop: true,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := DefaultOptions(3)
@@ -86,7 +90,7 @@ func conformanceAlgos() []confAlgo {
 			},
 		},
 		{
-			name: "PROCLUS", golden: "806061b7eb1d1ee0 score=4.3429625545",
+			name: "PROCLUS", golden: "806061b7eb1d1ee0 score=4.3429625545", scoreBits: 0x40115f31936d4b3b,
 			goldenSeed: 7, restarts: 6, earlyStop: true,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := PROCLUSDefaults(3, 6)
@@ -98,7 +102,7 @@ func conformanceAlgos() []confAlgo {
 			},
 		},
 		{
-			name: "CLARANS", golden: "18464aced1dab249 score=33501.7748117",
+			name: "CLARANS", golden: "18464aced1dab249 score=33501.7748117", scoreBits: 0x40e05bb8cb41f83e,
 			goldenSeed: 9, restarts: 4,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := CLARANSDefaults(3)
@@ -109,7 +113,7 @@ func conformanceAlgos() []confAlgo {
 			},
 		},
 		{
-			name: "DOC", golden: "898ce57dcac9acc8 score=34.9990990861",
+			name: "DOC", golden: "898ce57dcac9acc8 score=34.9990990861", scoreBits: 0x40417fe27a961e44,
 			goldenSeed: 11, restarts: 4, earlyStop: true,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := DOCDefaults(3, 15)
@@ -121,7 +125,7 @@ func conformanceAlgos() []confAlgo {
 			},
 		},
 		{
-			name: "HARP", golden: "f1b9c1627ce202c5 score=16.5321083411",
+			name: "HARP", golden: "f1b9c1627ce202c5 score=16.5321083411", scoreBits: 0x403088384092ea21,
 			goldenSeed: 0, restarts: 4,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := HARPDefaults(3)
@@ -136,7 +140,7 @@ func conformanceAlgos() []confAlgo {
 		// had no engine knobs before it, so these are the
 		// first authoritative fingerprints).
 		{
-			name: "CLIQUE", golden: "916a99526552861a score=596",
+			name: "CLIQUE", golden: "916a99526552861a score=596", scoreBits: 0x4082a00000000000,
 			goldenSeed: 13, restarts: 2,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := CLIQUEDefaults()
@@ -146,7 +150,7 @@ func conformanceAlgos() []confAlgo {
 			},
 		},
 		{
-			name: "COP-KMeans", golden: "3d49343df0baeeb1 score=4097789.85913",
+			name: "COP-KMeans", golden: "3d49343df0baeeb1 score=4097789.85913", scoreBits: 0x414f437eedf7e533,
 			goldenSeed: 15, restarts: 4, earlyStop: true,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				// Fixed index-only constraints: identical for the flat and
@@ -164,7 +168,7 @@ func conformanceAlgos() []confAlgo {
 			},
 		},
 		{
-			name: "SeedKMeans", golden: "ef00a9fb889cc371 score=3992157.62679",
+			name: "SeedKMeans", golden: "ef00a9fb889cc371 score=3992157.62679", scoreBits: 0x414e752ed03aabc1,
 			goldenSeed: 17, restarts: 4, earlyStop: true,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				// No knowledge: every cluster starts from a random object, so
@@ -178,7 +182,7 @@ func conformanceAlgos() []confAlgo {
 			},
 		},
 		{
-			name: "Bicluster", golden: "9d24ebabeefb658d score=31.7221345615",
+			name: "Bicluster", golden: "9d24ebabeefb658d score=31.7221345615", scoreBits: 0x403fb8ddcf852097,
 			goldenSeed: 19, restarts: 3,
 			run: func(ctx context.Context, ds *Dataset, r confRun) (*Result, error) {
 				opts := BiclusterDefaults(3, 50)
@@ -206,6 +210,9 @@ func TestConformanceRestartZeroBaseSeed(t *testing.T) {
 			}
 			if got := fingerprint(res); got != a.golden {
 				t.Errorf("fingerprint = %s, want %s", got, a.golden)
+			}
+			if got := math.Float64bits(res.Score); got != a.scoreBits {
+				t.Errorf("score bits = %#016x, want %#016x", got, a.scoreBits)
 			}
 		})
 	}
@@ -258,6 +265,9 @@ func TestConformanceParallelEvaluation(t *testing.T) {
 				if got := fingerprint(res); got != a.golden {
 					t.Errorf("Workers=%d: fingerprint = %s, want %s (parallel evaluation diverged from serial pin)",
 						workers, got, a.golden)
+				}
+				if got := math.Float64bits(res.Score); got != a.scoreBits {
+					t.Errorf("Workers=%d: score bits = %#016x, want %#016x", workers, got, a.scoreBits)
 				}
 			}
 		})
@@ -361,6 +371,9 @@ func TestConformanceDiskVsFlat(t *testing.T) {
 				}
 				if got := fingerprint(res); got != a.golden {
 					t.Errorf("shardRows=%d: fingerprint = %s, want %s", shardRows, got, a.golden)
+				}
+				if got := math.Float64bits(res.Score); got != a.scoreBits {
+					t.Errorf("shardRows=%d: score bits = %#016x, want %#016x", shardRows, got, a.scoreBits)
 				}
 			}
 			for _, workers := range workerCounts {
