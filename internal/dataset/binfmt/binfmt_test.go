@@ -40,13 +40,23 @@ func testDataset(t *testing.T, n, d int) *dataset.Dataset {
 }
 
 // writeTemp writes ds to a fresh temp file and returns the path.
-func writeTemp(t *testing.T, ds *dataset.Dataset, shardRows int) string {
+func writeTemp(t testing.TB, ds *dataset.Dataset, shardRows int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ds.sspcb")
 	if _, err := WriteBinaryFile(path, ds, shardRows); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// encoded returns the bytes WriteBinaryFile writes for ds.
+func encoded(t testing.TB, ds *dataset.Dataset, shardRows int) []byte {
+	t.Helper()
+	b, err := os.ReadFile(writeTemp(t, ds, shardRows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // openTemp opens a binary dataset and registers its cleanup.
@@ -97,9 +107,9 @@ func TestRoundTrip(t *testing.T) {
 			path := writeTemp(t, ds, shardRows)
 			fl := openTemp(t, path)
 			wantShards := (n + shardRows - 1) / shardRows
-			if fl.N() != n || fl.D() != d || fl.ShardRows() != shardRows || fl.NumShards() != wantShards {
+			if fl.n != n || fl.d != d || fl.shardRows != shardRows || fl.numShards != wantShards {
 				t.Fatalf("opened %d/%d/%d/%d, want %d/%d/%d/%d",
-					fl.N(), fl.D(), fl.ShardRows(), fl.NumShards(), n, d, shardRows, wantShards)
+					fl.n, fl.d, fl.shardRows, fl.numShards, n, d, shardRows, wantShards)
 			}
 			requireSameMatrix(t, fl.Dataset(), ds)
 		})
@@ -112,25 +122,18 @@ func TestRoundTrip(t *testing.T) {
 func TestWriteBinaryCanonical(t *testing.T) {
 	ds := testDataset(t, 41, 5)
 	sharded := openTemp(t, writeTemp(t, ds, 6)).Dataset() // different boundaries than the output's
-	var fromFlat, fromSharded bytes.Buffer
-	if _, err := WriteBinary(&fromFlat, ds, 9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteBinary(&fromSharded, sharded, 9); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromFlat.Bytes(), fromSharded.Bytes()) {
-		t.Fatal("WriteBinary bytes differ between flat and sharded sources of the same values")
+	if !bytes.Equal(encoded(t, ds, 9), encoded(t, sharded, 9)) {
+		t.Fatal("WriteBinaryFile bytes differ between flat and sharded sources of the same values")
 	}
 }
 
 func TestWriteBinaryRejectsBadShape(t *testing.T) {
 	ds := testDataset(t, 5, 3)
-	var buf bytes.Buffer
-	if _, err := WriteBinary(&buf, ds, 0); !errors.Is(err, ErrFormat) {
+	path := filepath.Join(t.TempDir(), "out.sspcb")
+	if _, err := WriteBinaryFile(path, ds, 0); !errors.Is(err, ErrFormat) {
 		t.Fatalf("shardRows=0: err = %v, want ErrFormat", err)
 	}
-	if _, err := WriteBinary(&buf, ds, -4); !errors.Is(err, ErrFormat) {
+	if _, err := WriteBinaryFile(path, ds, -4); !errors.Is(err, ErrFormat) {
 		t.Fatalf("shardRows=-4: err = %v, want ErrFormat", err)
 	}
 }
@@ -163,15 +166,18 @@ func writeCSVSegments(t *testing.T, ds *dataset.Dataset, rowCounts []int) []stri
 
 // TestConvertCSVMatchesWriteBinary pins segment-boundary independence: the
 // converter's output over any pre-split of the input is byte-identical to
-// WriteBinary over the same matrix.
+// WriteBinaryFile over the same matrix. The one-row-per-segment split has
+// more segments than the converter runs parsers, so parsers take several
+// segments each and the spills still come out in segment order.
 func TestConvertCSVMatchesWriteBinary(t *testing.T) {
 	const n, d, shardRows = 37, 4, 8
 	ds := testDataset(t, n, d)
-	want, err := os.ReadFile(writeTemp(t, ds, shardRows))
-	if err != nil {
-		t.Fatal(err)
+	want := encoded(t, ds, shardRows)
+	ones := make([]int, n)
+	for i := range ones {
+		ones[i] = 1
 	}
-	for _, split := range [][]int{{n}, {10, 17, 10}, {1, 35, 1}, {7, 7, 7, 7, 9}} {
+	for _, split := range [][]int{{n}, {10, 17, 10}, {1, 35, 1}, {7, 7, 7, 7, 9}, ones} {
 		t.Run(fmt.Sprintf("split=%v", split), func(t *testing.T) {
 			segs := writeCSVSegments(t, ds, split)
 			out := filepath.Join(t.TempDir(), "out.sspcb")
@@ -187,7 +193,7 @@ func TestConvertCSVMatchesWriteBinary(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatal("ConvertCSV bytes differ from WriteBinary over the same matrix")
+				t.Fatal("ConvertCSV bytes differ from WriteBinaryFile over the same matrix")
 			}
 			fl := openTemp(t, out)
 			requireSameMatrix(t, fl.Dataset(), ds)
@@ -467,10 +473,10 @@ func TestWriteBinaryFileAtomic(t *testing.T) {
 
 // TestEncodeDigest pins the bytes the writers produce and the column
 // statistics an opened file's dataset reports, by a SHA-256 over
-// WriteBinary's bytes and the ColMean, ColVariance, ColMin and ColMax bits
-// of each opened file, for several shapes (1×1 among them) and shard sizes
-// from one row to more rows than n. WriteBinaryFile and ConvertCSV must
-// write the same bytes as WriteBinary. The stat table and the open-time
+// WriteBinaryFile's bytes and the ColMean, ColVariance, ColMin and ColMax
+// bits of each opened file, for several shapes (1×1 among them) and shard
+// sizes from one row to more rows than n. ConvertCSV must write the same
+// bytes as WriteBinaryFile. The stat table and the open-time
 // replay share one accumulator, so a recurrence change made in both would
 // pass every round-trip test; the digest is what notices it, and files
 // already written would no longer open.
@@ -500,27 +506,25 @@ func TestEncodeDigest(t *testing.T) {
 	for _, ds := range shapes {
 		n := ds.N()
 		for _, shardRows := range []int{1, 2, 3, 7, 16, n, n + 5} {
-			var w bytes.Buffer
-			if _, err := WriteBinary(&w, ds, shardRows); err != nil {
-				t.Fatal(err)
-			}
-			h.Write(w.Bytes())
 			path := filepath.Join(dir, fmt.Sprintf("%dx%d-%d.sspcb", n, ds.D(), shardRows))
 			if _, err := WriteBinaryFile(path, ds, shardRows); err != nil {
 				t.Fatal(err)
 			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(want)
 			out := path + ".converted"
 			if _, err := ConvertCSV(out, writeCSVSegments(t, ds, []int{n}), ConvertOptions{ShardRows: shardRows}); err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range []string{path, out} {
-				got, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, w.Bytes()) {
-					t.Fatalf("%dx%d, shardRows %d: %s differs from WriteBinary's bytes", n, ds.D(), shardRows, filepath.Base(p))
-				}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%dx%d, shardRows %d: ConvertCSV's bytes differ from WriteBinaryFile's", n, ds.D(), shardRows)
 			}
 			opened := openTemp(t, path).Dataset()
 			for j := 0; j < opened.D(); j++ {

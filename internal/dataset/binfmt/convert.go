@@ -4,15 +4,15 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
-	"repro/internal/stats"
 )
 
 // ConvertOptions configures ConvertCSV.
@@ -37,20 +37,22 @@ type segmentResult struct {
 }
 
 // ConvertCSV streams pre-split CSV segments into one binary dataset file at
-// out, parsing the segments concurrently. The segments are the pieces of one
-// logical CSV in order (e.g. from split(1)); a record never straddles a
-// segment boundary, but shard boundaries are independent of segment
-// boundaries — the assembly phase re-chunks the concatenated row stream at
-// exactly opts.ShardRows rows, so the output bytes depend only on the data
-// and ShardRows, never on how the input was split. Converting then opening
-// yields a dataset equal to ReadCSV over the concatenated segments.
+// out. The segments are the pieces of one logical CSV in order (e.g. from
+// split(1)); a record never straddles a segment boundary, but shard
+// boundaries are independent of segment boundaries — the rows are re-chunked
+// at exactly opts.ShardRows rows, so the output bytes depend only on the
+// data and ShardRows, never on how the input was split, and equal
+// WriteBinaryFile's over the same matrix. Converting then opening yields a
+// dataset equal to ReadCSV over the concatenated segments.
 //
 // Each segment is parsed by dataset.ScanCSV, so the accepted input language
 // is ReadCSV's: every field must parse as a finite float64 and all rows
 // (across all segments) must share the first data row's width. Each segment
-// must contain at least one data row. Peak memory is O(d) per concurrent
-// segment plus I/O buffers — rows stream through temp spill files and are
-// never all resident.
+// must contain at least one data row. At most GOMAXPROCS segments are parsed
+// at a time, each into a temp spill file of raw payload bytes; the spills
+// are then written out in segment order. Peak memory is O(d) per parser,
+// with at most GOMAXPROCS parsers, plus I/O buffers — the rows are never all
+// resident.
 //
 // The write is atomic: bytes land in out+".tmp" and are renamed over out
 // only after a successful sync.
@@ -68,17 +70,25 @@ func ConvertCSV(out string, segments []string, opts ConvertOptions) (Info, error
 	}
 	defer os.RemoveAll(tmpDir)
 
-	// Phase 1: parse every segment concurrently into a raw payload spill.
+	// Phase 1: parse the segments into raw payload spills. Each parser holds
+	// its segment and its spill open, so their number is bounded.
 	results := make([]segmentResult, len(segments))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, seg := range segments {
+	for w := min(runtime.GOMAXPROCS(0), len(segments)); w > 0; w-- {
 		wg.Add(1)
-		go func(i int, seg string) {
+		go func() {
 			defer wg.Done()
-			spill := filepath.Join(tmpDir, fmt.Sprintf("seg-%d.raw", i))
-			rows, d, err := parseSegment(seg, spill, opts.Header && i == 0)
-			results[i] = segmentResult{rows: rows, d: d, path: spill, err: err}
-		}(i, seg)
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(segments) {
+					return
+				}
+				spill := filepath.Join(tmpDir, fmt.Sprintf("seg-%d.raw", i))
+				rows, d, err := parseSegment(segments[i], spill, opts.Header && i == 0)
+				results[i] = segmentResult{rows: rows, d: d, path: spill, err: err}
+			}
+		}()
 	}
 	wg.Wait()
 
@@ -96,34 +106,33 @@ func ConvertCSV(out string, segments []string, opts ConvertOptions) (Info, error
 		n += res.rows
 	}
 
-	// Phase 2: sequential assembly — concatenate the spills into the payload
-	// while re-chunking stats at shardRows boundaries and hashing, then stamp
-	// the prefix.
-	payloadOff, _, err := layoutSizes(n, d, opts.ShardRows)
-	if err != nil {
-		return Info{}, err
-	}
-	tmpOut := out + ".tmp"
-	f, err := os.Create(tmpOut)
-	if err != nil {
-		return Info{}, fmt.Errorf("binfmt: convert: %w", err)
-	}
-	info, err := assemble(f, payloadOff, n, d, results, opts)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpOut)
-		return Info{}, err
-	}
-	if err := os.Rename(tmpOut, out); err != nil {
-		os.Remove(tmpOut)
-		return Info{}, err
-	}
-	return info, nil
+	// Phase 2: write the spills' rows out in segment order.
+	row := make([]float64, d)
+	rowBytes := make([]byte, d*8)
+	return writeFile(out, n, d, opts.ShardRows, func(emit func(row []float64) error) error {
+		for _, res := range results {
+			spill, err := os.Open(res.path)
+			if err != nil {
+				return err
+			}
+			br := bufio.NewReader(spill)
+			for r := 0; r < res.rows && err == nil; r++ {
+				if _, err = io.ReadFull(br, rowBytes); err != nil {
+					err = fmt.Errorf("binfmt: convert: spill read: %w", err)
+					break
+				}
+				for j := range row {
+					row[j] = math.Float64frombits(binary.LittleEndian.Uint64(rowBytes[j*8:]))
+				}
+				err = emit(row)
+			}
+			spill.Close()
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // parseSegment streams one CSV segment through dataset.ScanCSV into a raw
@@ -160,58 +169,4 @@ func parseSegment(path, spill string, skipHeader bool) (rows, d int, err error) 
 		return 0, 0, err
 	}
 	return rows, d, bw.Flush()
-}
-
-// assemble writes the payload (from the segment spills, in order) at
-// payloadOff, computing the payload checksum and the re-chunked per-shard
-// stat partials along the way, then stamps the prefix at offset 0.
-func assemble(f *os.File, payloadOff int64, n, d int, results []segmentResult, opts ConvertOptions) (Info, error) {
-	if _, err := f.Seek(payloadOff, io.SeekStart); err != nil {
-		return Info{}, err
-	}
-	numShards := numShardsFor(n, opts.ShardRows)
-	bw := bufio.NewWriter(f)
-	crc := crc64.New(crcTable)
-	acc := stats.NewColumns(d)
-	statTable := make([]byte, 0, numShards*4*d*8)
-	row := make([]float64, d)
-	rowBytes := make([]byte, d*8)
-	for _, res := range results {
-		spill, err := os.Open(res.path)
-		if err != nil {
-			return Info{}, err
-		}
-		br := bufio.NewReader(spill)
-		for r := 0; r < res.rows; r++ {
-			if _, err := io.ReadFull(br, rowBytes); err != nil {
-				spill.Close()
-				return Info{}, fmt.Errorf("binfmt: convert: spill read: %w", err)
-			}
-			for j := range row {
-				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(rowBytes[j*8:]))
-			}
-			crc.Write(rowBytes)
-			acc.AddRow(row)
-			if _, err := bw.Write(rowBytes); err != nil {
-				spill.Close()
-				return Info{}, err
-			}
-			if acc.Rows == opts.ShardRows {
-				statTable = appendStats(statTable, acc)
-				acc.Reset()
-			}
-		}
-		spill.Close()
-	}
-	if acc.Rows > 0 {
-		statTable = appendStats(statTable, acc)
-	}
-	if err := bw.Flush(); err != nil {
-		return Info{}, err
-	}
-	payloadCRC := crc.Sum64()
-	if _, err := f.WriteAt(encodePrefix(n, d, opts.ShardRows, payloadCRC, statTable), 0); err != nil {
-		return Info{}, err
-	}
-	return Info{N: n, D: d, ShardRows: opts.ShardRows, NumShards: numShards, PayloadChecksum: payloadCRC}, nil
 }

@@ -12,16 +12,12 @@ import (
 )
 
 // fuzzSeed encodes a small dataset to canonical bytes for the corpus.
-func fuzzSeed(rows [][]float64, shardRows int) []byte {
+func fuzzSeed(f *testing.F, rows [][]float64, shardRows int) []byte {
 	ds, err := dataset.FromRows(rows)
 	if err != nil {
-		panic(err)
+		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := WriteBinary(&buf, ds, shardRows); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return encoded(f, ds, shardRows)
 }
 
 // FuzzOpenBinary throws arbitrary bytes at the full open path — header and
@@ -32,9 +28,9 @@ func fuzzSeed(rows [][]float64, shardRows int) []byte {
 // every decoded value is finite.
 func FuzzOpenBinary(f *testing.F) {
 	seeds := [][]byte{
-		fuzzSeed([][]float64{{1.5, -2.25}, {0, 3e7}, {-0.5, 0.125}}, 2),
-		fuzzSeed([][]float64{{42}}, 1),
-		fuzzSeed([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}}, 3),
+		fuzzSeed(f, [][]float64{{1.5, -2.25}, {0, 3e7}, {-0.5, 0.125}}, 2),
+		fuzzSeed(f, [][]float64{{42}}, 1),
+		fuzzSeed(f, [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}}, 3),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -62,8 +58,8 @@ func FuzzOpenBinary(f *testing.F) {
 		}
 		defer fl.Close()
 		ds := fl.Dataset()
-		if ds.N() != fl.N() || ds.D() != fl.D() {
-			t.Fatalf("dataset shape %dx%d disagrees with file %dx%d", ds.N(), ds.D(), fl.N(), fl.D())
+		if ds.N() != fl.n || ds.D() != fl.d {
+			t.Fatalf("dataset shape %dx%d disagrees with file %dx%d", ds.N(), ds.D(), fl.n, fl.d)
 		}
 		for i := 0; i < ds.N(); i++ {
 			for _, v := range ds.Row(i) {
@@ -72,11 +68,15 @@ func FuzzOpenBinary(f *testing.F) {
 				}
 			}
 		}
-		var re bytes.Buffer
-		if _, err := WriteBinary(&re, ds, fl.ShardRows()); err != nil {
+		rePath := path + ".re"
+		if _, err := WriteBinaryFile(rePath, ds, fl.shardRows); err != nil {
 			t.Fatalf("re-encode of accepted file failed: %v", err)
 		}
-		if !bytes.Equal(re.Bytes(), data) {
+		re, err := os.ReadFile(rePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re, data) {
 			t.Fatal("accepted file is not a canonical encoding (re-encode differs)")
 		}
 	})

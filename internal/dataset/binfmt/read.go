@@ -29,7 +29,6 @@ var hostLittleEndian = func() bool {
 // is read-only either way (Set panics). Close releases the mapping — the
 // dataset must not be used afterwards.
 type File struct {
-	path       string
 	n, d       int
 	shardRows  int
 	numShards  int
@@ -118,7 +117,7 @@ func OpenBinary(path string) (*File, error) {
 		return nil, fmt.Errorf("%s: map: %w", path, err)
 	}
 	fl := &File{
-		path: path, n: n, d: d, shardRows: shardRows, numShards: numShards,
+		n: n, d: d, shardRows: shardRows, numShards: numShards,
 		payloadCRC: payloadCRC, data: data, mapped: mapped,
 	}
 	if err := fl.verifyAndBuild(payloadOff); err != nil {
@@ -209,21 +208,6 @@ func (fl *File) verifyAndBuild(payloadOff int64) error {
 // Dataset returns the file's matrix for the algorithms. It shares the
 // mapping: do not use it after Close.
 func (fl *File) Dataset() *dataset.Dataset { return fl.ds }
-
-// N returns the number of objects (rows).
-func (fl *File) N() int { return fl.n }
-
-// D returns the number of dimensions (columns).
-func (fl *File) D() int { return fl.d }
-
-// ShardRows returns the sharding granularity (the last shard may be shorter).
-func (fl *File) ShardRows() int { return fl.shardRows }
-
-// NumShards returns the shard count.
-func (fl *File) NumShards() int { return fl.numShards }
-
-// PayloadChecksum returns the CRC-64/ECMA of the payload bytes.
-func (fl *File) PayloadChecksum() uint64 { return fl.payloadCRC }
 
 // ContentHash returns the file's dataset fingerprint for model registries:
 // shape plus payload checksum, invariant under re-sharding (the payload is

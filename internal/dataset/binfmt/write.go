@@ -13,25 +13,14 @@ import (
 	"repro/internal/stats"
 )
 
-// encodeRow appends row's float64 bits little-endian to buf[:0] and returns
-// the filled slice. buf must have capacity for len(row)*8 bytes.
-func encodeRow(buf []byte, row []float64) []byte {
-	buf = buf[:0]
-	for _, v := range row {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
 // encodePrefix builds the complete pre-payload prefix of a file — fixed
-// header, extent table, the stat table the caller built with appendStats,
-// and the trailing headerCRC — so the writer paths (WriteBinary, ConvertCSV)
-// emit byte-identical files for identical data and shardRows.
+// header, extent table, the stat table writeFile built with appendStats,
+// and the trailing headerCRC.
 func encodePrefix(n, d, shardRows int, payloadCRC uint64, statTable []byte) []byte {
 	numShards := numShardsFor(n, shardRows)
 	payloadOff, _, err := layoutSizes(n, d, shardRows)
 	if err != nil {
-		// The writers validate shape before accumulating stats; reaching
+		// writeFile validates the shape before it takes a row; reaching
 		// here is a programming error, not an input error.
 		panic(err)
 	}
@@ -66,86 +55,104 @@ func shardRowRange(n, shardRows, s int) (lo, hi int) {
 	return lo, hi
 }
 
-// WriteBinary writes ds in the binary dataset format with the given shard
-// granularity. Where the dataset's storage lives (the heap, or a file with
-// other shard boundaries) is irrelevant: the writer walks rows in index order and
-// shards the payload at exactly shardRows rows, so the same values always
-// produce the same bytes — the format has one canonical encoding per
-// (data, shardRows) pair, which FuzzOpenBinary leans on.
+// WriteBinaryFile writes ds to path (0644) in the binary dataset format with
+// the given shard granularity. Where the dataset's storage lives (the heap,
+// or a file with other shard boundaries) is irrelevant: the writer reads the
+// rows once, in index order, and shards the payload at exactly shardRows
+// rows, so the same values always produce the same bytes — the format has
+// one canonical encoding per (data, shardRows) pair, which FuzzOpenBinary
+// leans on. Memory stays O(d) plus the stat table.
 //
-// Memory stays O(d): the rows are scanned twice (once for stats and the
-// payload checksum, once to emit), never buffered.
-func WriteBinary(w io.Writer, ds *dataset.Dataset, shardRows int) (Info, error) {
-	n, d := ds.N(), ds.D()
-	if _, _, err := layoutSizes(n, d, shardRows); err != nil {
-		return Info{}, err
-	}
-	numShards := numShardsFor(n, shardRows)
-
-	// Pass 1: per-shard stat partials and the payload checksum.
-	crc := crc64.New(crcTable)
-	acc := stats.NewColumns(d)
-	statTable := make([]byte, 0, numShards*4*d*8)
-	rowBuf := make([]byte, 0, d*8)
-	for i := 0; i < n; i++ {
-		row := ds.Row(i)
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return Info{}, fmt.Errorf("%w: non-finite value at (%d,%d)", ErrFormat, i, j)
+// The write is atomic: the bytes land in path+".tmp" and are renamed over
+// path only after a successful sync, so a crashed writer never leaves a
+// half-written file under the final name.
+func WriteBinaryFile(path string, ds *dataset.Dataset, shardRows int) (Info, error) {
+	n := ds.N()
+	return writeFile(path, n, ds.D(), shardRows, func(emit func(row []float64) error) error {
+		for i := 0; i < n; i++ {
+			if err := emit(ds.Row(i)); err != nil {
+				return err
 			}
 		}
-		crc.Write(encodeRow(rowBuf, row))
-		acc.AddRow(row)
-		if acc.Rows == shardRows {
-			statTable = appendStats(statTable, acc)
-			acc.Reset()
-		}
-	}
-	if acc.Rows > 0 {
-		statTable = appendStats(statTable, acc)
-	}
-	payloadCRC := crc.Sum64()
-
-	// Pass 2: emit prefix then payload.
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(encodePrefix(n, d, shardRows, payloadCRC, statTable)); err != nil {
-		return Info{}, err
-	}
-	for i := 0; i < n; i++ {
-		if _, err := bw.Write(encodeRow(rowBuf, ds.Row(i))); err != nil {
-			return Info{}, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return Info{}, err
-	}
-	return Info{N: n, D: d, ShardRows: shardRows, NumShards: numShards, PayloadChecksum: payloadCRC}, nil
+		return nil
+	})
 }
 
-// WriteBinaryFile writes ds to path (0644) in the binary dataset format,
-// atomically: the bytes land in path+".tmp" and are renamed over path only
-// after a successful sync, so a crashed writer never leaves a half-written
-// file under the final name.
-func WriteBinaryFile(path string, ds *dataset.Dataset, shardRows int) (Info, error) {
+// writeFile writes every .sspcb file. It validates the shape, creates
+// path+".tmp" and seeks past the prefix. rows then hands emit the n rows in
+// order; emit rejects a non-finite value, encodes the row little-endian,
+// folds it into the payload checksum and its shard's stat partials, and
+// writes it. Last, writeFile checks that n rows came, writes the prefix at
+// offset 0, syncs, and renames the file over path. On any error the temp
+// file is removed and path is left as it was.
+func writeFile(path string, n, d, shardRows int, rows func(emit func(row []float64) error) error) (info Info, err error) {
+	payloadOff, _, err := layoutSizes(n, d, shardRows)
+	if err != nil {
+		return Info{}, err
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return Info{}, err
 	}
-	info, err := WriteBinary(f, ds, shardRows)
-	if err == nil {
-		err = f.Sync()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if _, err := f.Seek(payloadOff, io.SeekStart); err != nil {
+		return Info{}, err
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+
+	bw := bufio.NewWriter(f)
+	crc := crc64.New(crcTable)
+	acc := stats.NewColumns(d)
+	statTable := make([]byte, 0, numShardsFor(n, shardRows)*4*d*8)
+	buf := make([]byte, 0, d*8)
+	i := 0
+	err = rows(func(row []float64) error {
+		buf = buf[:0]
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: non-finite value at (%d,%d)", ErrFormat, i, j)
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		crc.Write(buf)
+		acc.AddRow(row)
+		if acc.Rows == shardRows {
+			statTable = appendStats(statTable, acc)
+			acc.Reset()
+		}
+		i++
+		_, err := bw.Write(buf)
+		return err
+	})
 	if err != nil {
-		os.Remove(tmp)
 		return Info{}, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if i != n {
+		return Info{}, fmt.Errorf("binfmt: got %d rows, want %d", i, n)
+	}
+	if acc.Rows > 0 {
+		statTable = appendStats(statTable, acc)
+	}
+	payloadCRC := crc.Sum64()
+	if err = bw.Flush(); err != nil {
 		return Info{}, err
 	}
-	return info, nil
+	if _, err = f.WriteAt(encodePrefix(n, d, shardRows, payloadCRC, statTable), 0); err != nil {
+		return Info{}, err
+	}
+	if err = f.Sync(); err != nil {
+		return Info{}, err
+	}
+	if err = f.Close(); err != nil {
+		return Info{}, err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return Info{}, err
+	}
+	return Info{N: n, D: d, ShardRows: shardRows, NumShards: numShardsFor(n, shardRows), PayloadChecksum: payloadCRC}, nil
 }
