@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -123,11 +124,50 @@ func TestJobCancel(t *testing.T) {
 	}
 }
 
+// lockedBuffer collects the server's log records; the server's goroutines
+// write it while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// captureLog points s's log at a fresh buffer and returns the buffer.
+func captureLog(s *server) *lockedBuffer {
+	logs := &lockedBuffer{}
+	s.log = slog.New(slog.NewTextHandler(logs, nil))
+	return logs
+}
+
+// requireLogged asserts the log holds every one of wants.
+func requireLogged(t *testing.T, logs *lockedBuffer, wants ...string) {
+	t.Helper()
+	got := logs.String()
+	for _, want := range wants {
+		if !strings.Contains(got, want) {
+			t.Errorf("log lacks %q:\n%s", want, got)
+		}
+	}
+}
+
 // TestFitPanicBecomesFailedJob injects a panic into a restart via the fault
-// registry: the daemon must contain it into a failed job with class "panic"
-// and keep answering requests.
+// registry: the daemon must contain it into a failed job with class "panic",
+// log the job id, the panic and its stack before the job turns failed, and
+// keep answering requests.
 func TestFitPanicBecomesFailedJob(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
+	logs := captureLog(s)
 	_, rows, _ := fitAndModel(t)
 
 	faults.Enable(faults.Plan{Site: faults.SiteRestartLaunch, Mode: faults.ModePanic})
@@ -139,6 +179,7 @@ func TestFitPanicBecomesFailedJob(t *testing.T) {
 	if done.State != "failed" || done.Class != "panic" {
 		t.Fatalf("job = %+v, want failed with class %q", done, "panic")
 	}
+	requireLogged(t, logs, "level=ERROR", "job_id="+j.ID, "injected panic at "+faults.SiteRestartLaunch, "faults.Check(")
 
 	// The daemon survived: the same fit now completes.
 	var j2 job
@@ -156,6 +197,7 @@ func (panicReader) Read([]byte) (int, error) { panic("body bomb") }
 
 func TestHandlerPanicAnswers500WithRequestID(t *testing.T) {
 	s, _ := testServer(t)
+	logs := captureLog(s)
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/fit", panicReader{})
 	s.ServeHTTP(rec, req)
@@ -169,6 +211,7 @@ func TestHandlerPanicAnswers500WithRequestID(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), id) {
 		t.Errorf("500 body %q does not name request id %q", rec.Body.String(), id)
 	}
+	requireLogged(t, logs, "level=ERROR", "request_id="+id, "panic=\"body bomb\"", "panicReader.Read(")
 }
 
 func TestFitDraining503(t *testing.T) {

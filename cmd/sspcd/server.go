@@ -7,7 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"os"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -106,6 +109,10 @@ type server struct {
 	draining atomic.Bool
 	// reqID numbers requests for the panic-recovery middleware's 500s.
 	reqID atomic.Int64
+	// log gets one Error record per panic the daemon survives: the request
+	// or job id, the panic value and the stack, which the 500 body and the
+	// job's error text leave out. newServer writes it to stderr.
+	log *slog.Logger
 
 	// assignScratch pools the body, row and answer buffers of JSON /assign,
 	// so steady-state requests reuse memory instead of growing the heap per
@@ -125,6 +132,7 @@ func newServer() *server {
 		models:  make(map[string]*entry),
 		jobs:    make(map[string]*job),
 		cancels: make(map[string]context.CancelCauseFunc),
+		log:     slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	}
 	// out starts empty rather than nil, so a batch of zero rows answers
 	// [] and not null whichever buffer it gets.
@@ -171,14 +179,15 @@ func (s *server) loadModelFile(path string) (string, error) {
 
 // ServeHTTP stamps every request with an ID, contains handler panics (a
 // panicking handler answers 500 with the request ID instead of killing the
-// connection or the daemon), and routes. Routing is by hand: go.mod pins the
-// language to a version whose ServeMux has no method or wildcard patterns,
-// so the table lives here.
+// connection or the daemon, and logs the panic with its stack), and routes.
+// Routing is by hand: go.mod pins the language to a version whose ServeMux
+// has no method or wildcard patterns, so the table lives here.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("req-%d", s.reqID.Add(1))
 	w.Header().Set("X-Request-Id", id)
 	defer func() {
 		if v := recover(); v != nil {
+			s.log.Error("handler panic", "request_id", id, "panic", v, "stack", string(debug.Stack()))
 			// Best effort: if the handler already wrote a status line the
 			// error text lands mid-body, but the daemon stays up either way.
 			httpError(w, http.StatusInternalServerError, "internal error (request %s): %v", id, v)
@@ -412,12 +421,16 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 				defer closeDS()
 			}
 			defer func() {
-				s.mu.Lock()
-				delete(s.cancels, j.ID)
 				// A panic that escaped the engine's restart containment (e.g.
 				// from the trace callback or model encoding) must not kill the
-				// daemon: record it as a failed job and keep serving.
-				if v := recover(); v != nil {
+				// daemon: log it, record it as a failed job and keep serving.
+				v := recover()
+				if v != nil {
+					s.log.Error("fit panic", "job_id", j.ID, "panic", v, "stack", string(debug.Stack()))
+				}
+				s.mu.Lock()
+				delete(s.cancels, j.ID)
+				if v != nil {
 					j.State = "failed"
 					j.Class = "panic"
 					j.Error = fmt.Sprintf("fit panicked: %v", v)
@@ -438,6 +451,10 @@ func (s *server) handleFit(w http.ResponseWriter, r *http.Request) {
 			var regKey string
 			if err == nil {
 				regKey, err = s.register(m)
+			}
+			var pe *engine.PanicError
+			if errors.As(err, &pe) {
+				s.log.Error("fit panic", "job_id", j.ID, "error", err, "stack", string(pe.Stack))
 			}
 			s.mu.Lock()
 			if err != nil {
