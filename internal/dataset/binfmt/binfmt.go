@@ -1,9 +1,10 @@
 // Package binfmt defines the on-disk binary dataset format (.sspcb) and its
-// two ends: a streaming writer (WriteBinary, ConvertCSV) and an mmap-backed
-// reader (OpenBinary) whose dataset aliases the file's payload directly, so
-// the algorithms cluster datasets larger than RAM through the ordinary
-// dataset accessor seam (At/Row/GatherRows/GatherColumn) with peak heap
-// ≈ the gathered working set.
+// two ends: a streaming writer, fed a dataset's rows by WriteBinaryFile or
+// CSV segments (parsed at most GOMAXPROCS at a time) by ConvertCSV, and an
+// mmap-backed reader (OpenBinary) whose dataset aliases the file's payload
+// directly, so the algorithms cluster datasets larger than RAM through the
+// ordinary dataset accessor seam (At/Row/GatherRows/GatherColumn) with peak
+// heap ≈ the gathered working set.
 //
 // # Layout (version 1, all integers and float bits little-endian)
 //
@@ -102,7 +103,7 @@ var (
 	// ErrTruncated reports a file shorter than its header declares.
 	ErrTruncated = errors.New("binfmt: truncated file")
 	// ErrChecksum reports CRC or stat-partial mismatches: the bytes changed
-	// since WriteBinary produced them.
+	// since the writer produced them.
 	ErrChecksum = errors.New("binfmt: checksum mismatch (corrupted file)")
 	// ErrFormat reports a structurally inconsistent file: impossible shape,
 	// extents that contradict the header, trailing bytes, non-finite values.

@@ -205,9 +205,10 @@ func WriteBinaryDataset(path string, ds *Dataset, shardRows int) (BinaryDatasetI
 }
 
 // ConvertCSVToBinary streams pre-split CSV segments (one logical CSV, in
-// order) into a binary dataset file, parsing segments concurrently and
-// re-chunking rows into shards independently of the segment boundaries; the
-// output is byte-identical to WriteBinaryDataset over the same matrix.
+// order) into a binary dataset file, parsing at most GOMAXPROCS segments at
+// a time and re-chunking rows into shards independently of the segment
+// boundaries; the output is byte-identical to WriteBinaryDataset over the
+// same matrix.
 func ConvertCSVToBinary(out string, segments []string, opts ConvertCSVOptions) (BinaryDatasetInfo, error) {
 	return binfmt.ConvertCSV(out, segments, opts)
 }
