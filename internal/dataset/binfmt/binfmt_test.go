@@ -471,6 +471,33 @@ func TestWriteBinaryFileAtomic(t *testing.T) {
 	}
 }
 
+// TestWriteBinaryFileNonFinite fails a write part-way through the rows: the
+// error is ErrFormat, the temp file is gone, and a file already at the path
+// keeps its bytes.
+func TestWriteBinaryFileNonFinite(t *testing.T) {
+	ds := testDataset(t, 10, 3)
+	path := writeTemp(t, ds, 4)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := ds.Clone()
+	bad.Set(6, 1, math.Inf(-1)) // second shard: rows 0–5 are already written
+	if _, err := WriteBinaryFile(path, bad, 4); !errors.Is(err, ErrFormat) {
+		t.Fatalf("err = %v, want ErrFormat", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("failed write changed the existing file")
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("failed write left %d entries behind (err %v)", len(entries), err)
+	}
+}
+
 // TestEncodeDigest pins the bytes the writers produce and the column
 // statistics an opened file's dataset reports, by a SHA-256 over
 // WriteBinaryFile's bytes and the ColMean, ColVariance, ColMin and ColMax

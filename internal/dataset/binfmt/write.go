@@ -85,7 +85,7 @@ func WriteBinaryFile(path string, ds *dataset.Dataset, shardRows int) (Info, err
 // writes it. Last, writeFile checks that n rows came, writes the prefix at
 // offset 0, syncs, and renames the file over path. On any error the temp
 // file is removed and path is left as it was.
-func writeFile(path string, n, d, shardRows int, rows func(emit func(row []float64) error) error) (info Info, err error) {
+func writeFile(path string, n, d, shardRows int, rows func(emit func(row []float64) error) error) (_ Info, err error) {
 	payloadOff, _, err := layoutSizes(n, d, shardRows)
 	if err != nil {
 		return Info{}, err
@@ -101,7 +101,7 @@ func writeFile(path string, n, d, shardRows int, rows func(emit func(row []float
 			os.Remove(tmp)
 		}
 	}()
-	if _, err := f.Seek(payloadOff, io.SeekStart); err != nil {
+	if _, err = f.Seek(payloadOff, io.SeekStart); err != nil {
 		return Info{}, err
 	}
 
