@@ -20,9 +20,9 @@
 // CSV of the same data). -convert skips generation entirely: the positional
 // arguments are the in-order segments of one logical CSV (e.g. from
 // split(1)), parsed at most GOMAXPROCS segments at a time and streamed into
-// one binary file whose bytes are independent of the split. -header skips a header record on the
-// first segment. See docs/DATASETS.md for the format and the conversion
-// memory arithmetic.
+// one binary file whose bytes are independent of the split. -header skips a
+// header record on the first segment. See docs/DATASETS.md for the format
+// and the conversion memory arithmetic.
 package main
 
 import (
